@@ -162,9 +162,6 @@ class NeighborChannel:
     overlap_links: tuple[int, ...]
     duplex: Duplex
 
-    def __post_init__(self):
-        self._send_index = self.send_map.index_of()
-
 
 # ---------------------------------------------------------------------------
 # encode / decode
@@ -174,7 +171,7 @@ class NeighborChannel:
 def encode(decoder: DecoderMap, records: list[Record]) -> list[float]:
     """Fill the fixed message layout; slots without flow stay 0.0."""
     values = [0.0] * decoder.message_length
-    index = decoder.index_of()
+    index = decoder.slot_index
     for cid, link, gidx, vtype, nxt, amount in records:
         slot = (cid, link, gidx, vtype, nxt)
         pos = index.get(slot)

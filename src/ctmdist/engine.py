@@ -15,11 +15,43 @@ neighboring subnetworks; a sequential run is the same engine with every node
 owned and nothing to exchange.  All accumulation loops iterate in ascending
 (link, lane group, connection, commodity) order so that a partitioned run
 reproduces the sequential run bit for bit.
+
+Cells are dense.  Each link has a fixed, ascending tuple of the commodities
+that can occur on it, by the rule of `partition._entry_nexts`: on a sink,
+(vt, TERMINAL) for every vehicle type; on other links, the path successor
+for each deterministic type whose path holds the link, and every successor
+for each probabilistic type.  A cell is a list of floats in that order, with
+0.0 for an absent commodity.  The results are the same, bit for bit, as
+those of a map from commodity to vehicles iterated in sorted order:
+
+- A dense sum in ascending order equals the sparse sorted sum, because
+  `x + 0.0 == x` for every value a cell can hold.  Cell totals, connection
+  demands, arrivals per vehicle type, `exited` and `in_network` are all
+  such left-to-right sums starting from 0.0.
+- Products keep their two-step order: an internal flow is
+  `(v * scale) * (flow / total)`, never `v * (scale * (flow / total))`, and
+  a delivery is `(arrived * (group supply / link supply)) * fraction`.
+  The node model passes entries unscaled when supply covers demand, and a
+  link with one lane group gives it a share of 1.0 without dividing; both
+  are exact, since `x * 1.0 == x` and `s / s == 1.0` for `s > 0`.
+- `in_network` adds per-cell totals in ascending link order.  It skips
+  inactive links, which only ever hold zeros.
+- Each entry receives its additions and subtractions in the order the
+  records were made, so phase B applies records in list order.
+- The builtin `sum()` never runs over simulation floats: since CPython 3.12
+  it adds floats with compensated (Neumaier) summation, which changes the
+  bits.  `cell_total` is a plain left fold.
+
+Removal and delivery records are made for nonzero entries only, and dumps
+skip zero entries.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .errors import InternalAssertion, ScenarioError
 from .scenario import Link, Scenario, TERMINAL, build_lane_groups, rate_at
@@ -30,28 +62,29 @@ Commodity = tuple[int, int]
 # link == connection.out_link -> delivery into the link's first cells
 # link == connection.in_link  -> removal from the link's last cells
 FluxRecord = tuple[int, int, int, int, int, float]
+# the same flow inside the engine, by commodity position on its link:
+# (connection, group index, commodity position, vehicles)
+EntryRecord = tuple[int, int, int, float]
 
 NEG_TOL = -1e-12
 
 
-def cell_total(cell: dict[Commodity, float]) -> float:
-    total = 0.0
-    for key in sorted(cell):
-        total += cell[key]
-    return total
+def cell_total(cell: list[float]) -> float:
+    """Vehicles in a cell: a left fold from 0.0 in commodity order."""
+    return reduce(add, cell, 0.0)
 
 
 def compute_demand(
-    cell: dict[Commodity, float], cap_per_step: float
-) -> tuple[float, list[tuple[Commodity, float]]]:
-    """Sending capability of a cell: min(n, C) split over commodities in
-    proportion to their counts.  Returns (total, per-commodity list)."""
-    n_total = cell_total(cell)
+    cell: list[float], n_total: float, cap_per_step: float
+) -> tuple[float, list[float]]:
+    """Sending capability of a cell holding `n_total` vehicles: min(n, C)
+    split over commodities in proportion to their counts.  Returns (total,
+    per-position demands); (0.0, []) for an empty cell."""
     if n_total <= 0.0:
         return 0.0, []
-    total = min(n_total, cap_per_step)
+    total = cap_per_step if cap_per_step < n_total else n_total
     scale = total / n_total
-    return total, [(key, cell[key] * scale) for key in sorted(cell)]
+    return total, [v * scale for v in cell]
 
 
 def compute_supply(
@@ -63,66 +96,60 @@ def compute_supply(
     return supply if supply > 0.0 else 0.0
 
 
-def resolve_node_flows(
-    demand_entries: dict[int, tuple[float, tuple]],
-    out_link_of: dict[int, int],
-    supply_of,
-) -> dict[int, tuple]:
-    """Proportional-merge node model.
+def resolve_node_flows(demand_entries: dict[int, tuple], supply: float) -> dict[int, tuple]:
+    """Proportional-merge node model at one downstream link.
 
-    `demand_entries` maps a road connection id to (total demand, entries),
-    where entries are (key, demand) pairs in canonical order.  For each
-    downstream link, if total demand exceeds the link's first-cell supply,
-    every connection into it is scaled by the common factor supply/demand; a
-    single round, no redistribution.  Returns scaled entries per connection.
+    `demand_entries` maps each road connection into the link, in ascending
+    id order, to (total demand, entries), where entries are (key, demand)
+    pairs.  If the total demand exceeds the link's first-cell `supply`,
+    every connection is scaled by the common factor supply/demand; a single
+    round, no redistribution.  Returns the entries per connection, scaled.
     """
-    by_link: dict[int, list[int]] = {}
-    for cid in sorted(demand_entries):
-        by_link.setdefault(out_link_of[cid], []).append(cid)
-    flows: dict[int, tuple] = {}
-    for link_id in sorted(by_link):
-        conns = by_link[link_id]
-        total = 0.0
-        for cid in conns:
-            total += demand_entries[cid][0]
-        if total <= 0.0:
-            continue
-        supply = supply_of(link_id)
-        factor = 1.0 if total <= supply else supply / total
-        for cid in conns:
-            flows[cid] = tuple(
-                (key, d * factor) for key, d in demand_entries[cid][1]
-            )
-    return flows
+    total = 0.0
+    for demand, _entries in demand_entries.values():
+        total += demand
+    if total <= 0.0:
+        return {}
+    if total <= supply:
+        # factor 1.0: d * 1.0 == d, so the entries pass unchanged
+        return {cid: entries for cid, (_d, entries) in demand_entries.items()}
+    factor = supply / total
+    return {
+        cid: tuple([(key, d * factor) for key, d in entries])
+        for cid, (_d, entries) in demand_entries.items()
+    }
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupRuntime:
-    """One lane group's static coefficients and mutable cell states."""
+    """One lane group's static coefficients, commodity tables and cells."""
 
-    link: int
     index: int
-    lane_count: int
     cell_count: int
-    cell_length: float
     cap_step: float  # vehicles per step through the group
     jam_veh: float  # vehicles at jam density in one cell
     wv_ratio: float
-    conn_ids: tuple[int, ...]
-    conn_by_next: dict[int, int]  # downstream link -> serving connection
-    serves: frozenset[int]
-    cells: list[dict[Commodity, float]] = field(default_factory=list)
+    cells: list[list[float]]
+    # (position, serving connection, its out link, group index, vehicle
+    # type) per served commodity; also the node model's key for the entry
+    outflows: tuple[tuple[int, int, int, int, int], ...] = ()
+    # (position, adjacent group to move toward) per misplaced commodity
+    lane_moves: tuple[tuple[int, int], ...] = ()
+    # positions of misplaced commodities that no lane group serves
+    lane_stuck: tuple[int, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkRuntime:
     link: Link
     groups: list[GroupRuntime]
     inflow_local: bool  # start node owned: this engine resolves entering flows
     outflow_local: bool  # end node owned: this engine resolves leaving flows
-    successor_set: frozenset[int]
-    # (group index, wanted next link) -> adjacent group index to move toward
-    lane_change_step: dict[tuple[int, int], int]
+    comms: tuple[Commodity, ...]  # ascending; the layout of every cell
+    comm_index: dict[Commodity, int]
+    # positions whose next link no road connection reaches (TERMINAL
+    # included) on a non-sink link; they must stay empty
+    invalid: tuple[int, ...]
 
     @property
     def authoritative(self) -> bool:
@@ -131,19 +158,17 @@ class LinkRuntime:
         return self.inflow_local
 
 
-@dataclass
+@dataclass(slots=True)
 class StepPlan:
-    internal: dict[int, list[tuple[int, int, Commodity, float]]] = field(
-        default_factory=dict
-    )
-    removals: dict[int, list[FluxRecord]] = field(default_factory=dict)
-    deliveries: dict[int, list[FluxRecord]] = field(default_factory=dict)
-    discharge: dict[int, list[tuple[int, Commodity, float]]] = field(
-        default_factory=dict
-    )
+    # link -> (group index, cell k, per-position flows from cell k to k + 1)
+    internal: dict[int, list[tuple[int, int, list[float]]]] = field(default_factory=dict)
+    removals: dict[int, list[EntryRecord]] = field(default_factory=dict)
+    deliveries: dict[int, list[EntryRecord]] = field(default_factory=dict)
+    # link -> (group index, per-position discharge from the last cell)
+    discharge: dict[int, list[tuple[int, list[float]]]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepStats:
     entered: float = 0.0
     exited: float = 0.0
@@ -163,21 +188,31 @@ class Engine:
             if nid not in scenario.nodes:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
 
-        self.links: dict[int, LinkRuntime] = {}
-        for lid in sorted(scenario.links):
-            link = scenario.links[lid]
-            if link.start_node not in self.owned and link.end_node not in self.owned:
-                continue  # context-only stub link carried for referential integrity
-            self.links[lid] = self._build_link(link)
-
         # deterministic routing lookup: (vtype, link) -> next link on the path
         self.det_next: dict[tuple[int, int], int] = {}
+        det_comms: dict[int, set[Commodity]] = {}
         for vt in scenario.vehicle_types.values():
             if vt.routing != "deterministic":
                 continue
             for pos, lid in enumerate(vt.path):
                 nxt = TERMINAL if pos == len(vt.path) - 1 else vt.path[pos + 1]
                 self.det_next[(vt.id, lid)] = nxt
+                det_comms.setdefault(lid, set()).add((vt.id, nxt))
+        prob_types = sorted(
+            vt.id for vt in scenario.vehicle_types.values() if vt.routing != "deterministic"
+        )
+        self._in_link_of = {cid: c.in_link for cid, c in scenario.connections.items()}
+        self._out_link_of = {cid: c.out_link for cid, c in scenario.connections.items()}
+        sink_comms = tuple((vt, TERMINAL) for vt in sorted(scenario.vehicle_types))
+        # shared by every sink link; never mutated
+        self._sink_layout = (sink_comms, dict(zip(sink_comms, range(len(sink_comms)))), ())
+
+        self.links: dict[int, LinkRuntime] = {}
+        for lid in sorted(scenario.links):
+            link = scenario.links[lid]
+            if link.start_node not in self.owned and link.end_node not in self.owned:
+                continue  # context-only stub link carried for referential integrity
+            self.links[lid] = self._build_link(link, prob_types, det_comms.get(lid, ()))
 
         self.queues: dict[tuple[int, int], float] = {}
         self.source_links = tuple(
@@ -186,58 +221,81 @@ class Engine:
             if self.scenario.demand_rows(lid)
         )
         self.active: set[int] = set(self.source_links)
-        self._supply_cache: dict[int, tuple[float, tuple[float, ...]]] = {}
+        # per step: cell totals of active links after lane changes
+        self._totals: dict[int, list[list[float]]] = {}
+        self._empty_supplies: dict[int, tuple[float, tuple]] = {}
+        # entry fractions stay valid while no split row starts: cached per
+        # epoch, the number of distinct split start times passed
+        self._split_times = sorted({row.start_time for row in scenario.splits})
+        self._epoch: int | None = None
         self._fraction_cache: dict[tuple[int, int], tuple] = {}
+        self._position_cache: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         self._plan: StepPlan | None = None
 
-    def _build_link(self, link: Link) -> LinkRuntime:
-        outgoing = [self.scenario.connections[c] for c in self.scenario.out_conns[link.id]]
+    def _build_link(self, link: Link, prob_types: list[int], det_comms) -> LinkRuntime:
+        scenario = self.scenario
+        out_conns = scenario.out_conns[link.id]
+        if link.is_sink:
+            comms, comm_index, invalid = self._sink_layout
+        else:
+            successors = {self._out_link_of[cid] for cid in out_conns}
+            wanted = [(vt, nxt) for vt in prob_types for nxt in successors]
+            wanted.extend(det_comms)
+            comms = tuple(sorted(wanted))
+            comm_index = dict(zip(comms, range(len(comms))))
+            invalid = []  # TERMINAL or a next link no lane group serves
+
+        fd = link.fd
+        wv_ratio = fd.congestion_wave_speed / fd.free_flow_speed
         groups = []
+        serving = []  # per group: downstream link -> serving connection
+        outgoing = [scenario.connections[cid] for cid in out_conns]
         for lg in build_lane_groups(link, outgoing, self.dt):
-            conn_by_next = {}
-            serves = set()
-            for cid in lg.conn_ids:
-                out = self.scenario.connections[cid].out_link
-                conn_by_next[out] = cid
-                serves.add(out)
+            cap_step = (fd.capacity * lg.lane_count) * self.dt
+            jam_veh = (fd.jam_density * lg.lane_count) * lg.cell_length
             groups.append(
                 GroupRuntime(
-                    link=link.id,
                     index=lg.index,
-                    lane_count=lg.lane_count,
                     cell_count=lg.cell_count,
-                    cell_length=lg.cell_length,
-                    cap_step=(link.fd.capacity * lg.lane_count) * self.dt,
-                    jam_veh=(link.fd.jam_density * lg.lane_count) * lg.cell_length,
-                    wv_ratio=link.fd.congestion_wave_speed / link.fd.free_flow_speed,
-                    conn_ids=lg.conn_ids,
-                    conn_by_next=conn_by_next,
-                    serves=frozenset(serves),
-                    cells=[{} for _ in range(lg.cell_count)],
+                    cap_step=cap_step,
+                    jam_veh=jam_veh,
+                    wv_ratio=wv_ratio,
+                    cells=[[0.0] * len(comms) for _ in range(lg.cell_count)],
                 )
             )
-        successor_set = frozenset(self.scenario.successors(link.id))
-        lane_change_step: dict[tuple[int, int], int] = {}
-        for g in groups:
-            for nxt in sorted(successor_set):
-                if nxt in g.serves:
-                    continue
-                best = None
-                for h in groups:
-                    if nxt in h.serves:
-                        if best is None or abs(h.index - g.index) < abs(best - g.index):
-                            best = h.index
-                if best is not None:
-                    lane_change_step[(g.index, nxt)] = (
-                        g.index + 1 if best > g.index else g.index - 1
-                    )
+            serving.append({self._out_link_of[cid]: cid for cid in lg.conn_ids})
+        if not link.is_sink:
+            for g, conn_by_next in zip(groups, serving):
+                outflows, moves, stuck = [], [], []
+                for p, (vt, nxt) in enumerate(comms):
+                    cid = conn_by_next.get(nxt)
+                    if cid is not None:
+                        outflows.append((p, cid, nxt, g.index, vt))
+                        continue
+                    if nxt == TERMINAL:
+                        if g.index == 0:
+                            invalid.append(p)
+                        continue
+                    best = None  # nearest group serving nxt, lowest on ties
+                    for h, h_serves in zip(groups, serving):
+                        if nxt in h_serves:
+                            if best is None or abs(h.index - g.index) < abs(best - g.index):
+                                best = h.index
+                    if best is None:
+                        stuck.append(p)
+                        if g.index == 0:
+                            invalid.append(p)
+                    else:
+                        moves.append((p, g.index + 1 if best > g.index else g.index - 1))
+                g.outflows, g.lane_moves, g.lane_stuck = tuple(outflows), tuple(moves), tuple(stuck)
         return LinkRuntime(
             link=link,
             groups=groups,
             inflow_local=link.start_node in self.owned,
             outflow_local=link.end_node in self.owned,
-            successor_set=successor_set,
-            lane_change_step=lane_change_step,
+            comms=comms,
+            comm_index=comm_index,
+            invalid=tuple(invalid),
         )
 
     # ------------------------------------------------------------------
@@ -252,8 +310,11 @@ class Engine:
         """
         time = step * self.dt
         plan = StepPlan()
-        self._supply_cache.clear()
-        self._fraction_cache.clear()
+        epoch = bisect_right(self._split_times, time)
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._fraction_cache.clear()
+            self._position_cache.clear()
 
         active = sorted(self.active)
         for lid in active:
@@ -261,28 +322,29 @@ class Engine:
             if len(lrt.groups) > 1:
                 self.apply_lane_changes(lrt)
 
-        demand_by_conn: dict[int, tuple[float, tuple]] = {}
+        totals = self._totals
+        totals.clear()
+        demand_by_conn: dict[int, list] = {}
         touched_links: set[int] = set()
         for lid in active:
             lrt = self.links[lid]
+            totals[lid] = [[reduce(add, cell, 0.0) for cell in g.cells] for g in lrt.groups]
             self._plan_internal_flows(lrt, plan)
             if lrt.link.is_sink:
                 self._plan_discharge(lrt, plan)
             elif lrt.outflow_local:
                 self.compute_connection_demands(lrt, demand_by_conn, touched_links)
 
-        out_link_of = {
-            cid: self.scenario.connections[cid].out_link for cid in demand_by_conn
-        }
+        in_conns = self.scenario.in_conns
         for target in sorted(touched_links):
             entries = {}
-            for cid in self.scenario.in_conns[target]:
-                if cid in demand_by_conn:
-                    entries[cid] = demand_by_conn[cid]
-            flows = resolve_node_flows(
-                entries, out_link_of, lambda lid: self._supplies(lid)[0]
-            )
-            self._record_flows(target, flows, time, plan)
+            for cid in in_conns[target]:
+                demand = demand_by_conn.get(cid)
+                if demand is not None:
+                    entries[cid] = demand
+            supply_total, shares = self._supplies(target)
+            flows = resolve_node_flows(entries, supply_total)
+            self._record_flows(target, flows, shares, time, plan)
 
         self._plan = plan
         return plan
@@ -292,21 +354,21 @@ class Engine:
         the nearest group serving their next link, capped by target space.
         Runs before any demand computation."""
         groups = lrt.groups
+        eta = self.eta
         for k in range(groups[0].cell_count):
-            moves: list[tuple[int, int, Commodity, float]] = []
+            moves: list[tuple[int, int, int, float]] = []
             for g in groups:
                 cell = g.cells[k]
-                for comm in sorted(cell):
-                    nxt = comm[1]
-                    if nxt == TERMINAL or nxt in g.serves:
-                        continue
-                    dst = lrt.lane_change_step.get((g.index, nxt))
-                    if dst is None:
+                for p in g.lane_stuck:
+                    if cell[p]:
                         raise InternalAssertion(
-                            f"link {lrt.link.id}: commodity {comm} cannot reach "
-                            f"link {nxt} from any lane group"
+                            f"link {lrt.link.id}: commodity {lrt.comms[p]} cannot "
+                            f"reach link {lrt.comms[p][1]} from any lane group"
                         )
-                    moves.append((g.index, dst, comm, self.eta * cell[comm]))
+                for p, dst in g.lane_moves:
+                    v = cell[p]
+                    if v:
+                        moves.append((g.index, dst, p, eta * v))
             if not moves:
                 continue
             # caps from the pre-move state: lateral movements are simultaneous
@@ -316,102 +378,119 @@ class Engine:
             }
             for dst in sorted(space):
                 wanted = 0.0
-                for src, d, comm, amount in moves:
+                for src, d, p, amount in moves:
                     if d == dst:
                         wanted += amount
                 if wanted <= 0.0 or space[dst] <= 0.0:
                     continue
                 scale = 1.0 if wanted <= space[dst] else space[dst] / wanted
                 dst_cell = groups[dst].cells[k]
-                for src, d, comm, amount in moves:
+                for src, d, p, amount in moves:
                     if d != dst:
                         continue
                     moved = amount * scale
                     src_cell = groups[src].cells[k]
-                    src_cell[comm] = src_cell[comm] - moved
-                    dst_cell[comm] = dst_cell.get(comm, 0.0) + moved
+                    src_cell[p] = src_cell[p] - moved
+                    dst_cell[p] = dst_cell[p] + moved
 
     def _plan_internal_flows(self, lrt: LinkRuntime, plan: StepPlan) -> None:
-        records: list[tuple[int, int, Commodity, float]] = []
+        records: list[tuple[int, int, list[float]]] = []
+        link_totals = self._totals[lrt.link.id]
         for g in lrt.groups:
+            totals = link_totals[g.index]
             for k in range(g.cell_count - 1):
-                total, entries = compute_demand(g.cells[k], g.cap_step)
+                total, demands = compute_demand(g.cells[k], totals[k], g.cap_step)
                 if total <= 0.0:
                     continue
-                supply = compute_supply(
-                    cell_total(g.cells[k + 1]), g.cap_step, g.wv_ratio, g.jam_veh
-                )
+                supply = compute_supply(totals[k + 1], g.cap_step, g.wv_ratio, g.jam_veh)
                 flow = total if total < supply else supply
                 if flow <= 0.0:
                     continue
                 scale = flow / total
-                for comm, d in entries:
-                    records.append((g.index, k, comm, d * scale))
+                records.append((g.index, k, [d * scale for d in demands]))
         if records:
             plan.internal[lrt.link.id] = records
 
     def _plan_discharge(self, lrt: LinkRuntime, plan: StepPlan) -> None:
-        records: list[tuple[int, Commodity, float]] = []
+        records: list[tuple[int, list[float]]] = []
+        link_totals = self._totals[lrt.link.id]
         for g in lrt.groups:
-            total, entries = compute_demand(g.cells[-1], g.cap_step)
-            if total <= 0.0:
-                continue
-            for comm, d in entries:
-                records.append((g.index, comm, d))
+            total, demands = compute_demand(g.cells[-1], link_totals[g.index][-1], g.cap_step)
+            if total > 0.0:
+                records.append((g.index, demands))
         if records:
             plan.discharge[lrt.link.id] = records
 
     def compute_connection_demands(
         self,
         lrt: LinkRuntime,
-        demand_by_conn: dict[int, tuple[float, tuple]],
+        demand_by_conn: dict[int, list],
         touched_links: set[int],
     ) -> None:
         """Split the last cell's demand of every lane group over its outgoing
         road connections by commodity next-link; commodities not served by
-        their current group wait for a lane change and contribute nothing."""
-        per_conn: dict[int, list[tuple[tuple[int, int, int], float]]] = {}
-        totals: dict[int, float] = {}
+        their current group wait for a lane change and contribute nothing.
+        Each connection gets [total demand, entries], entries being
+        (outflow, demand) pairs with `outflow` from the group's table."""
+        link_totals = self._totals[lrt.link.id]
         for g in lrt.groups:
-            total, entries = compute_demand(g.cells[-1], g.cap_step)
-            if total <= 0.0:
+            n_total = link_totals[g.index][-1]
+            if n_total <= 0.0:
                 continue
-            for comm, d in entries:
-                vt, nxt = comm
-                if nxt == TERMINAL:
-                    raise InternalAssertion(
-                        f"terminal commodity on non-sink link {lrt.link.id}"
-                    )
-                cid = g.conn_by_next.get(nxt)
-                if cid is None:
-                    if nxt not in lrt.successor_set:
+            cell = g.cells[-1]
+            for p in lrt.invalid:
+                if cell[p]:
+                    nxt = lrt.comms[p][1]
+                    if nxt == TERMINAL:
                         raise InternalAssertion(
-                            f"link {lrt.link.id}: commodity next link {nxt} is "
-                            f"unreachable via any road connection"
+                            f"terminal commodity on non-sink link {lrt.link.id}"
                         )
+                    raise InternalAssertion(
+                        f"link {lrt.link.id}: commodity next link {nxt} is "
+                        f"unreachable via any road connection"
+                    )
+            cap = g.cap_step
+            # compute_demand's scale, for the served positions only
+            scale = (cap if cap < n_total else n_total) / n_total
+            for outflow in g.outflows:
+                v = cell[outflow[0]]
+                if not v:
                     continue
-                per_conn.setdefault(cid, []).append(((g.index, vt, nxt), d))
-                totals[cid] = totals.get(cid, 0.0) + d
-        for cid in sorted(per_conn):
-            demand_by_conn[cid] = (totals[cid], tuple(per_conn[cid]))
-            touched_links.add(self.scenario.connections[cid].out_link)
+                d = v * scale
+                cid = outflow[1]
+                acc = demand_by_conn.get(cid)
+                if acc is None:
+                    demand_by_conn[cid] = [d, [(outflow, d)]]
+                    touched_links.add(outflow[2])
+                else:
+                    acc[0] += d
+                    acc[1].append((outflow, d))
 
-    def _supplies(self, link_id: int) -> tuple[float, tuple[float, ...]]:
-        """First-cell supply of a link: per lane group and summed."""
-        cached = self._supply_cache.get(link_id)
-        if cached is not None:
-            return cached
-        lrt = self.links[link_id]
+    def _supplies(self, link_id: int) -> tuple[float, tuple[tuple[int, float], ...]]:
+        """First-cell supply of a link, summed over its lane groups, and each
+        group's (index, share of that sum); no shares when the sum is 0."""
+        link_totals = self._totals.get(link_id)
+        if link_totals is None:
+            # inactive, so empty: the supplies are those of an empty link
+            cached = self._empty_supplies.get(link_id)
+            if cached is not None:
+                return cached
+        groups = self.links[link_id].groups
         per_group = []
         total = 0.0
-        for g in lrt.groups:
-            s = compute_supply(
-                cell_total(g.cells[0]), g.cap_step, g.wv_ratio, g.jam_veh
-            )
+        for g in groups:
+            occupied = 0.0 if link_totals is None else link_totals[g.index][0]
+            s = compute_supply(occupied, g.cap_step, g.wv_ratio, g.jam_veh)
             per_group.append(s)
             total += s
-        result = (total, tuple(per_group))
-        self._supply_cache[link_id] = result
+        if total <= 0.0:
+            result = (total, ())
+        elif len(groups) == 1:
+            result = (total, ((0, 1.0),))  # s / s == 1.0
+        else:
+            result = (total, tuple([(g.index, s / total) for g, s in zip(groups, per_group)]))
+        if link_totals is None:
+            self._empty_supplies[link_id] = result
         return result
 
     def entry_fractions(self, link_id: int, vtype: int, time: float) -> tuple:
@@ -443,32 +522,53 @@ class Engine:
         self._fraction_cache[key] = fractions
         return fractions
 
+    def _entry_positions(self, link_id: int, vtype: int, time: float) -> tuple:
+        """`entry_fractions` as (commodity position, fraction) pairs."""
+        key = (link_id, vtype)
+        cached = self._position_cache.get(key)
+        if cached is not None:
+            return cached
+        index = self.links[link_id].comm_index
+        positions = []
+        for nxt, frac in self.entry_fractions(link_id, vtype, time):
+            p = index.get((vtype, nxt))
+            if p is None:
+                raise InternalAssertion(
+                    f"link {link_id}: entering commodity {(vtype, nxt)} is not "
+                    f"among the link's commodities"
+                )
+            positions.append((p, frac))
+        result = tuple(positions)
+        self._position_cache[key] = result
+        return result
+
     def _record_flows(
-        self, target: int, flows: dict[int, tuple], time: float, plan: StepPlan
+        self, target: int, flows: dict[int, tuple], shares: tuple, time: float, plan: StepPlan
     ) -> None:
         """Turn resolved per-connection flows into removal records on their
-        upstream links and entry-assigned delivery records on `target`."""
-        supply_total, supply_per_group = self._supplies(target)
-        target_groups = self.links[target].groups
+        upstream links and delivery records on `target`, split over its lane
+        groups by their `shares` of its supply and assigned next links."""
         deliveries = plan.deliveries.setdefault(target, [])
-        for cid in sorted(flows):
-            conn = self.scenario.connections[cid]
-            removals = plan.removals.setdefault(conn.in_link, [])
+        for cid, entries in flows.items():
+            in_link = self._in_link_of[cid]
+            removals = plan.removals.setdefault(in_link, [])
             arrived: dict[int, float] = {}
-            for (gidx, vt, nxt), amount in flows[cid]:
-                removals.append((cid, conn.in_link, gidx, vt, nxt, amount))
+            for (p, _cid, _out_link, gidx, vt), amount in entries:
+                if amount:
+                    removals.append((cid, gidx, p, amount))
                 arrived[vt] = arrived.get(vt, 0.0) + amount
             for vt in sorted(arrived):
                 total = arrived[vt]
                 if total <= 0.0:
                     continue
-                fractions = self.entry_fractions(target, vt, time)
-                for g in target_groups:
-                    if supply_total <= 0.0:
-                        break
-                    base = total * (supply_per_group[g.index] / supply_total)
-                    for nxt, frac in fractions:
-                        deliveries.append((cid, target, g.index, vt, nxt, base * frac))
+                positions = self._entry_positions(target, vt, time)
+                for gidx, share in shares:
+                    # share = group supply / summed supply, divided first
+                    base = total * share
+                    for p, frac in positions:
+                        amount = base * frac
+                        if amount:
+                            deliveries.append((cid, gidx, p, amount))
 
     # ------------------------------------------------------------------
     # phase B
@@ -483,20 +583,28 @@ class Engine:
         self._plan = None
         time = step * self.dt
 
-        recv_removals: dict[int, list[FluxRecord]] = {}
-        recv_deliveries: dict[int, list[FluxRecord]] = {}
+        recv_removals: dict[int, list[EntryRecord]] = {}
+        recv_deliveries: dict[int, list[EntryRecord]] = {}
         if received:
-            for rec in received:
-                cid, link_id, gidx, vt, nxt, amount = rec
-                conn = self.scenario.connections[cid]
+            connections = self.scenario.connections
+            for cid, link_id, gidx, vt, nxt, amount in received:
+                conn = connections[cid]
                 if link_id == conn.out_link:
-                    recv_deliveries.setdefault(link_id, []).append(rec)
+                    target = recv_deliveries
                 elif link_id == conn.in_link:
-                    recv_removals.setdefault(link_id, []).append(rec)
+                    target = recv_removals
                 else:
                     raise InternalAssertion(
                         f"record names link {link_id} not on connection {cid}"
                     )
+                lrt = self.links.get(link_id)
+                p = None if lrt is None else lrt.comm_index.get((vt, nxt))
+                if p is None:
+                    raise InternalAssertion(
+                        f"received record for link {link_id} carries commodity "
+                        f"{(vt, nxt)}, which cannot occur on that link"
+                    )
+                target.setdefault(link_id, []).append((cid, gidx, p, amount))
 
         stats = StepStats()
         work = set(plan.internal) | set(plan.removals) | set(plan.deliveries)
@@ -506,11 +614,10 @@ class Engine:
             lrt = self.links[lid]
             groups = lrt.groups
 
-            for gidx, k, comm, amount in plan.internal.get(lid, ()):
-                src = groups[gidx].cells[k]
-                dst = groups[gidx].cells[k + 1]
-                src[comm] = src[comm] - amount
-                dst[comm] = dst.get(comm, 0.0) + amount
+            for gidx, k, amounts in plan.internal.get(lid, ()):
+                cells = groups[gidx].cells
+                cells[k][:] = [v - a for v, a in zip(cells[k], amounts)]
+                cells[k + 1][:] = [v + a for v, a in zip(cells[k + 1], amounts)]
 
             local_rm = plan.removals.get(lid)
             remote_rm = recv_removals.get(lid)
@@ -518,16 +625,16 @@ class Engine:
                 raise InternalAssertion(
                     f"link {lid} has both local and received removals"
                 )
-            for cid, _lid, gidx, vt, nxt, amount in local_rm or remote_rm or ():
+            for _cid, gidx, p, amount in local_rm or remote_rm or ():
                 cell = groups[gidx].cells[-1]
-                comm = (vt, nxt)
-                cell[comm] = cell.get(comm, 0.0) - amount
+                cell[p] = cell[p] - amount
 
-            for gidx, comm, amount in plan.discharge.get(lid, ()):
-                cell = groups[gidx].cells[-1]
-                cell[comm] = cell[comm] - amount
+            for gidx, amounts in plan.discharge.get(lid, ()):
+                cells = groups[gidx].cells
+                cells[-1][:] = [v - a for v, a in zip(cells[-1], amounts)]
                 if lrt.authoritative:
-                    stats.exited += amount
+                    for amount in amounts:
+                        stats.exited += amount
 
             local_dv = plan.deliveries.get(lid)
             remote_dv = recv_deliveries.get(lid)
@@ -535,10 +642,9 @@ class Engine:
                 raise InternalAssertion(
                     f"link {lid} has both local and received deliveries"
                 )
-            for cid, _lid, gidx, vt, nxt, amount in local_dv or remote_dv or ():
+            for _cid, gidx, p, amount in local_dv or remote_dv or ():
                 cell = groups[gidx].cells[0]
-                comm = (vt, nxt)
-                cell[comm] = cell.get(comm, 0.0) + amount
+                cell[p] = cell[p] + amount
 
             if lrt.link.is_source:
                 stats.entered += self._inject(lrt, time)
@@ -546,13 +652,13 @@ class Engine:
             self._settle_link(lrt)
 
         self._refresh_active(work)
-        for lid in sorted(self.links):
+        for lid in sorted(self.active):
             lrt = self.links[lid]
             if not lrt.authoritative:
                 continue
             for g in lrt.groups:
                 for cell in g.cells:
-                    stats.in_network += cell_total(cell)
+                    stats.in_network += reduce(add, cell, 0.0)
         for key in sorted(self.queues):
             if self.links[key[0]].authoritative:
                 stats.queued += self.queues[key]
@@ -568,47 +674,44 @@ class Engine:
             key = (lid, row.vtype)
             queue = self.queues.get(key, 0.0) + rate_at(row.profile, time) * self.dt
             if queue > 0.0:
-                fractions = self.entry_fractions(lid, row.vtype, time)
+                positions = self._entry_positions(lid, row.vtype, time)
                 for g in lrt.groups:
                     if queue <= 0.0:
                         break
-                    room = g.jam_veh - cell_total(g.cells[0])
+                    cell = g.cells[0]
+                    room = g.jam_veh - cell_total(cell)
                     if room <= 0.0:
                         continue
                     taken = queue if queue < room else room
-                    cell = g.cells[0]
-                    for nxt, frac in fractions:
-                        comm = (row.vtype, nxt)
-                        cell[comm] = cell.get(comm, 0.0) + taken * frac
+                    for p, frac in positions:
+                        cell[p] = cell[p] + taken * frac
                     queue -= taken
                     entered += taken
             self.queues[key] = queue
         return entered if lrt.authoritative else 0.0
 
     def _settle_link(self, lrt: LinkRuntime) -> None:
-        """Clamp float dust, reject real negatives, drop empty entries."""
+        """Clamp float dust to zero and reject real negatives."""
         for g in lrt.groups:
             for cell in g.cells:
-                dead = []
-                for comm, value in cell.items():
+                if not cell or min(cell) >= 0.0:
+                    continue
+                for p, value in enumerate(cell):
                     if value < 0.0:
                         if value < NEG_TOL:
                             raise InternalAssertion(
                                 f"negative occupancy {value} on link {lrt.link.id} "
-                                f"group {g.index} commodity {comm}"
+                                f"group {g.index} commodity {lrt.comms[p]}"
                             )
-                        value = 0.0
-                    if value == 0.0:
-                        dead.append(comm)
-                    else:
-                        cell[comm] = value
-                for comm in dead:
-                    del cell[comm]
+                        cell[p] = 0.0
 
     def _refresh_active(self, worked: set[int]) -> None:
         for lid in worked:
-            lrt = self.links[lid]
-            busy = any(cell for g in lrt.groups for cell in g.cells)
+            busy = False
+            for g in self.links[lid].groups:
+                if any(map(any, g.cells)):
+                    busy = True
+                    break
             if not busy:
                 busy = any(
                     self.queues.get((lid, vt), 0.0) > 0.0
@@ -623,24 +726,52 @@ class Engine:
     # inspection
     # ------------------------------------------------------------------
 
+    def cell_value(self, link_id: int, gidx: int, k: int, comm: Commodity) -> float:
+        """Vehicles of commodity `comm` in cell `k` of a lane group; 0.0 for
+        a commodity that cannot occur on the link."""
+        lrt = self.links[link_id]
+        p = lrt.comm_index.get(comm)
+        return 0.0 if p is None else lrt.groups[gidx].cells[k][p]
+
+    def set_cell_value(
+        self, link_id: int, gidx: int, k: int, comm: Commodity, vehicles: float
+    ) -> None:
+        """Overwrite one cell entry, e.g. to seed a test state.  The link is
+        not marked active."""
+        lrt = self.links[link_id]
+        p = lrt.comm_index.get(comm)
+        if p is None:
+            raise InternalAssertion(f"commodity {comm} cannot occur on link {link_id}")
+        lrt.groups[gidx].cells[k][p] = vehicles
+
     def state_rows(self, step: int) -> list[tuple[int, int, int, int, int, int, float]]:
         """Dump rows (step, link, group, cell, vtype, next, vehicles) for the
-        links this engine is authoritative for, in canonical order."""
+        nonzero entries of the links this engine is authoritative for, in
+        canonical order.  Inactive links are empty and are not visited."""
         rows = []
-        for lid in sorted(self.links):
+        for lid in sorted(self.active):
             lrt = self.links[lid]
             if not lrt.authoritative:
                 continue
+            comms = lrt.comms
             for g in lrt.groups:
                 for k, cell in enumerate(g.cells):
-                    for vt, nxt in sorted(cell):
-                        rows.append((step, lid, g.index, k, vt, nxt, cell[(vt, nxt)]))
+                    for p, v in enumerate(cell):
+                        if v:
+                            vt, nxt = comms[p]
+                            rows.append((step, lid, g.index, k, vt, nxt, v))
         return rows
 
     def boundary_records(self, plan: StepPlan, link_ids) -> list[FluxRecord]:
         """All delivery and removal records touching the given overlap links."""
         records: list[FluxRecord] = []
         for lid in sorted(link_ids):
-            records.extend(plan.deliveries.get(lid, ()))
-            records.extend(plan.removals.get(lid, ()))
+            comms = self.links[lid].comms
+            for kind in (plan.deliveries, plan.removals):
+                records.extend(
+                    [
+                        (cid, lid, gidx, comms[p][0], comms[p][1], amount)
+                        for cid, gidx, p, amount in kind.get(lid, ())
+                    ]
+                )
         return records

@@ -22,6 +22,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ScenarioError
 from .scenario import (
@@ -60,9 +61,6 @@ class Subnetwork:
     relative_sources: tuple[int, ...]
     relative_sinks: tuple[int, ...]
     neighbor_of_link: dict[int, int]
-    # crossing connections: entering relative sources / leaving relative sinks
-    relative_source_conns: tuple[int, ...]
-    relative_sink_conns: tuple[int, ...]
     fragment: Scenario
 
     @property
@@ -103,7 +101,9 @@ class DecoderMap:
     def message_length(self) -> int:
         return len(self.slots)
 
-    def index_of(self) -> dict[Slot, int]:
+    @cached_property
+    def slot_index(self) -> dict[Slot, int]:
+        """Position of each slot in the message; built once per map."""
         return {slot: i for i, slot in enumerate(self.slots)}
 
 
@@ -368,12 +368,6 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             for c in scenario.connections.values()
             if c.in_link in sim_set or c.out_link in sim_set
         )
-        rel_source_conns = tuple(
-            c for c in conn_ids if scenario.connections[c].out_link in set(rel_sources)
-        )
-        rel_sink_conns = tuple(
-            c for c in conn_ids if scenario.connections[c].in_link in set(rel_sinks)
-        )
 
         frag_link_ids = set(sim_links)
         for cid in conn_ids:
@@ -412,8 +406,6 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
                 relative_sources=tuple(rel_sources),
                 relative_sinks=tuple(rel_sinks),
                 neighbor_of_link=neighbor_of_link,
-                relative_source_conns=rel_source_conns,
-                relative_sink_conns=rel_sink_conns,
                 fragment=fragment,
             )
         )
@@ -425,26 +417,13 @@ def subnetwork_from_fragment(fragment: Scenario) -> Subnetwork:
     meta = fragment.subnetwork
     if meta is None:
         raise ScenarioError("scenario file carries no subnetwork metadata")
-    neighbor_of_link = dict(meta.neighbor_of_link)
-    rel_source_set = set(meta.relative_sources)
-    rel_sink_set = set(meta.relative_sinks)
     return Subnetwork(
         index=meta.index,
         owned_nodes=meta.owned_nodes,
         interior_links=meta.interior_links,
         relative_sources=meta.relative_sources,
         relative_sinks=meta.relative_sinks,
-        neighbor_of_link=neighbor_of_link,
-        relative_source_conns=tuple(
-            c
-            for c in sorted(fragment.connections)
-            if fragment.connections[c].out_link in rel_source_set
-        ),
-        relative_sink_conns=tuple(
-            c
-            for c in sorted(fragment.connections)
-            if fragment.connections[c].in_link in rel_sink_set
-        ),
+        neighbor_of_link=dict(meta.neighbor_of_link),
         fragment=fragment,
     )
 

@@ -1,10 +1,13 @@
 """Shared fixtures: hand-built networks used across the test modules."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
-from ctmdist.scenario import parse_scenario
+from ctmdist.gridgen import generate_grid
+from ctmdist.scenario import DemandRow, SplitRow, VehicleType, parse_scenario, validate
 
 FD = {
     "capacity": 0.5,
@@ -116,6 +119,83 @@ def chain_doc(cells_per_link=5, links=1, lanes=1, demand=None, dt=2.0, steps=50)
             {"link": 0, "vtype": 0, "profile": [{"start_time": 0.0, "flow": demand}]}
         )
     return doc
+
+
+def lanes_grid(rows=5, cols=5, steps=120, seed=7):
+    """3-lane grid with lane-restricted turns, mixed routing and a split
+    change at mid-horizon, built like the benchmark's lanes workload: the
+    first and last outgoing connection of each link keep only an outer lane,
+    one deterministic straight-east type per row carries 30% of its west
+    source's demand, and every multi-way split row gets a seeded second row
+    at step steps//2."""
+    base = generate_grid(rows, cols, lanes=3, steps=steps)
+    rng = random.Random(seed)
+
+    by_in_link = {}
+    for conn in base.connections.values():
+        by_in_link.setdefault(conn.in_link, []).append(conn)
+    connections = dict(base.connections)
+    for conns in by_in_link.values():
+        if len(conns) < 2:
+            continue
+        conns.sort(key=lambda c: c.id)
+        connections[conns[0].id] = dataclasses.replace(conns[0], in_lanes=(1, 1))
+        connections[conns[-1].id] = dataclasses.replace(conns[-1], in_lanes=(3, 3))
+    base.connections = connections
+
+    source_into, sink_out_of, east_link = {}, {}, {}
+    for ln in base.links.values():
+        if ln.is_source:
+            source_into[ln.end_node] = ln.id
+        elif ln.end_node >= rows * cols:
+            sink_out_of[ln.start_node] = ln.id
+        elif ln.end_node == ln.start_node + 1 and ln.end_node % cols != 0:
+            east_link[ln.start_node] = ln.id
+    demands = list(base.demands)
+    for r in range(rows):
+        west = r * cols
+        path = [source_into[west]]
+        path += [east_link[west + c] for c in range(cols - 1)]
+        path.append(sink_out_of[west + cols - 1])
+        vtype = r + 1
+        base.vehicle_types[vtype] = VehicleType(
+            id=vtype, routing="deterministic", path=tuple(path)
+        )
+        for i, row in enumerate(demands):
+            if row.link == path[0] and row.vtype == 0:
+                ((t, rate),) = row.profile
+                demands[i] = dataclasses.replace(row, profile=((t, rate * 0.7),))
+                demands.append(DemandRow(link=path[0], vtype=vtype, profile=((t, rate * 0.3),)))
+                break
+    base.demands = demands
+
+    mid = (steps // 2) * base.sim.dt
+    splits = []
+    for row in base.splits:
+        splits.append(row)
+        if len(row.ratios) < 2:
+            continue
+        weights = [rng.uniform(0.5, 1.5) for _ in row.ratios]
+        total = 0.0
+        for w in weights:
+            total += w
+        ratios = [w / total for w in weights[:-1]]
+        last = 1.0
+        for p in ratios:
+            last -= p
+        ratios.append(last)
+        splits.append(
+            SplitRow(
+                node=row.node,
+                in_link=row.in_link,
+                vtype=row.vtype,
+                start_time=mid,
+                ratios=tuple((out, p) for (out, _), p in zip(row.ratios, ratios)),
+            )
+        )
+    base.splits = splits
+    validate(base)
+    return base
 
 
 @pytest.fixture

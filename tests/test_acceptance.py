@@ -33,7 +33,7 @@ from ctmdist.runner import (
 )
 from ctmdist.scenario import TERMINAL, parse_scenario, serialize_scenario
 
-from conftest import chain_doc, merge_diverge_doc
+from conftest import chain_doc, lanes_grid, merge_diverge_doc
 from test_partition import random_scenario
 
 BITWISE_STEPS = 200
@@ -50,15 +50,27 @@ def merge_fixture():
     return parse_scenario(json.dumps(merge_diverge_doc()))
 
 
-def test_criterion_1_distributed_equals_sequential(grid_4x4, merge_fixture):
-    """Merged distributed dumps are bitwise identical to sequential for both
-    scenarios, n in {2,4,8}, both transports, 200 steps, under 60 s."""
+@pytest.fixture(scope="module")
+def lanes_fixture():
+    return lanes_grid(steps=BITWISE_STEPS)
+
+
+def test_criterion_1_distributed_equals_sequential(grid_4x4, merge_fixture, lanes_fixture):
+    """Merged distributed dumps are bitwise identical to sequential for the
+    4x4 grid and the merge fixture at n in {2,4,8}, and for the 3-lane grid
+    with lane changes and deterministic routes at n=2, both transports, 200
+    steps, under 60 s."""
     t0 = time.perf_counter()
     runs = 0
-    for name, scenario in (("grid4x4", grid_4x4), ("merge", merge_fixture)):
+    cases = (
+        ("grid4x4", grid_4x4, (2, 4, 8)),
+        ("merge", merge_fixture, (2, 4, 8)),
+        ("lanes5x5", lanes_fixture, (2,)),
+    )
+    for name, scenario, n_values in cases:
         reference = rows_to_csv(run_sequential(scenario, steps=BITWISE_STEPS).rows)
         for transport in ("local", "tcp"):
-            for n in (2, 4, 8):
+            for n in n_values:
                 result = run_distributed(
                     scenario, n, transport=transport, steps=BITWISE_STEPS, seed=0
                 )
@@ -173,15 +185,15 @@ def test_criterion_5_ctm_unit_behavior():
     # free-flow pulse
     quiet = parse_scenario(json.dumps(chain_doc(cells_per_link=10, links=1)))
     eng = Engine(quiet)
-    eng.links[0].groups[0].cells[0][(0, TERMINAL)] = 0.75
+    eng.set_cell_value(0, 0, 0, (0, TERMINAL), 0.75)
     eng.active.add(0)
     for step in range(9):
         eng.phase_a(step)
         eng.phase_b(step)
         cells = eng.links[0].groups[0].cells
-        occupied = [k for k, cell in enumerate(cells) if cell]
+        occupied = [k for k, cell in enumerate(cells) if any(cell)]
         assert occupied == [step + 1]
-        assert cells[step + 1][(0, TERMINAL)] == 0.75
+        assert eng.cell_value(0, 0, step + 1, (0, TERMINAL)) == 0.75
 
     # supply at jam density
     g = eng.links[0].groups[0]

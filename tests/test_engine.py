@@ -12,16 +12,27 @@ from ctmdist.engine import (
     compute_supply,
     resolve_node_flows,
 )
-from ctmdist.errors import ScenarioError
+from ctmdist.errors import InternalAssertion, ScenarioError
 from ctmdist.runner import run_sequential
-from ctmdist.scenario import TERMINAL, parse_scenario
+from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario
 
 from conftest import link, merge_diverge_doc
 
 
 def seed(engine, lid, gidx, cell, comm, veh):
-    engine.links[lid].groups[gidx].cells[cell][comm] = veh
+    engine.set_cell_value(lid, gidx, cell, comm, veh)
     engine.active.add(lid)
+
+
+def discharged(engine, plan, lid):
+    """The plan's sink discharge on `lid` as (group, commodity, vehicles)."""
+    comms = engine.links[lid].comms
+    return [
+        (gidx, comms[p], d)
+        for gidx, amounts in plan.discharge[lid]
+        for p, d in enumerate(amounts)
+        if d
+    ]
 
 
 def totals(engine, lid):
@@ -65,18 +76,26 @@ def diverge_doc(ratio_a=0.7, ratio_b=0.3):
 
 
 class TestDemand:
+    # cells are dense: position 0 holds commodity (0, 7), position 1 (1, 7)
     def test_empty_cell(self):
-        assert compute_demand({}, 5.0) == (0.0, [])
+        assert compute_demand([0.0, 0.0], 0.0, 5.0) == (0.0, [])
 
     def test_congested_proportional_split(self):
-        total, entries = compute_demand({(0, 7): 6.0, (1, 7): 4.0}, 5.0)
+        cell = [6.0, 4.0]
+        total, entries = compute_demand(cell, cell_total(cell), 5.0)
         assert total == 5.0
-        assert entries == [((0, 7), 3.0), ((1, 7), 2.0)]
+        assert entries == [3.0, 2.0]
 
     def test_uncongested_passes_everything(self):
-        total, entries = compute_demand({(0, 7): 3.0}, 5.0)
+        cell = [3.0]
+        total, entries = compute_demand(cell, cell_total(cell), 5.0)
         assert total == 3.0
-        assert entries == [((0, 7), 3.0)]
+        assert entries == [3.0]
+
+    def test_cell_total_is_ascending_left_fold(self):
+        cell = [0.1, 0.0, 0.2, 0.3]
+        assert cell_total(cell) == ((0.1 + 0.2) + 0.3)
+        assert cell_total([]) == 0.0
 
 
 class TestSupply:
@@ -96,24 +115,18 @@ class TestSupply:
 
 class TestNodeModel:
     def test_unconstrained_passes_demand(self):
-        flows = resolve_node_flows(
-            {0: (4.0, ((("k"), 4.0),))}, {0: 9}, lambda lid: 10.0
-        )
+        flows = resolve_node_flows({0: (4.0, ((("k"), 4.0),))}, 10.0)
         assert flows == {0: ((("k"), 4.0),)}
 
     def test_proportional_merge(self):
         flows = resolve_node_flows(
-            {0: (6.0, (("a", 6.0),)), 1: (2.0, (("b", 2.0),))},
-            {0: 9, 1: 9},
-            lambda lid: 4.0,
+            {0: (6.0, (("a", 6.0),)), 1: (2.0, (("b", 2.0),))}, 4.0
         )
         assert flows[0] == (("a", 3.0),)
         assert flows[1] == (("b", 1.0),)
 
     def test_zero_supply_zero_packets(self):
-        flows = resolve_node_flows(
-            {0: (6.0, (("a", 6.0),))}, {0: 9}, lambda lid: 0.0
-        )
+        flows = resolve_node_flows({0: (6.0, (("a", 6.0),))}, 0.0)
         assert flows[0] == (("a", 0.0),)
 
     def test_feasibility_randomized(self):
@@ -126,7 +139,7 @@ class TestNodeModel:
                 d = rng.uniform(0.0, 10.0)
                 conns[cid] = (d, ((("x", cid), d),))
             supply = rng.uniform(0.0, 12.0)
-            flows = resolve_node_flows(conns, {c: 0 for c in conns}, lambda lid: supply)
+            flows = resolve_node_flows(conns, supply)
             shipped = sum(v for entries in flows.values() for _k, v in entries)
             assert shipped <= supply + 1e-12
 
@@ -140,7 +153,7 @@ class TestConnectionDemands:
         seed(eng, 0, 0, 1, (0, 1), 4.0)
         seed(eng, 0, 0, 1, (0, 2), 2.0)
         plan = eng.phase_a(0)
-        removals = plan.removals[0]
+        removals = eng.boundary_records(plan, [0])
         assert ((0, 0, 0, 0, 1, 4.0)) in removals  # connection 0 carries 4
         assert ((1, 0, 0, 0, 2, 2.0)) in removals  # connection 1 carries 2
 
@@ -159,7 +172,7 @@ class TestConnectionDemands:
         eng = Engine(s)
         seed(eng, 1, 0, 1, (0, TERMINAL), 2.5)  # branch 1 is a sink
         plan = eng.phase_a(0)
-        assert plan.discharge[1] == [(0, (0, TERMINAL), 2.5)]
+        assert discharged(eng, plan, 1) == [(0, (0, TERMINAL), 2.5)]
 
 
 class TestLaneChanges:
@@ -176,27 +189,24 @@ class TestLaneChanges:
         eng = Engine(merge_diverge)
         seed(eng, 4, 0, 1, (1, 6), 5.0)
         eng.phase_a(0)
-        g0, g1 = eng.links[4].groups
-        assert g0.cells[1][(1, 6)] == 2.5
-        assert g1.cells[1][(1, 6)] == 2.5
+        assert eng.cell_value(4, 0, 1, (1, 6)) == 2.5
+        assert eng.cell_value(4, 1, 1, (1, 6)) == 2.5
 
     def test_capped_by_target_space(self, merge_diverge):
         eng = Engine(merge_diverge)
-        g0, g1 = eng.links[4].groups
         seed(eng, 4, 0, 1, (1, 6), 5.0)
-        filler = g1.jam_veh - 1.0
+        filler = eng.links[4].groups[1].jam_veh - 1.0
         seed(eng, 4, 1, 1, (1, 5), filler)  # leave exactly 1.0 veh of room
         eng.phase_a(0)
-        assert g0.cells[1][(1, 6)] == 4.0
-        assert g1.cells[1][(1, 6)] == 1.0
+        assert eng.cell_value(4, 0, 1, (1, 6)) == 4.0
+        assert eng.cell_value(4, 1, 1, (1, 6)) == 1.0
 
     def test_conserves_per_cell_commodity_totals(self, merge_diverge):
         eng = Engine(merge_diverge)
         seed(eng, 4, 0, 0, (1, 6), 3.0)
         seed(eng, 4, 1, 0, (1, 6), 0.25)
         eng.phase_a(0)
-        g0, g1 = eng.links[4].groups
-        moved = g0.cells[0].get((1, 6), 0.0) + g1.cells[0].get((1, 6), 0.0)
+        moved = eng.cell_value(4, 0, 0, (1, 6)) + eng.cell_value(4, 1, 0, (1, 6))
         assert moved == pytest.approx(3.25, abs=1e-12)
 
 
@@ -214,7 +224,7 @@ class TestAssignment:
         seed(eng, 0, 0, 1, (0, 2), 3.0)
         plan = eng.phase_a(0)
         by_slot = {
-            (rec[0], rec[4]): rec[5] for rec in plan.deliveries[1] + plan.deliveries[2]
+            (rec[0], rec[4]): rec[5] for rec in eng.boundary_records(plan, [1, 2])
         }
         # 10 vehicles cross the node; each branch is a sink (terminal);
         # connection 0 carried 7, connection 1 carried 3
@@ -230,7 +240,7 @@ class TestAssignment:
         eng = Engine(s)
         seed(eng, 3, 0, 1, (0, 0), 10.0)
         plan = eng.phase_a(0)
-        amounts = [(rec[4], rec[5]) for rec in plan.deliveries[0]]
+        amounts = [(rec[4], rec[5]) for rec in eng.boundary_records(plan, [0])]
         assert amounts == [(1, 10.0 * 0.7), (2, 10.0 * 0.3)]
         assert amounts == [(1, 7.0), (2, 3.0)]
 
@@ -262,7 +272,9 @@ class TestUpdate:
         eng.phase_a(0)
         stats = eng.phase_b(0)
         assert stats.in_network == 0.0
-        assert all(not cell for l in eng.links.values() for g in l.groups for cell in g.cells)
+        assert all(
+            not any(cell) for l in eng.links.values() for g in l.groups for cell in g.cells
+        )
 
     def test_balanced_single_cell(self):
         # inflow 2 and discharge 2 leave the 5 initial vehicles in place
@@ -282,9 +294,9 @@ class TestUpdate:
         eng = Engine(s)
         seed(eng, 0, 0, 0, (0, TERMINAL), 5.0)
         plan = eng.phase_a(0)
-        assert plan.discharge[0] == [(0, (0, TERMINAL), 2.0)]  # C = 0.5*2*2
+        assert discharged(eng, plan, 0) == [(0, (0, TERMINAL), 2.0)]  # C = 0.5*2*2
         stats = eng.phase_b(0)
-        assert eng.links[0].groups[0].cells[0][(0, TERMINAL)] == 5.0
+        assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 5.0
         assert stats.entered == 2.0
         assert stats.exited == 2.0
 
@@ -312,9 +324,8 @@ class TestUpdate:
         seed(eng, 0, 0, 0, (0, TERMINAL), 4.0)
         eng.phase_a(0)
         eng.phase_b(0)
-        cells = eng.links[0].groups[0].cells
-        assert cells[0][(0, TERMINAL)] == 1.0
-        assert cells[1][(0, TERMINAL)] == 3.0
+        assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 1.0
+        assert eng.cell_value(0, 0, 1, (0, TERMINAL)) == 3.0
 
     def test_merge_composition(self):
         # demands 6 and 2 compete for supply 4: packets 3 and 1, removed
@@ -353,14 +364,14 @@ class TestUpdate:
         seed(eng, 0, 0, 1, (0, 2), 6.0)
         seed(eng, 1, 0, 1, (0, 2), 2.0)
         plan = eng.phase_a(0)
-        assert plan.removals[0] == [(0, 0, 0, 0, 2, 3.0)]
-        assert plan.removals[1] == [(1, 1, 0, 0, 2, 1.0)]
-        delivered = sum(rec[5] for rec in plan.deliveries[2])
+        assert eng.boundary_records(plan, [0]) == [(0, 0, 0, 0, 2, 3.0)]
+        assert eng.boundary_records(plan, [1]) == [(1, 1, 0, 0, 2, 1.0)]
+        delivered = sum(rec[5] for rec in eng.boundary_records(plan, [2]))
         assert delivered == pytest.approx(4.0, abs=1e-12)
         eng.phase_b(0)
         assert cell_total(eng.links[2].groups[0].cells[0]) == pytest.approx(4.0, abs=1e-12)
-        assert eng.links[0].groups[0].cells[1][(0, 2)] == 3.0
-        assert eng.links[1].groups[0].cells[1][(0, 2)] == 1.0
+        assert eng.cell_value(0, 0, 1, (0, 2)) == 3.0
+        assert eng.cell_value(1, 0, 1, (0, 2)) == 1.0
 
     def test_delivery_apportionment_by_group_supply(self, merge_diverge):
         # empty two-group link: first-cell supplies are 1.0 and 2.0 veh, so
@@ -368,13 +379,69 @@ class TestUpdate:
         eng = Engine(merge_diverge)
         seed(eng, 1, 0, 1, (0, 4), 1.5)  # deterministic type headed into link 4
         plan = eng.phase_a(0)
-        recs = plan.deliveries[4]
+        recs = eng.boundary_records(plan, [4])
         assert [r[2] for r in recs] == [0, 1]
         total = recs[0][5] + recs[1][5]
         assert total == pytest.approx(1.5, abs=1e-12)
         assert recs[1][5] == pytest.approx(2.0 * recs[0][5], rel=1e-12)
         for rec, cap in zip(recs, (1.0, 2.0)):
             assert rec[5] <= cap + 1e-12
+
+
+class TestChecks:
+    """Inconsistent states and records fail loudly; the merge fixture's
+    link 4 carries commodities (0, 5), (1, 5) and (1, 6)."""
+
+    def test_phase_b_before_phase_a(self, merge_diverge):
+        with pytest.raises(InternalAssertion, match=r"before phase_a"):
+            Engine(merge_diverge).phase_b(0)
+
+    def test_received_commodity_outside_link_tuple(self, merge_diverge):
+        eng = Engine(merge_diverge)
+        eng.phase_a(0)
+        # type 0's path goes 4 -> 5, so (0, 6) cannot occur on link 4
+        with pytest.raises(InternalAssertion, match=r"cannot occur"):
+            eng.phase_b(0, [(2, 4, 0, 0, 6, 1.0)])
+
+    def test_negative_occupancy_rejected(self, merge_diverge):
+        eng = Engine(merge_diverge)
+        eng.phase_a(0)
+        # a received removal of vehicles the empty cell does not hold
+        with pytest.raises(InternalAssertion, match=r"negative occupancy"):
+            eng.phase_b(0, [(4, 4, 0, 1, 5, 1.0)])
+
+    def test_local_and_received_removals_conflict(self):
+        eng = Engine(parse_scenario(json.dumps(diverge_doc())))
+        seed(eng, 0, 0, 1, (0, 1), 4.0)
+        eng.phase_a(0)
+        with pytest.raises(InternalAssertion, match=r"local and received removals"):
+            eng.phase_b(0, [(0, 0, 0, 0, 1, 1.0)])
+
+    def test_deterministic_type_off_path(self, merge_diverge):
+        with pytest.raises(InternalAssertion, match=r"off-path"):
+            Engine(merge_diverge).entry_fractions(6, 0, 0.0)
+
+    def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
+        # a path ending short of a sink passes only unvalidated fragments
+        merge_diverge.vehicle_types[0] = VehicleType(0, "deterministic", (0, 1, 4))
+        eng = Engine(merge_diverge)
+        seed(eng, 4, 1, 2, (0, TERMINAL), 1.0)
+        with pytest.raises(InternalAssertion, match=r"terminal commodity"):
+            eng.phase_a(0)
+
+    def test_unreachable_next_link(self, merge_diverge):
+        merge_diverge.vehicle_types[0] = VehicleType(0, "deterministic", (0, 1, 5, 7))
+        eng = Engine(merge_diverge)
+        seed(eng, 1, 0, 1, (0, 5), 1.0)  # link 1 only reaches link 4
+        with pytest.raises(InternalAssertion, match=r"unreachable"):
+            eng.phase_a(0)
+
+    def test_unreachable_next_link_in_lane_changes(self, merge_diverge):
+        merge_diverge.vehicle_types[0] = VehicleType(0, "deterministic", (0, 1, 4, 7))
+        eng = Engine(merge_diverge)
+        seed(eng, 4, 0, 0, (0, 7), 1.0)  # no lane group of link 4 reaches 7
+        with pytest.raises(InternalAssertion, match=r"cannot reach"):
+            eng.phase_a(0)
 
 
 class TestInvariants:
@@ -388,9 +455,9 @@ class TestInvariants:
             eng.phase_a(step)
             eng.phase_b(step)
             cells = eng.links[0].groups[0].cells
-            occupied = [k for k, cell in enumerate(cells) if cell]
+            occupied = [k for k, cell in enumerate(cells) if any(cell)]
             assert occupied == [step + 1]
-            assert cells[step + 1][(0, TERMINAL)] == 0.75
+            assert eng.cell_value(0, 0, step + 1, (0, TERMINAL)) == 0.75
 
     def test_capacity_ceiling_at_steady_state(self, single_link):
         # oversaturated source: discharge settles at exactly C per step
@@ -410,7 +477,7 @@ class TestInvariants:
                     for cell in g.cells:
                         total = cell_total(cell)
                         assert total <= g.jam_veh + 1e-9
-                        for v in cell.values():
+                        for v in cell:
                             assert v >= 0.0
 
     def test_sequential_repeatable_bitwise(self, merge_diverge):
