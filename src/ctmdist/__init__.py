@@ -11,7 +11,6 @@ from .engine import Engine
 from .errors import CtmError, InternalAssertion, ProtocolError, ScenarioError
 from .gridgen import generate_grid, grid_counts
 from .partition import (
-    build_decoder_maps,
     build_metagraph,
     build_subnetworks,
     partition_nodes,
@@ -26,7 +25,6 @@ __all__ = [
     "ProtocolError",
     "Scenario",
     "ScenarioError",
-    "build_decoder_maps",
     "build_metagraph",
     "build_subnetworks",
     "generate_grid",

@@ -20,8 +20,6 @@ from .errors import CtmError, ScenarioError
 from .partition import DecoderMap
 from .scenario import load_scenario, save_scenario
 
-log = logging.getLogger("ctmdist")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("OTMD_LOG", "WARNING").upper()
@@ -135,27 +133,19 @@ def _decoder_path(out_dir: str, i: int, j: int) -> str:
 
 
 def _save_decoder(decoder: DecoderMap, path: str) -> None:
-    doc = {
-        "sender": decoder.sender,
-        "receiver": decoder.receiver,
-        "slots": [list(slot) for slot in decoder.slots],
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(decoder.to_doc(), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def _load_decoder(path: str) -> DecoderMap:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            return DecoderMap.from_doc(json.load(f))
     except (OSError, ValueError) as e:
         raise ScenarioError(f"cannot read decoder map {path}: {e}") from None
-    return DecoderMap(
-        sender=int(doc["sender"]),
-        receiver=int(doc["receiver"]),
-        slots=tuple(tuple(int(x) for x in slot) for slot in doc["slots"]),
-    )
+    except (KeyError, TypeError) as e:
+        raise ScenarioError(f"decoder map {path}: missing or malformed field {e}") from None
 
 
 def cmd_partition(args) -> int:
@@ -209,7 +199,7 @@ def _load_fragments_dir(fragments_dir: str) -> list:
         path = os.path.join(fragments_dir, f"fragment_{index}.json")
         if not os.path.exists(path):
             break
-        subs.append(part.subnetwork_from_fragment(load_scenario(path)))
+        subs.append(part.Subnetwork(load_scenario(path)))
         index += 1
     if not subs:
         raise ScenarioError(f"no fragment_*.json files in {fragments_dir}")
@@ -244,15 +234,29 @@ def _write_run_outputs(args, result) -> None:
 
 def _parse_roster(path: str) -> dict[int, tuple[str, int]]:
     roster = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ScenarioError(f"roster line {lineno}: expected 'index host port'")
-            roster[int(parts[0])] = (parts[1], int(parts[2]))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except OSError as e:
+        raise ScenarioError(f"cannot read roster {path}: {e}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ScenarioError(f"roster {path} line {lineno}: expected 'index host port'")
+        try:
+            index, port = int(parts[0]), int(parts[2])
+        except ValueError:
+            raise ScenarioError(
+                f"roster {path} line {lineno}: index and port must be integers"
+            ) from None
+        if not 0 < port < 65536:
+            raise ScenarioError(f"roster {path} line {lineno}: port {port} outside 1..65535")
+        if index in roster:
+            raise ScenarioError(f"roster {path} line {lineno}: worker {index} listed twice")
+        roster[index] = (parts[1], port)
     return roster
 
 
@@ -266,60 +270,34 @@ def cmd_run(args) -> int:
             raise ScenarioError("--mode seq needs --scenario")
         scenario = load_scenario(args.scenario)
         result = runner.run_sequential(scenario, steps=args.steps, dump_every=dump_every)
-    elif args.mode == "local":
-        if args.fragments_dir:
-            subs = _load_fragments_dir(args.fragments_dir)
-            decoders = _load_decoders_dir(args.fragments_dir, subs)
-            result = runner.run_distributed(
-                subs=subs,
-                decoders=decoders,
-                transport="local",
-                steps=args.steps,
-                dump_every=dump_every,
-                timeout=args.timeout,
-            )
-        else:
-            if not args.scenario:
-                raise ScenarioError("--mode local needs --scenario or --fragments-dir")
-            scenario = load_scenario(args.scenario)
-            result = runner.run_distributed(
-                scenario,
-                args.n,
-                transport="local",
-                seed=args.seed,
-                steps=args.steps,
-                dump_every=dump_every,
-                timeout=args.timeout,
-            )
-    elif args.mode == "tcp":
-        if args.worker_index is not None:
-            return _run_tcp_join(args, dump_every)
-        if args.fragments_dir:
-            subs = _load_fragments_dir(args.fragments_dir)
-            decoders = _load_decoders_dir(args.fragments_dir, subs)
-            result = runner.run_distributed(
-                subs=subs,
-                decoders=decoders,
-                transport="tcp",
-                steps=args.steps,
-                dump_every=dump_every,
-                timeout=args.timeout,
-            )
-        else:
-            if not args.scenario:
-                raise ScenarioError("--mode tcp needs --scenario or --fragments-dir")
-            scenario = load_scenario(args.scenario)
-            result = runner.run_distributed(
-                scenario,
-                args.n,
-                transport="tcp",
-                seed=args.seed,
-                steps=args.steps,
-                dump_every=dump_every,
-                timeout=args.timeout,
-            )
-    else:
+    elif args.mode == "tcp" and args.worker_index is not None:
+        return _run_tcp_join(args, dump_every)
+    elif args.mode not in ("local", "tcp"):
         raise ScenarioError(f"unknown mode {args.mode}")
+    elif args.fragments_dir:
+        subs = _load_fragments_dir(args.fragments_dir)
+        decoders = _load_decoders_dir(args.fragments_dir, subs)
+        result = runner.run_distributed(
+            subs=subs,
+            decoders=decoders,
+            transport=args.mode,
+            steps=args.steps,
+            dump_every=dump_every,
+            timeout=args.timeout,
+        )
+    elif args.scenario:
+        scenario = load_scenario(args.scenario)
+        result = runner.run_distributed(
+            scenario,
+            args.n,
+            transport=args.mode,
+            seed=args.seed,
+            steps=args.steps,
+            dump_every=dump_every,
+            timeout=args.timeout,
+        )
+    else:
+        raise ScenarioError(f"--mode {args.mode} needs --scenario or --fragments-dir")
 
     _write_run_outputs(args, result)
     final = result.metrics["per_step"]["in_network"][-1]
@@ -342,6 +320,9 @@ def _run_tcp_join(args, dump_every) -> int:
         raise ScenarioError(f"no fragment for worker index {args.worker_index}")
     decoders = _load_decoders_dir(args.fragments_dir, subs).get(sub.index)
     roster = _parse_roster(args.roster)
+    for index in (sub.index, *sub.neighbors()):
+        if index not in roster:
+            raise ScenarioError(f"roster {args.roster} has no line for worker {index}")
     host, port = roster[sub.index]
     listener = tcp_listener(host, port)
     duplexes = tcp_connect_channels(

@@ -23,15 +23,13 @@ import struct
 import time
 from dataclasses import dataclass
 
+from .engine import FluxRecord
 from .errors import ProtocolError
 from .partition import DecoderMap
 
 HEADER = struct.Struct("<QIII")
 HANDSHAKE_STEP = 0xFFFFFFFFFFFFFFFF
 DEFAULT_TIMEOUT = 30.0
-
-# flux record moved across a channel; mirrors engine.FluxRecord
-Record = tuple[int, int, int, int, int, float]
 
 
 def pack_frame(step: int, sender: int, receiver: int, values: list[float]) -> bytes:
@@ -168,7 +166,7 @@ class NeighborChannel:
 # ---------------------------------------------------------------------------
 
 
-def encode(decoder: DecoderMap, records: list[Record]) -> list[float]:
+def encode(decoder: DecoderMap, records: list[FluxRecord]) -> list[float]:
     """Fill the fixed message layout; slots without flow stay 0.0."""
     values = [0.0] * decoder.message_length
     index = decoder.slot_index
@@ -184,14 +182,14 @@ def encode(decoder: DecoderMap, records: list[Record]) -> list[float]:
     return values
 
 
-def decode(decoder: DecoderMap, values: list[float]) -> list[Record]:
+def decode(decoder: DecoderMap, values: list[float]) -> list[FluxRecord]:
     """Inverse of encode; zero slots produce no records."""
     if len(values) != decoder.message_length:
         raise ProtocolError(
             f"message length {len(values)} does not match decoder "
             f"{decoder.sender}->{decoder.receiver} slot count {decoder.message_length}"
         )
-    records: list[Record] = []
+    records: list[FluxRecord] = []
     for slot, value in zip(decoder.slots, values):
         if value != 0.0:
             cid, link, gidx, vtype, nxt = slot
@@ -205,27 +203,22 @@ def decode(decoder: DecoderMap, values: list[float]) -> list[Record]:
 
 
 def _slot_fingerprint(decoder: DecoderMap) -> bytes:
-    doc = {
-        "sender": decoder.sender,
-        "receiver": decoder.receiver,
-        "slots": [list(slot) for slot in decoder.slots],
-    }
-    return json.dumps(doc, separators=(",", ":")).encode("ascii")
+    return json.dumps(decoder.to_doc(), separators=(",", ":")).encode("ascii")
 
 
 def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:
     try:
-        doc = json.loads(payload.decode("ascii"))
-    except (ValueError, UnicodeDecodeError):
+        hello = DecoderMap.from_doc(json.loads(payload.decode("ascii")))
+    except (KeyError, TypeError, ValueError):
         raise ProtocolError(
             f"worker {channel.local}: unreadable handshake from {channel.remote}"
         ) from None
-    theirs = [tuple(slot) for slot in doc.get("slots", [])]
-    mine = list(channel.recv_map.slots)
-    if doc.get("sender") != channel.remote or doc.get("receiver") != channel.local:
+    theirs = hello.slots
+    mine = channel.recv_map.slots
+    if hello.sender != channel.remote or hello.receiver != channel.local:
         raise ProtocolError(
             f"worker {channel.local}: handshake addressed "
-            f"{doc.get('sender')}->{doc.get('receiver')}, expected "
+            f"{hello.sender}->{hello.receiver}, expected "
             f"{channel.remote}->{channel.local}"
         )
     if theirs != mine:

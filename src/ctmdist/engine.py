@@ -17,10 +17,11 @@ owned and nothing to exchange.  All accumulation loops iterate in ascending
 reproduces the sequential run bit for bit.
 
 Cells are dense.  Each link has a fixed, ascending tuple of the commodities
-that can occur on it, by the rule of `partition._entry_nexts`: on a sink,
-(vt, TERMINAL) for every vehicle type; on other links, the path successor
-for each deterministic type whose path holds the link, and every successor
-for each probabilistic type.  A cell is a list of floats in that order, with
+that can occur on it, read from `Scenario.commodities`, the table that
+`validate()` builds and the decoder maps share: on a sink, (vt, TERMINAL)
+for every vehicle type; on other links, the path successor for each
+deterministic type whose path holds the link, and every successor for each
+probabilistic type.  A cell is a list of floats in that order, with
 0.0 for an absent commodity.  The results are the same, bit for bit, as
 those of a map from commodity to vehicles iterated in sorted order:
 
@@ -54,10 +55,8 @@ from functools import reduce
 from operator import add
 
 from .errors import InternalAssertion, ScenarioError
-from .scenario import Link, Scenario, TERMINAL, build_lane_groups, rate_at
+from .scenario import Commodity, Link, Scenario, TERMINAL, rate_at
 
-# commodity: (vehicle type id, next link id or TERMINAL)
-Commodity = tuple[int, int]
 # boundary flux record: (connection, link, group index, vehicle type, next link, vehicles)
 # link == connection.out_link -> delivery into the link's first cells
 # link == connection.in_link  -> removal from the link's last cells
@@ -188,31 +187,15 @@ class Engine:
             if nid not in scenario.nodes:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
 
-        # deterministic routing lookup: (vtype, link) -> next link on the path
-        self.det_next: dict[tuple[int, int], int] = {}
-        det_comms: dict[int, set[Commodity]] = {}
-        for vt in scenario.vehicle_types.values():
-            if vt.routing != "deterministic":
-                continue
-            for pos, lid in enumerate(vt.path):
-                nxt = TERMINAL if pos == len(vt.path) - 1 else vt.path[pos + 1]
-                self.det_next[(vt.id, lid)] = nxt
-                det_comms.setdefault(lid, set()).add((vt.id, nxt))
-        prob_types = sorted(
-            vt.id for vt in scenario.vehicle_types.values() if vt.routing != "deterministic"
-        )
         self._in_link_of = {cid: c.in_link for cid, c in scenario.connections.items()}
         self._out_link_of = {cid: c.out_link for cid, c in scenario.connections.items()}
-        sink_comms = tuple((vt, TERMINAL) for vt in sorted(scenario.vehicle_types))
-        # shared by every sink link; never mutated
-        self._sink_layout = (sink_comms, dict(zip(sink_comms, range(len(sink_comms)))), ())
 
         self.links: dict[int, LinkRuntime] = {}
         for lid in sorted(scenario.links):
             link = scenario.links[lid]
             if link.start_node not in self.owned and link.end_node not in self.owned:
                 continue  # context-only stub link carried for referential integrity
-            self.links[lid] = self._build_link(link, prob_types, det_comms.get(lid, ()))
+            self.links[lid] = self._build_link(link)
 
         self.queues: dict[tuple[int, int], float] = {}
         self.source_links = tuple(
@@ -232,25 +215,14 @@ class Engine:
         self._position_cache: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         self._plan: StepPlan | None = None
 
-    def _build_link(self, link: Link, prob_types: list[int], det_comms) -> LinkRuntime:
-        scenario = self.scenario
-        out_conns = scenario.out_conns[link.id]
-        if link.is_sink:
-            comms, comm_index, invalid = self._sink_layout
-        else:
-            successors = {self._out_link_of[cid] for cid in out_conns}
-            wanted = [(vt, nxt) for vt in prob_types for nxt in successors]
-            wanted.extend(det_comms)
-            comms = tuple(sorted(wanted))
-            comm_index = dict(zip(comms, range(len(comms))))
-            invalid = []  # TERMINAL or a next link no lane group serves
-
+    def _build_link(self, link: Link) -> LinkRuntime:
+        comms = self.scenario.commodities[link.id]
+        invalid = []  # TERMINAL or a next link no lane group serves
         fd = link.fd
         wv_ratio = fd.congestion_wave_speed / fd.free_flow_speed
         groups = []
         serving = []  # per group: downstream link -> serving connection
-        outgoing = [scenario.connections[cid] for cid in out_conns]
-        for lg in build_lane_groups(link, outgoing, self.dt):
+        for lg in self.scenario.lane_groups[link.id]:
             cap_step = (fd.capacity * lg.lane_count) * self.dt
             jam_veh = (fd.jam_density * lg.lane_count) * lg.cell_length
             groups.append(
@@ -294,7 +266,7 @@ class Engine:
             inflow_local=link.start_node in self.owned,
             outflow_local=link.end_node in self.owned,
             comms=comms,
-            comm_index=comm_index,
+            comm_index=dict(zip(comms, range(len(comms)))),
             invalid=tuple(invalid),
         )
 
@@ -505,12 +477,13 @@ class Engine:
         if lrt.link.is_sink:
             fractions = ((TERMINAL, 1.0),)
         elif self.scenario.vehicle_types[vtype].routing == "deterministic":
-            nxt = self.det_next.get((vtype, link_id))
-            if nxt is None:
+            # the link's one commodity of this type holds its path successor
+            nexts = [nxt for vt, nxt in lrt.comms if vt == vtype]
+            if not nexts:
                 raise InternalAssertion(
                     f"deterministic vehicle type {vtype} entered off-path link {link_id}"
                 )
-            fractions = ((nxt, 1.0),)
+            fractions = ((nexts[0], 1.0),)
         else:
             row = self.scenario.split_row_at(link_id, vtype, time)
             if row is None:

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ScenarioError
-from .scenario import (
-    Scenario,
-    SubnetworkMeta,
-    TERMINAL,
-    build_lane_groups,
-    validate,
-)
+from .scenario import Scenario, SubnetworkMeta, validate
 
 BALANCE_FACTOR = 1.1
 REFINE_PASSES = 10
@@ -53,42 +47,40 @@ class NodePartition:
         return sizes
 
 
+def _meta_field(name: str) -> property:
+    return property(lambda sub: getattr(sub.fragment.subnetwork, name))
+
+
 @dataclass
 class Subnetwork:
-    index: int
-    owned_nodes: tuple[int, ...]
-    interior_links: tuple[int, ...]
-    relative_sources: tuple[int, ...]
-    relative_sinks: tuple[int, ...]
-    neighbor_of_link: dict[int, int]
+    """A fragment scenario.  Its `SubnetworkMeta` is the one copy of the
+    partition fields, which read through here."""
+
     fragment: Scenario
 
-    @property
-    def overlap_links(self) -> tuple[int, ...]:
-        return tuple(sorted(self.relative_sources + self.relative_sinks))
+    index = _meta_field("index")
+    owned_nodes = _meta_field("owned_nodes")
+    interior_links = _meta_field("interior_links")
+    relative_sources = _meta_field("relative_sources")
+    relative_sinks = _meta_field("relative_sinks")
+    # (overlap link, index of the subnetwork owning its far endpoint), by link
+    neighbor_of_link = _meta_field("neighbor_of_link")
+
+    def __post_init__(self):
+        if self.fragment.subnetwork is None:
+            raise ScenarioError("scenario file carries no subnetwork metadata")
 
     def neighbors(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.neighbor_of_link.values())))
+        return tuple(sorted({nb for _lid, nb in self.neighbor_of_link}))
 
     def links_with(self, neighbor: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(l for l, nb in self.neighbor_of_link.items() if nb == neighbor)
-        )
+        return tuple(lid for lid, nb in self.neighbor_of_link if nb == neighbor)
 
 
 @dataclass
 class Metagraph:
     n: int
     edges: dict[tuple[int, int], tuple[int, ...]]  # (i, j) i<j -> overlap link ids
-
-    def neighbors_of(self, index: int) -> tuple[int, ...]:
-        out = set()
-        for i, j in self.edges:
-            if i == index:
-                out.add(j)
-            elif j == index:
-                out.add(i)
-        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -105,6 +97,24 @@ class DecoderMap:
     def slot_index(self) -> dict[Slot, int]:
         """Position of each slot in the message; built once per map."""
         return {slot: i for i, slot in enumerate(self.slots)}
+
+    def to_doc(self) -> dict:
+        """The JSON form of decoder files and of the handshake payload."""
+        return {
+            "sender": self.sender,
+            "receiver": self.receiver,
+            "slots": [list(slot) for slot in self.slots],
+        }
+
+    @classmethod
+    def from_doc(cls, doc) -> DecoderMap:
+        """Inverse of `to_doc`; KeyError, TypeError or ValueError when `doc`
+        is malformed."""
+        return cls(
+            sender=int(doc["sender"]),
+            receiver=int(doc["receiver"]),
+            slots=tuple(tuple(int(x) for x in slot) for slot in doc["slots"]),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +355,7 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
         owned_set = set(owned)
         sim_links = []
         interior, rel_sources, rel_sinks = [], [], []
-        neighbor_of_link: dict[int, int] = {}
+        neighbor_of_link: list[tuple[int, int]] = []
         for lid in sorted(scenario.links):
             link = scenario.links[lid]
             s_in = link.start_node in owned_set
@@ -357,10 +367,10 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
                 interior.append(lid)
             elif s_in:
                 rel_sinks.append(lid)
-                neighbor_of_link[lid] = assign[link.end_node]
+                neighbor_of_link.append((lid, assign[link.end_node]))
             else:
                 rel_sources.append(lid)
-                neighbor_of_link[lid] = assign[link.start_node]
+                neighbor_of_link.append((lid, assign[link.start_node]))
 
         sim_set = set(sim_links)
         conn_ids = sorted(
@@ -385,7 +395,7 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             interior_links=tuple(interior),
             relative_sources=tuple(rel_sources),
             relative_sinks=tuple(rel_sinks),
-            neighbor_of_link=tuple(sorted(neighbor_of_link.items())),
+            neighbor_of_link=tuple(neighbor_of_link),
         )
         fragment = Scenario(
             nodes={nid: scenario.nodes[nid] for nid in sorted(frag_node_ids)},
@@ -398,34 +408,8 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             subnetwork=meta,
         )
         validate(fragment)
-        subs.append(
-            Subnetwork(
-                index=index,
-                owned_nodes=tuple(owned),
-                interior_links=tuple(interior),
-                relative_sources=tuple(rel_sources),
-                relative_sinks=tuple(rel_sinks),
-                neighbor_of_link=neighbor_of_link,
-                fragment=fragment,
-            )
-        )
+        subs.append(Subnetwork(fragment))
     return subs
-
-
-def subnetwork_from_fragment(fragment: Scenario) -> Subnetwork:
-    """Rebuild the Subnetwork wrapper from a loaded fragment file."""
-    meta = fragment.subnetwork
-    if meta is None:
-        raise ScenarioError("scenario file carries no subnetwork metadata")
-    return Subnetwork(
-        index=meta.index,
-        owned_nodes=meta.owned_nodes,
-        interior_links=meta.interior_links,
-        relative_sources=meta.relative_sources,
-        relative_sinks=meta.relative_sinks,
-        neighbor_of_link=dict(meta.neighbor_of_link),
-        fragment=fragment,
-    )
 
 
 def reconstruct_scenario(scenario_template: Scenario, subs: list[Subnetwork]) -> Scenario:
@@ -482,7 +466,7 @@ def reconstruct_scenario(scenario_template: Scenario, subs: list[Subnetwork]) ->
 def build_metagraph(subs: list[Subnetwork]) -> Metagraph:
     edges: dict[tuple[int, int], set[int]] = {}
     for sub in subs:
-        for lid, nb in sub.neighbor_of_link.items():
+        for lid, nb in sub.neighbor_of_link:
             key = (min(sub.index, nb), max(sub.index, nb))
             edges.setdefault(key, set()).add(lid)
     return Metagraph(
@@ -496,101 +480,58 @@ def build_metagraph(subs: list[Subnetwork]) -> Metagraph:
 # ---------------------------------------------------------------------------
 
 
-def _link_groups(frag: Scenario, link_id: int):
-    link = frag.links[link_id]
-    outgoing = [frag.connections[c] for c in frag.out_conns[link_id]]
-    return build_lane_groups(link, outgoing, frag.sim.dt)
-
-
-def _path_pairs(frag: Scenario, vtype: int) -> set[tuple[int, int]]:
-    vt = frag.vehicle_types[vtype]
-    return set(zip(vt.path, vt.path[1:]))
-
-
-def _entry_nexts(frag: Scenario, link_id: int, vtype: int) -> tuple[int, ...]:
-    """Possible next links for a vehicle of `vtype` that just entered
-    `link_id`: the unique path successor for deterministic types, every
-    connection-reachable successor for probabilistic ones, TERMINAL on sinks."""
-    vt = frag.vehicle_types[vtype]
-    successors = frag.successors(link_id)
-    if not successors:
-        return (TERMINAL,)
-    if vt.routing == "deterministic":
-        if link_id not in vt.path:
-            return ()
-        pos = vt.path.index(link_id)
-        if pos == len(vt.path) - 1:
-            return (TERMINAL,)
-        return (vt.path[pos + 1],)
-    return successors
-
-
 def delivery_slots(frag: Scenario, link_id: int) -> list[Slot]:
     """Slots for flows entering an overlap link, resolved by its upstream
-    side: one per (connection in, target lane group, vehicle type, assigned
-    next link)."""
+    side: one per (connection in, target lane group, commodity of the link
+    whose vehicle type can take that connection)."""
+    comms = frag.commodities[link_id]
     slots: list[Slot] = []
-    groups = _link_groups(frag, link_id)
     for cid in frag.in_conns[link_id]:
-        conn = frag.connections[cid]
-        for g in groups:
-            for vtype in sorted(frag.vehicle_types):
-                vt = frag.vehicle_types[vtype]
-                if vt.routing == "deterministic":
-                    if (conn.in_link, link_id) not in _path_pairs(frag, vtype):
-                        continue
-                for nxt in _entry_nexts(frag, link_id, vtype):
-                    slots.append((cid, link_id, g.index, vtype, nxt))
+        # a vehicle type can take cid iff (type, link_id) occurs upstream
+        upstream = frag.commodities[frag.connections[cid].in_link]
+        entering = [(vt, nxt) for vt, nxt in comms if (vt, link_id) in upstream]
+        for g in frag.lane_groups[link_id]:
+            slots.extend((cid, link_id, g.index, vt, nxt) for vt, nxt in entering)
     return slots
 
 
 def removal_slots(frag: Scenario, link_id: int) -> list[Slot]:
     """Slots for flows leaving an overlap link, resolved by its downstream
-    side: one per (connection out, source lane group, vehicle type); the next
-    link is the connection's target."""
+    side: one per (connection out, source lane group serving it, commodity
+    headed to the connection's out link)."""
+    comms = frag.commodities[link_id]
     slots: list[Slot] = []
-    groups = _link_groups(frag, link_id)
-    for cid in frag.out_conns[link_id]:
-        conn = frag.connections[cid]
-        for g in groups:
-            if cid not in g.conn_ids:
-                continue
-            for vtype in sorted(frag.vehicle_types):
-                vt = frag.vehicle_types[vtype]
-                if vt.routing == "deterministic":
-                    if (link_id, conn.out_link) not in _path_pairs(frag, vtype):
-                        continue
-                slots.append((cid, link_id, g.index, vtype, conn.out_link))
+    for g in frag.lane_groups[link_id]:
+        for cid in g.conn_ids:
+            out_link = frag.connections[cid].out_link
+            slots.extend(
+                (cid, link_id, g.index, vt, nxt) for vt, nxt in comms if nxt == out_link
+            )
     return slots
+
+
+def _message_map(sub: Subnetwork, sender: int, receiver: int) -> DecoderMap:
+    """Layout of the message `sender` sends to `receiver`, derived from
+    `sub`'s own fragment, `sub` being either of the two.  A link's slots are
+    delivery slots when the sender owns its start node, removal slots
+    otherwise."""
+    sub_sends = sub.index == sender
+    starts_here = set(sub.relative_sinks)
+    slots: list[Slot] = []
+    for lid in sub.links_with(receiver if sub_sends else sender):
+        slots_of = delivery_slots if (lid in starts_here) == sub_sends else removal_slots
+        slots.extend(slots_of(sub.fragment, lid))
+    return DecoderMap(sender=sender, receiver=receiver, slots=tuple(sorted(slots)))
 
 
 def build_decoder_map(sub: Subnetwork, neighbor: int) -> DecoderMap:
     """Layout of the message `sub` sends to `neighbor`: deliveries into
     overlap links owned upstream by `sub`, removals from overlap links owned
     upstream by `neighbor`.  Fixed for the whole run."""
-    slots: list[Slot] = []
-    rel_sinks = set(sub.relative_sinks)
-    for lid in sub.links_with(neighbor):
-        if lid in rel_sinks:
-            slots.extend(delivery_slots(sub.fragment, lid))
-        else:
-            slots.extend(removal_slots(sub.fragment, lid))
-    return DecoderMap(sender=sub.index, receiver=neighbor, slots=tuple(sorted(slots)))
+    return _message_map(sub, sub.index, neighbor)
 
 
 def build_receive_map(sub: Subnetwork, neighbor: int) -> DecoderMap:
     """Layout of the message `sub` expects from `neighbor`, derived from
     `sub`'s own fragment; must equal the neighbor's send map element-wise."""
-    slots: list[Slot] = []
-    rel_sources = set(sub.relative_sources)
-    for lid in sub.links_with(neighbor):
-        if lid in rel_sources:
-            slots.extend(delivery_slots(sub.fragment, lid))
-        else:
-            slots.extend(removal_slots(sub.fragment, lid))
-    return DecoderMap(sender=neighbor, receiver=sub.index, slots=tuple(sorted(slots)))
-
-
-def build_decoder_maps(sub_i: Subnetwork, sub_j: Subnetwork) -> tuple[DecoderMap, DecoderMap]:
-    """Both directions for a metagraph edge, each built from the sender's data."""
-    return build_decoder_map(sub_i, sub_j.index), build_decoder_map(sub_j, sub_i.index)
+    return _message_map(sub, neighbor, sub.index)

@@ -12,6 +12,7 @@ The file format is documented in docs/scenario-format.md.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,9 @@ from .errors import ScenarioError
 # Commodity "next link" marker for vehicles that leave the network at the
 # link they currently occupy.
 TERMINAL = -1
+
+# commodity: (vehicle type id, next link id or TERMINAL)
+Commodity = tuple[int, int]
 
 SUM_TOL = 1e-12
 CFL_TOL = 1e-9
@@ -143,6 +147,9 @@ class Scenario:
     # --- derived lookup tables, built by validate() ---
     out_conns: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     in_conns: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    lane_groups: dict[int, tuple[LaneGroup, ...]] = field(default_factory=dict, repr=False)
+    # link -> ascending commodities that can occur on it; see validate()
+    commodities: dict[int, tuple[Commodity, ...]] = field(default_factory=dict, repr=False)
     _split_index: dict[tuple[int, int], list[SplitRow]] = field(
         default_factory=dict, repr=False
     )
@@ -169,13 +176,6 @@ class Scenario:
         return tuple(
             sorted({self.connections[c].out_link for c in self.out_conns[link_id]})
         )
-
-    def det_next(self, vt: VehicleType, link_id: int) -> int:
-        """Next link after `link_id` on a deterministic path (TERMINAL at end)."""
-        pos = vt.path.index(link_id)
-        if pos == len(vt.path) - 1:
-            return TERMINAL
-        return vt.path[pos + 1]
 
     def split_row_at(self, link_id: int, vtype: int, time: float):
         """Ratios for vehicles of `vtype` entering `link_id` at `time`, or None."""
@@ -473,27 +473,42 @@ def validate(s: Scenario) -> None:
     for lid, link in list(s.links.items()):
         is_sink = len(s.out_conns[lid]) == 0
         if link.is_sink != is_sink:
-            s.links[lid] = Link(
-                id=link.id,
-                start_node=link.start_node,
-                end_node=link.end_node,
-                length=link.length,
-                lanes=link.lanes,
-                fd=link.fd,
-                is_source=link.is_source,
-                is_sink=is_sink,
-            )
+            s.links[lid] = dataclasses.replace(link, is_sink=is_sink)
+
+    # commodities per link: (vt, TERMINAL) for every type on a sink;
+    # elsewhere the path successor of each deterministic type whose path
+    # holds the link, and every successor for each probabilistic type
+    det_comms: dict[int, set[Commodity]] = {}
+    for vt in s.vehicle_types.values():
+        if vt.routing == "deterministic":
+            for pos, lid in enumerate(vt.path):
+                nxt = vt.path[pos + 1] if pos + 1 < len(vt.path) else TERMINAL
+                det_comms.setdefault(lid, set()).add((vt.id, nxt))
+    prob_types = sorted(
+        vt.id for vt in s.vehicle_types.values() if vt.routing != "deterministic"
+    )
+    sink_comms = tuple((vt, TERMINAL) for vt in sorted(s.vehicle_types))
 
     # lane groups must be constructible and unambiguous for routing
+    s.lane_groups, s.commodities = {}, {}
     for lid, link in s.links.items():
         outgoing = [s.connections[c] for c in s.out_conns[lid]]
-        for g in build_lane_groups(link, outgoing, s.sim.dt):
+        groups = tuple(build_lane_groups(link, outgoing, s.sim.dt))
+        for g in groups:
             targets = [s.connections[c].out_link for c in g.conn_ids]
             _require(
                 len(targets) == len(set(targets)),
                 f"link {lid} lanes {g.lane_lo}-{g.lane_hi}: two road connections "
                 f"lead to the same downstream link",
             )
+        s.lane_groups[lid] = groups
+        if not outgoing:
+            s.commodities[lid] = sink_comms
+            continue
+        successors = {c.out_link for c in outgoing}
+        comms = [(vt, nxt) for vt in prob_types for nxt in successors]
+        comms.extend(det_comms.get(lid, ()))
+        s.commodities[lid] = tuple(sorted(comms))
 
     # deterministic paths: connected, loop-free, end at a sink; fragments
     # keep the full global path (checked before partitioning) but carry only
@@ -610,16 +625,7 @@ def validate(s: Scenario) -> None:
     for lid in sorted(source_links):
         link = s.links[lid]
         if not link.is_source:
-            s.links[lid] = Link(
-                id=link.id,
-                start_node=link.start_node,
-                end_node=link.end_node,
-                length=link.length,
-                lanes=link.lanes,
-                fd=link.fd,
-                is_source=True,
-                is_sink=link.is_sink,
-            )
+            s.links[lid] = dataclasses.replace(link, is_source=True)
 
     if s.subnetwork is not None:
         meta = s.subnetwork

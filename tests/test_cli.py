@@ -314,6 +314,65 @@ class TestProtocolExitCodes:
         assert code == 3
 
 
+class TestMalformedRunInputs:
+    """Broken run inputs are config errors: exit 2, before any socket opens."""
+
+    @pytest.fixture
+    def parts(self, grid_file, tmp_path):
+        out = tmp_path / "parts"
+        assert main(
+            ["partition", "--scenario", grid_file, "--n", "2", "--out-dir", str(out)]
+        ) == 0
+        return out
+
+    def _join(self, parts, roster_text, tmp_path):
+        roster = tmp_path / "roster.txt"
+        roster.write_text(roster_text)
+        return main(
+            [
+                "run", "--mode", "tcp", "--worker-index", "0",
+                "--fragments-dir", str(parts), "--roster", str(roster), "--steps", "2",
+            ]
+        )
+
+    def test_decoder_map_missing_key(self, parts, capsys):
+        victim = parts / "decoder_0_to_1.json"
+        doc = json.loads(victim.read_text())
+        del doc["sender"]
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        assert "decoder_0_to_1.json" in capsys.readouterr().err
+
+    def test_roster_port_not_integer(self, parts, tmp_path, capsys):
+        assert self._join(parts, "0 127.0.0.1 5000\n1 127.0.0.1 port\n", tmp_path) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_roster_port_out_of_range(self, parts, tmp_path, capsys):
+        assert self._join(parts, "0 127.0.0.1 70000\n1 127.0.0.1 5001\n", tmp_path) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_roster_lacks_joining_worker(self, parts, tmp_path, capsys):
+        assert self._join(parts, "1 127.0.0.1 5001\n", tmp_path) == 2
+        assert "worker 0" in capsys.readouterr().err
+
+    def test_roster_lacks_neighbor(self, parts, tmp_path, capsys):
+        assert self._join(parts, "0 127.0.0.1 5000\n", tmp_path) == 2
+        assert "worker 1" in capsys.readouterr().err
+
+    def test_roster_lists_worker_twice(self, parts, tmp_path, capsys):
+        text = "0 127.0.0.1 5000\n1 127.0.0.1 5001\n0 127.0.0.1 5002\n"
+        assert self._join(parts, text, tmp_path) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_roster_file_missing(self, parts, tmp_path):
+        argv = [
+            "run", "--mode", "tcp", "--worker-index", "0", "--fragments-dir", str(parts),
+            "--roster", str(tmp_path / "absent.txt"),
+        ]
+        assert main(argv) == 2
+
+
 class TestBenchCmd:
     def test_table_and_report(self, fixture_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OTMD_LOG", "INFO")

@@ -13,6 +13,7 @@ from ctmdist.engine import (
     resolve_node_flows,
 )
 from ctmdist.errors import InternalAssertion, ScenarioError
+from ctmdist.partition import NodePartition, build_subnetworks
 from ctmdist.runner import run_sequential
 from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario
 
@@ -22,6 +23,15 @@ from conftest import link, merge_diverge_doc
 def seed(engine, lid, gidx, cell, comm, veh):
     engine.set_cell_value(lid, gidx, cell, comm, veh)
     engine.active.add(lid)
+
+
+def fragment_with_path(scenario, path):
+    """`scenario` as its one fragment, with vehicle type 0 on `path`.  A
+    fragment skips the path checks, so an inconsistent path gets through to
+    the commodity table."""
+    scenario.vehicle_types[0] = VehicleType(0, "deterministic", path)
+    whole = NodePartition(1, {nid: 0 for nid in scenario.nodes})
+    return build_subnetworks(scenario, whole)[0].fragment
 
 
 def discharged(engine, plan, lid):
@@ -423,22 +433,19 @@ class TestChecks:
 
     def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
         # a path ending short of a sink passes only unvalidated fragments
-        merge_diverge.vehicle_types[0] = VehicleType(0, "deterministic", (0, 1, 4))
-        eng = Engine(merge_diverge)
+        eng = Engine(fragment_with_path(merge_diverge, (0, 1, 4)))
         seed(eng, 4, 1, 2, (0, TERMINAL), 1.0)
         with pytest.raises(InternalAssertion, match=r"terminal commodity"):
             eng.phase_a(0)
 
     def test_unreachable_next_link(self, merge_diverge):
-        merge_diverge.vehicle_types[0] = VehicleType(0, "deterministic", (0, 1, 5, 7))
-        eng = Engine(merge_diverge)
+        eng = Engine(fragment_with_path(merge_diverge, (0, 1, 5, 7)))
         seed(eng, 1, 0, 1, (0, 5), 1.0)  # link 1 only reaches link 4
         with pytest.raises(InternalAssertion, match=r"unreachable"):
             eng.phase_a(0)
 
     def test_unreachable_next_link_in_lane_changes(self, merge_diverge):
-        merge_diverge.vehicle_types[0] = VehicleType(0, "deterministic", (0, 1, 4, 7))
-        eng = Engine(merge_diverge)
+        eng = Engine(fragment_with_path(merge_diverge, (0, 1, 4, 7)))
         seed(eng, 4, 0, 0, (0, 7), 1.0)  # no lane group of link 4 reaches 7
         with pytest.raises(InternalAssertion, match=r"cannot reach"):
             eng.phase_a(0)

@@ -10,7 +10,6 @@ from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
     balance_cap,
     build_decoder_map,
-    build_decoder_maps,
     build_metagraph,
     build_receive_map,
     build_subnetworks,
@@ -24,7 +23,7 @@ from ctmdist.partition import (
 )
 from ctmdist.scenario import parse_scenario, serialize_scenario
 
-from conftest import link
+from conftest import lanes_grid, link
 
 
 def path_scenario(n_nodes=4):
@@ -236,7 +235,7 @@ class TestMetagraph:
         subs = build_subnetworks(s, p)
         mg = build_metagraph(subs)
         assert sorted(mg.edges) == [(0, 1), (1, 2), (2, 3)]
-        assert mg.neighbors_of(1) == (0, 2)
+        assert subs[1].neighbors() == (0, 2)
 
     def test_no_cut_empty_edges(self):
         # two disconnected components, one subset each
@@ -254,7 +253,7 @@ class TestDecoderMaps:
     def test_single_deterministic_next_length_one(self):
         s = path_scenario(4)  # links 0,1,2; overlap at link 1
         subs = build_subnetworks(s, NodePartition(2, {0: 0, 1: 0, 2: 1, 3: 1}))
-        send, recv = build_decoder_maps(subs[0], subs[1])
+        send, recv = build_decoder_map(subs[0], 1), build_decoder_map(subs[1], 0)
         assert send.message_length == 1
         assert send.slots == ((0, 1, 0, 0, 2),)  # conn 0 into link 1, next link 2
         assert recv.message_length == 1
@@ -306,7 +305,7 @@ class TestDecoderMaps:
         }
         s = parse_scenario(json.dumps(doc))
         subs = build_subnetworks(s, NodePartition(2, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}))
-        send, recv = build_decoder_maps(subs[0], subs[1])
+        send, recv = build_decoder_map(subs[0], 1), build_decoder_map(subs[1], 0)
         # 2 connections into the overlap link x 1 lane group x 1 type x 2
         # possible next links
         assert send.message_length == 4
@@ -329,6 +328,25 @@ class TestDecoderMaps:
                 assert build_decoder_map(subs[i], j) == build_receive_map(subs[j], i)
                 assert build_decoder_map(subs[j], i) == build_receive_map(subs[i], j)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_slots_name_shared_table_entries(self, n):
+        # every slot's commodity and lane group come from the tables that
+        # validate() builds, and both sides of a cut carry the same tables
+        s = lanes_grid()
+        subs = build_subnetworks(s, partition_nodes(s, n, seed=0))
+        for sub in subs:
+            frag = sub.fragment
+            for lid in sub.interior_links + sub.relative_sources + sub.relative_sinks:
+                assert frag.commodities[lid] == s.commodities[lid]
+                assert frag.lane_groups[lid] == s.lane_groups[lid]
+            for nb in sub.neighbors():
+                for decoder in (build_decoder_map(sub, nb), build_receive_map(sub, nb)):
+                    assert decoder.slots
+                    for cid, lid, gidx, vtype, nxt in decoder.slots:
+                        assert (vtype, nxt) in s.commodities[lid]
+                        assert s.lane_groups[lid][gidx].index == gidx
+                        assert lid in (s.connections[cid].in_link, s.connections[cid].out_link)
+
     def test_grid_n2_message_lengths_order_of_magnitude(self):
         # mirrors the reported mean of ~56 floats per neighbor at n=2 on a
         # real network; desk-scale grid should land within the same order
@@ -337,7 +355,7 @@ class TestDecoderMaps:
         mg = build_metagraph(subs)
         lengths = []
         for (i, j) in mg.edges:
-            send, recv = build_decoder_maps(subs[i], subs[j])
+            send, recv = build_decoder_map(subs[i], j), build_decoder_map(subs[j], i)
             lengths.extend([send.message_length, recv.message_length])
         mean = sum(lengths) / len(lengths)
         assert 10 <= mean <= 1000
