@@ -23,7 +23,7 @@ import struct
 import time
 from dataclasses import dataclass
 
-from .engine import FluxRecord
+from .engine import EntryRecord, SlotEntry
 from .errors import ProtocolError
 from .partition import DecoderMap
 
@@ -166,34 +166,32 @@ class NeighborChannel:
 # ---------------------------------------------------------------------------
 
 
-def encode(decoder: DecoderMap, records: list[FluxRecord]) -> list[float]:
-    """Fill the fixed message layout; slots without flow stay 0.0."""
-    values = [0.0] * decoder.message_length
-    index = decoder.slot_index
-    for cid, link, gidx, vtype, nxt, amount in records:
-        slot = (cid, link, gidx, vtype, nxt)
-        pos = index.get(slot)
+def encode(table: dict[SlotEntry, int], records: list[EntryRecord]) -> list[float]:
+    """Fill the fixed message layout of a channel's send table (see
+    `Engine.slot_entries`); slots without flow stay 0.0."""
+    values = [0.0] * len(table)
+    for lid, cid, gidx, p, amount in records:
+        pos = table.get((lid, cid, gidx, p))
         if pos is None:
             raise ProtocolError(
-                f"flux record {slot} has no slot in decoder "
-                f"{decoder.sender}->{decoder.receiver}"
+                f"record {(lid, cid, gidx, p)} has no slot in this channel's message"
             )
         values[pos] = amount
     return values
 
 
-def decode(decoder: DecoderMap, values: list[float]) -> list[FluxRecord]:
-    """Inverse of encode; zero slots produce no records."""
-    if len(values) != decoder.message_length:
+def decode(table: dict[SlotEntry, int], values: list[float]) -> list[EntryRecord]:
+    """Inverse of encode for a channel's receive table; zero slots produce
+    no records."""
+    if len(values) != len(table):
         raise ProtocolError(
-            f"message length {len(values)} does not match decoder "
-            f"{decoder.sender}->{decoder.receiver} slot count {decoder.message_length}"
+            f"message length {len(values)} does not match slot count {len(table)}"
         )
-    records: list[FluxRecord] = []
-    for slot, value in zip(decoder.slots, values):
+    records: list[EntryRecord] = []
+    for entry, value in zip(table, values):
         if value != 0.0:
-            cid, link, gidx, vtype, nxt = slot
-            records.append((cid, link, gidx, vtype, nxt, value))
+            lid, cid, gidx, p = entry
+            records.append((lid, cid, gidx, p, value))
     return records
 
 

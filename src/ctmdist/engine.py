@@ -10,11 +10,15 @@ commodity is a (vehicle type, next downstream link) pair.  Every step runs:
            conservation update (internal cell flows, boundary removals and
            deliveries, sink discharge, source injection).
 
-Between the phases a distributed run exchanges boundary flux records with
+Between the phases a distributed run exchanges boundary records with
 neighboring subnetworks; a sequential run is the same engine with every node
-owned and nothing to exchange.  All accumulation loops iterate in ascending
-(link, lane group, connection, commodity) order so that a partitioned run
-reproduces the sequential run bit for bit.
+owned and nothing to exchange.  A record has one shape from phase A through
+the wire to phase B: (link, connection, lane group, commodity position,
+vehicles).  Each worker resolves every slot of its decoder maps to such a
+position once, after the handshake (`slot_entries`); a slot that fits no
+position aborts the run with a protocol error.  All accumulation loops
+iterate in ascending (link, lane group, connection, commodity) order so that
+a partitioned run reproduces the sequential run bit for bit.
 
 Cells are dense.  Each link has a fixed, ascending tuple of the commodities
 that can occur on it, read from `Scenario.commodities`, the table that
@@ -54,16 +58,16 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .errors import InternalAssertion, ScenarioError
+from .errors import InternalAssertion, ProtocolError, ScenarioError
 from .scenario import Commodity, Link, Scenario, TERMINAL, rate_at
 
-# boundary flux record: (connection, link, group index, vehicle type, next link, vehicles)
+# a flow through a road connection into or out of a link, in the step plan
+# and on the wire: (link, connection, group index, commodity position, vehicles)
 # link == connection.out_link -> delivery into the link's first cells
 # link == connection.in_link  -> removal from the link's last cells
-FluxRecord = tuple[int, int, int, int, int, float]
-# the same flow inside the engine, by commodity position on its link:
-# (connection, group index, commodity position, vehicles)
-EntryRecord = tuple[int, int, int, float]
+EntryRecord = tuple[int, int, int, int, float]
+# the key of such a record, and what a decoder-map slot resolves to
+SlotEntry = tuple[int, int, int, int]
 
 NEG_TOL = -1e-12
 
@@ -211,7 +215,6 @@ class Engine:
         # epoch, the number of distinct split start times passed
         self._split_times = sorted({row.start_time for row in scenario.splits})
         self._epoch: int | None = None
-        self._fraction_cache: dict[tuple[int, int], tuple] = {}
         self._position_cache: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         self._plan: StepPlan | None = None
 
@@ -285,7 +288,6 @@ class Engine:
         epoch = bisect_right(self._split_times, time)
         if epoch != self._epoch:
             self._epoch = epoch
-            self._fraction_cache.clear()
             self._position_cache.clear()
 
         active = sorted(self.active)
@@ -465,12 +467,13 @@ class Engine:
             self._empty_supplies[link_id] = result
         return result
 
-    def entry_fractions(self, link_id: int, vtype: int, time: float) -> tuple:
-        """How flow entering `link_id` divides over next links: the unique
-        path successor for deterministic types, the split row for
-        probabilistic ones, TERMINAL on sinks."""
+    def entry_positions(self, link_id: int, vtype: int, time: float) -> tuple:
+        """How flow of `vtype` entering `link_id` divides over the link's
+        commodities, as (position, fraction) pairs: the unique path successor
+        for deterministic types, the split row for probabilistic ones,
+        TERMINAL on sinks."""
         key = (link_id, vtype)
-        cached = self._fraction_cache.get(key)
+        cached = self._position_cache.get(key)
         if cached is not None:
             return cached
         lrt = self.links[link_id]
@@ -485,26 +488,15 @@ class Engine:
                 )
             fractions = ((nexts[0], 1.0),)
         else:
-            row = self.scenario.split_row_at(link_id, vtype, time)
-            if row is None:
+            fractions = self.scenario.split_row_at(link_id, vtype, time)
+            if fractions is None:
                 raise ScenarioError(
                     f"no split row for vehicle type {vtype} entering link "
                     f"{link_id} (time {time})"
                 )
-            fractions = row
-        self._fraction_cache[key] = fractions
-        return fractions
-
-    def _entry_positions(self, link_id: int, vtype: int, time: float) -> tuple:
-        """`entry_fractions` as (commodity position, fraction) pairs."""
-        key = (link_id, vtype)
-        cached = self._position_cache.get(key)
-        if cached is not None:
-            return cached
-        index = self.links[link_id].comm_index
         positions = []
-        for nxt, frac in self.entry_fractions(link_id, vtype, time):
-            p = index.get((vtype, nxt))
+        for nxt, frac in fractions:
+            p = lrt.comm_index.get((vtype, nxt))
             if p is None:
                 raise InternalAssertion(
                     f"link {link_id}: entering commodity {(vtype, nxt)} is not "
@@ -528,61 +520,51 @@ class Engine:
             arrived: dict[int, float] = {}
             for (p, _cid, _out_link, gidx, vt), amount in entries:
                 if amount:
-                    removals.append((cid, gidx, p, amount))
+                    removals.append((in_link, cid, gidx, p, amount))
                 arrived[vt] = arrived.get(vt, 0.0) + amount
             for vt in sorted(arrived):
                 total = arrived[vt]
                 if total <= 0.0:
                     continue
-                positions = self._entry_positions(target, vt, time)
+                positions = self.entry_positions(target, vt, time)
                 for gidx, share in shares:
                     # share = group supply / summed supply, divided first
                     base = total * share
                     for p, frac in positions:
                         amount = base * frac
                         if amount:
-                            deliveries.append((cid, gidx, p, amount))
+                            deliveries.append((target, cid, gidx, p, amount))
 
     # ------------------------------------------------------------------
     # phase B
     # ------------------------------------------------------------------
 
-    def phase_b(self, step: int, received: list[FluxRecord] | None = None) -> StepStats:
+    def phase_b(self, step: int, received: list[EntryRecord] | None = None) -> StepStats:
         """Apply the step plan plus records received from neighbors; returns
-        step statistics over this engine's authoritative links."""
+        step statistics over this engine's authoritative links.  A neighbor
+        resolves the far end of an overlap link, so a received record is a
+        removal where this engine resolves the link's inflow, a delivery
+        otherwise."""
         if self._plan is None:
             raise InternalAssertion("phase_b called before phase_a")
         plan = self._plan
         self._plan = None
         time = step * self.dt
 
-        recv_removals: dict[int, list[EntryRecord]] = {}
-        recv_deliveries: dict[int, list[EntryRecord]] = {}
-        if received:
-            connections = self.scenario.connections
-            for cid, link_id, gidx, vt, nxt, amount in received:
-                conn = connections[cid]
-                if link_id == conn.out_link:
-                    target = recv_deliveries
-                elif link_id == conn.in_link:
-                    target = recv_removals
-                else:
-                    raise InternalAssertion(
-                        f"record names link {link_id} not on connection {cid}"
-                    )
-                lrt = self.links.get(link_id)
-                p = None if lrt is None else lrt.comm_index.get((vt, nxt))
-                if p is None:
-                    raise InternalAssertion(
-                        f"received record for link {link_id} carries commodity "
-                        f"{(vt, nxt)}, which cannot occur on that link"
-                    )
-                target.setdefault(link_id, []).append((cid, gidx, p, amount))
+        by_link: dict[int, list[EntryRecord]] = {}
+        for record in received or ():
+            by_link.setdefault(record[0], []).append(record)
+        for lid, records in by_link.items():
+            is_removal = self.links[lid].inflow_local
+            local = plan.removals if is_removal else plan.deliveries
+            if local.get(lid):
+                kind = "removals" if is_removal else "deliveries"
+                raise InternalAssertion(f"link {lid} has both local and received {kind}")
+            local[lid] = records
 
         stats = StepStats()
         work = set(plan.internal) | set(plan.removals) | set(plan.deliveries)
-        work |= set(plan.discharge) | set(recv_removals) | set(recv_deliveries)
-        work |= set(self.source_links)
+        work |= set(plan.discharge) | set(self.source_links)
         for lid in sorted(work):
             lrt = self.links[lid]
             groups = lrt.groups
@@ -592,13 +574,7 @@ class Engine:
                 cells[k][:] = [v - a for v, a in zip(cells[k], amounts)]
                 cells[k + 1][:] = [v + a for v, a in zip(cells[k + 1], amounts)]
 
-            local_rm = plan.removals.get(lid)
-            remote_rm = recv_removals.get(lid)
-            if local_rm and remote_rm:
-                raise InternalAssertion(
-                    f"link {lid} has both local and received removals"
-                )
-            for _cid, gidx, p, amount in local_rm or remote_rm or ():
+            for _lid, _cid, gidx, p, amount in plan.removals.get(lid, ()):
                 cell = groups[gidx].cells[-1]
                 cell[p] = cell[p] - amount
 
@@ -609,13 +585,7 @@ class Engine:
                     for amount in amounts:
                         stats.exited += amount
 
-            local_dv = plan.deliveries.get(lid)
-            remote_dv = recv_deliveries.get(lid)
-            if local_dv and remote_dv:
-                raise InternalAssertion(
-                    f"link {lid} has both local and received deliveries"
-                )
-            for _cid, gidx, p, amount in local_dv or remote_dv or ():
+            for _lid, _cid, gidx, p, amount in plan.deliveries.get(lid, ()):
                 cell = groups[gidx].cells[0]
                 cell[p] = cell[p] + amount
 
@@ -647,7 +617,7 @@ class Engine:
             key = (lid, row.vtype)
             queue = self.queues.get(key, 0.0) + rate_at(row.profile, time) * self.dt
             if queue > 0.0:
-                positions = self._entry_positions(lid, row.vtype, time)
+                positions = self.entry_positions(lid, row.vtype, time)
                 for g in lrt.groups:
                     if queue <= 0.0:
                         break
@@ -735,16 +705,35 @@ class Engine:
                             rows.append((step, lid, g.index, k, vt, nxt, v))
         return rows
 
-    def boundary_records(self, plan: StepPlan, link_ids) -> list[FluxRecord]:
+    def boundary_records(self, plan: StepPlan, link_ids) -> list[EntryRecord]:
         """All delivery and removal records touching the given overlap links."""
-        records: list[FluxRecord] = []
+        records: list[EntryRecord] = []
         for lid in sorted(link_ids):
-            comms = self.links[lid].comms
-            for kind in (plan.deliveries, plan.removals):
-                records.extend(
-                    [
-                        (cid, lid, gidx, comms[p][0], comms[p][1], amount)
-                        for cid, gidx, p, amount in kind.get(lid, ())
-                    ]
-                )
+            records.extend(plan.deliveries.get(lid, ()))
+            records.extend(plan.removals.get(lid, ()))
         return records
+
+    def slot_entries(self, slots) -> dict[SlotEntry, int]:
+        """Resolve decoder-map slots (connection, link, group, vehicle type,
+        next link) to record keys (link, connection, group, commodity
+        position), mapped to their slot positions in message order.  A slot
+        that fits no entry of this engine is a protocol error."""
+        table: dict[SlotEntry, int] = {}
+        for pos, slot in enumerate(slots):
+            cid, lid, gidx, vt, nxt = slot
+            lrt = self.links.get(lid)
+            if lrt is None:
+                raise ProtocolError(f"slot {slot}: link {lid} is not simulated here")
+            if lid not in (self._in_link_of.get(cid), self._out_link_of.get(cid)):
+                raise ProtocolError(f"slot {slot}: link {lid} is not on connection {cid}")
+            p = lrt.comm_index.get((vt, nxt))
+            if p is None:
+                raise ProtocolError(
+                    f"slot {slot}: commodity {(vt, nxt)} cannot occur on link {lid}"
+                )
+            if not 0 <= gidx < len(lrt.groups):
+                raise ProtocolError(f"slot {slot}: link {lid} has no lane group {gidx}")
+            table[(lid, cid, gidx, p)] = pos
+        if len(table) != len(slots):
+            raise ProtocolError("decoder map repeats a slot")
+        return table

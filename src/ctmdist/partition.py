@@ -22,7 +22,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ScenarioError
 from .scenario import Scenario, SubnetworkMeta, validate
@@ -92,11 +91,6 @@ class DecoderMap:
     @property
     def message_length(self) -> int:
         return len(self.slots)
-
-    @cached_property
-    def slot_index(self) -> dict[Slot, int]:
-        """Position of each slot in the message; built once per map."""
-        return {slot: i for i, slot in enumerate(self.slots)}
 
     def to_doc(self) -> dict:
         """The JSON form of decoder files and of the handshake payload."""

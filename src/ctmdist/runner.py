@@ -13,6 +13,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from .comm import (
     DEFAULT_TIMEOUT,
@@ -41,6 +42,7 @@ from .scenario import Scenario
 CONSERVATION_TOL = 1e-9
 DUMP_HEADER = "step,link,lane_group,cell,vehicle_type,next_link,vehicles"
 DEFAULT_DUMP_EVERY = 10
+DEAD = ("dead",)  # the outcome of a worker that exited without a result
 
 # dump row: (step, link, lane_group, cell, vehicle_type, next_link, vehicles)
 Row = tuple[int, int, int, int, int, int, float]
@@ -79,13 +81,15 @@ class RunResult:
 def _simulate(
     engine: Engine,
     channels: list[NeighborChannel],
+    tables: dict[int, tuple[dict, dict]],
     steps: int,
     dump_every: int | None,
     timeout: float,
     report: WorkerReport,
     check_conservation: bool,
 ) -> tuple[list[Row], dict]:
-    """The per-step loop shared by every execution mode."""
+    """The per-step loop shared by every execution mode.  `tables` holds
+    each channel's send and receive slot tables, by neighbor."""
     rows: list[Row] = []
     per_step = {"in_network": [], "entered_cum": [], "exited_cum": [], "queued": []}
     entered_cum = 0.0
@@ -97,7 +101,7 @@ def _simulate(
         outbox = {}
         for ch in ordered:
             records = engine.boundary_records(plan, ch.overlap_links)
-            outbox[ch.remote] = encode(ch.send_map, records)
+            outbox[ch.remote] = encode(tables[ch.remote][0], records)
         t1 = time.perf_counter()
         report.compute_s += t1 - t0
         if ordered:
@@ -109,7 +113,7 @@ def _simulate(
             t2 = t1
         received = []
         for ch in ordered:
-            received.extend(decode(ch.recv_map, inbox[ch.remote]))
+            received.extend(decode(tables[ch.remote][1], inbox[ch.remote]))
         stats = engine.phase_b(step, received)
         report.compute_s += time.perf_counter() - t2
 
@@ -163,7 +167,7 @@ def run_sequential(
     engine = Engine(scenario)
     report.setup_s = time.perf_counter() - t0
     rows, per_step = _simulate(
-        engine, [], steps, dump_every, DEFAULT_TIMEOUT, report, check_conservation=True
+        engine, [], {}, steps, dump_every, DEFAULT_TIMEOUT, report, check_conservation=True
     )
     metrics = _finalize_metrics(per_step, steps)
     timing = {
@@ -217,9 +221,13 @@ def _worker_body(
     engine = Engine(sub.fragment, set(sub.owned_nodes))
     channels = _worker_channels(sub, duplexes, decoders)
     establish(channels, timeout)
+    slots_of = engine.slot_entries
+    tables = {
+        ch.remote: (slots_of(ch.send_map.slots), slots_of(ch.recv_map.slots)) for ch in channels
+    }
     report.setup_s = time.perf_counter() - t0
     rows, per_step = _simulate(
-        engine, channels, steps, dump_every, timeout, report, check_conservation=False
+        engine, channels, tables, steps, dump_every, timeout, report, check_conservation=False
     )
     for ch in channels:
         ch.duplex.close()
@@ -236,7 +244,14 @@ def _worker_entry(
     dump_every,
     timeout,
     result_conn,
+    inherited,
 ):
+    # close the copies of other workers' pipes and sockets that came through
+    # fork, so that this worker's death reaches its peers as EOF
+    own = [result_conn, listener, *(pipe_conns or {}).values()]
+    for handle in inherited:
+        if handle not in own:
+            handle.close()
     try:
         if pipe_conns is not None:
             duplexes = {nb: PipeDuplex(conn) for nb, conn in pipe_conns.items()}
@@ -255,6 +270,16 @@ def _worker_entry(
         result_conn.send(("error", "Exception", traceback.format_exc(), 1))
     finally:
         result_conn.close()
+
+
+def _read_result(conn) -> tuple:
+    """A worker's result message, or DEAD when it sent none."""
+    try:
+        if conn.poll():
+            return conn.recv()
+    except EOFError:
+        pass
+    return DEAD
 
 
 def _raise_worker_error(kind: str, message: str, exit_code: int) -> None:
@@ -312,6 +337,10 @@ def run_distributed(
         roster = {i: ("127.0.0.1", listeners[i].getsockname()[1]) for i in range(n)}
 
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
+    # every pipe end and socket a forked worker inherits
+    inherited = [end for pipe in result_pipes for end in pipe]
+    inherited += [conn for conns in pipe_conns if conns for conn in conns.values()]
+    inherited += listeners.values() if listeners else ()
     procs = []
     for sub in subs:
         worker_decoders = decoders.get(sub.index) if decoders else None
@@ -327,51 +356,48 @@ def run_distributed(
                 dump_every,
                 timeout,
                 result_pipes[sub.index][1],
+                inherited,
             ),
         )
         proc.start()
         procs.append(proc)
-    for recv, send in result_pipes:
-        send.close()
-    for conns in pipe_conns:
-        if conns:
-            for conn in conns.values():
-                conn.close()
-    if listeners:
-        for sock in listeners.values():
-            sock.close()
+    receivers = [recv for recv, _send in result_pipes]
+    for handle in inherited:
+        if handle not in receivers:
+            handle.close()
 
     results: list[tuple | None] = [None] * n
     failure: tuple | None = None
-    pending = set(range(n))
+    owner = {result_pipes[i][0]: i for i in range(n)}
+    owner.update({proc.sentinel: i for i, proc in enumerate(procs)})
     # generous backstop only: stalled workers abort themselves via the
     # per-channel exchange timeout and report through their result pipe
     deadline = time.monotonic() + timeout + 3600.0
-    while pending and failure is None:
-        progressed = False
-        for i in sorted(pending):
-            if results[i] is None and result_pipes[i][0].poll(0.02):
-                try:
-                    results[i] = result_pipes[i][0].recv()
-                except EOFError:
-                    results[i] = ("error", "ProtocolError", f"worker {i} died", 3)
-                pending.discard(i)
-                progressed = True
-                if results[i][0] == "error":
-                    failure = results[i]
-                break
-        if not progressed and time.monotonic() > deadline:
+    while None in results and failure is None:
+        waiting = [h for h, i in owner.items() if results[i] is None]
+        ready = wait(waiting, max(0.0, deadline - time.monotonic()))
+        if not ready:
             failure = ("error", "ProtocolError", "workers stalled", 3)
+        for i in sorted({owner[h] for h in ready}):
+            results[i] = _read_result(result_pipes[i][0])
+            if results[i][0] != "ok":
+                failure = failure or results[i]
     if failure is not None:
         grace = time.monotonic() + 2.0
-        for proc in procs:
+        for i, proc in enumerate(procs):
             proc.join(max(0.0, grace - time.monotonic()))
+            if results[i] is None and proc.exitcode is not None:
+                results[i] = _read_result(result_pipes[i][0])
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-        for proc in procs:
             proc.join()
-        _raise_worker_error(failure[1], failure[2], failure[3])
+        # a worker that died is the cause of the errors its neighbors saw
+        dead = [i for i, r in enumerate(results) if r == DEAD]
+        if dead:
+            code = procs[dead[0]].exitcode
+            raise ProtocolError(f"worker {dead[0]} exited with code {code} without a result")
+        _raise_worker_error(*failure[1:])
     for proc in procs:
         proc.join()
 

@@ -133,6 +133,12 @@ class SubnetworkMeta:
     neighbor_of_link: tuple[tuple[int, int], ...]
 
 
+def _derived():
+    """A table that validate() derives from the other fields; equality and
+    repr leave it out."""
+    return field(default_factory=dict, repr=False, compare=False)
+
+
 @dataclass
 class Scenario:
     nodes: dict[int, Node]
@@ -145,29 +151,13 @@ class Scenario:
     subnetwork: SubnetworkMeta | None = None
 
     # --- derived lookup tables, built by validate() ---
-    out_conns: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    in_conns: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    lane_groups: dict[int, tuple[LaneGroup, ...]] = field(default_factory=dict, repr=False)
+    out_conns: dict[int, tuple[int, ...]] = _derived()
+    in_conns: dict[int, tuple[int, ...]] = _derived()
+    lane_groups: dict[int, tuple[LaneGroup, ...]] = _derived()
     # link -> ascending commodities that can occur on it; see validate()
-    commodities: dict[int, tuple[Commodity, ...]] = field(default_factory=dict, repr=False)
-    _split_index: dict[tuple[int, int], list[SplitRow]] = field(
-        default_factory=dict, repr=False
-    )
-    _demand_index: dict[int, list[DemandRow]] = field(default_factory=dict, repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.links == other.links
-            and self.connections == other.connections
-            and self.vehicle_types == other.vehicle_types
-            and self.splits == other.splits
-            and self.demands == other.demands
-            and self.sim == other.sim
-            and self.subnetwork == other.subnetwork
-        )
+    commodities: dict[int, tuple[Commodity, ...]] = _derived()
+    _split_index: dict[tuple[int, int], list[SplitRow]] = _derived()
+    _demand_index: dict[int, list[DemandRow]] = _derived()
 
     # --- queries used by the engine and partitioner ---
 

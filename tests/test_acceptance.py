@@ -133,14 +133,17 @@ def test_criterion_4_fixed_message_size(merge_fixture):
     metagraph = build_metagraph(subs)
     engines = {sub.index: Engine(sub.fragment, set(sub.owned_nodes)) for sub in subs}
     send_maps = {}
-    recv_maps = {}
+    send_tables = {}
+    recv_tables = {}
     for sub in subs:
         for nb in sub.neighbors():
             send_maps[(sub.index, nb)] = build_decoder_map(sub, nb)
-            recv_maps[(sub.index, nb)] = build_receive_map(sub, nb)
             assert send_maps[(sub.index, nb)].slots == build_receive_map(
                 [x for x in subs if x.index == nb][0], sub.index
             ).slots
+            eng = engines[sub.index]
+            send_tables[(sub.index, nb)] = eng.slot_entries(send_maps[(sub.index, nb)].slots)
+            recv_tables[(sub.index, nb)] = eng.slot_entries(build_receive_map(sub, nb).slots)
     observed: dict[tuple[int, int], set[int]] = {}
     steps = 150
     for step in range(steps):
@@ -151,14 +154,14 @@ def test_criterion_4_fixed_message_size(merge_fixture):
                 records = engines[sub.index].boundary_records(
                     plans[sub.index], sub.links_with(nb)
                 )
-                message = encode(send_maps[(sub.index, nb)], records)
+                message = encode(send_tables[(sub.index, nb)], records)
                 observed.setdefault((sub.index, nb), set()).add(len(message))
                 mailbox[(sub.index, nb)] = message
         for sub in subs:
             received = []
             for nb in sub.neighbors():
                 received.extend(
-                    decode(recv_maps[(sub.index, nb)], mailbox[(nb, sub.index)])
+                    decode(recv_tables[(sub.index, nb)], mailbox[(nb, sub.index)])
                 )
             engines[sub.index].phase_b(step, received)
     for (i, j), lengths in observed.items():

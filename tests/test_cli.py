@@ -313,6 +313,28 @@ class TestProtocolExitCodes:
         )
         assert code == 3
 
+    def test_consistent_corrupt_decoder_rejected_at_setup(self, fixture_file, tmp_path):
+        # both workers read the one corrupted file, so the handshake agrees;
+        # the slot's commodity cannot occur on its link, which set-up rejects
+        # before any step runs
+        out = tmp_path / "parts"
+        assert main(
+            ["partition", "--scenario", fixture_file, "--n", "2", "--out-dir", str(out)]
+        ) == 0
+        victim = out / sorted(p for p in os.listdir(out) if p.startswith("decoder_"))[0]
+        doc = json.loads(victim.read_text())
+        doc["slots"][0][4] = 99
+        victim.write_text(json.dumps(doc))
+        dump = tmp_path / "dump.csv"
+        code = main(
+            [
+                "run", "--fragments-dir", str(out), "--mode", "tcp", "--spawn-local",
+                "--steps", "1", "--dump", str(dump),
+            ]
+        )
+        assert code == 3
+        assert not dump.exists()
+
 
 class TestMalformedRunInputs:
     """Broken run inputs are config errors: exit 2, before any socket opens."""

@@ -20,9 +20,12 @@ from ctmdist.comm import (
     exchange,
     pack_frame,
 )
+from ctmdist.engine import Engine
 from ctmdist.errors import ProtocolError
 from ctmdist.partition import DecoderMap, NodePartition, build_subnetworks
+from ctmdist.scenario import parse_scenario
 
+from conftest import link
 from test_partition import path_scenario
 
 
@@ -37,6 +40,25 @@ def four_slot_map(sender=0, receiver=1):
             (1, 9, 0, 1, 11),
         ),
     )
+
+
+def four_slot_table():
+    """`four_slot_map()` resolved by an engine on which links 7 and 8 feed
+    link 9 through connections 0 and 1, and link 9 leads on to link 11; both
+    vehicle types route probabilistically, so link 9 carries (0, 11) and
+    (1, 11) at positions 0 and 1."""
+    doc = {
+        "nodes": [{"id": i} for i in range(5)],
+        "links": [link(7, 0, 2), link(8, 1, 2), link(9, 2, 3), link(11, 3, 4)],
+        "roadconnections": [
+            {"id": 0, "in_link": 7, "out_link": 9},
+            {"id": 1, "in_link": 8, "out_link": 9},
+            {"id": 2, "in_link": 9, "out_link": 11},
+        ],
+        "vehicletypes": [{"id": vt, "routing": {"type": "probabilistic"}} for vt in (0, 1)],
+        "simulation": {"dt": 2.0, "steps": 5},
+    }
+    return Engine(parse_scenario(json.dumps(doc))).slot_entries(four_slot_map().slots)
 
 
 def pipe_channel_pair(send_ab, send_ba):
@@ -62,32 +84,33 @@ def pipe_channel_pair(send_ab, send_ba):
 
 
 class TestEncodeDecode:
+    # records are (link, connection, group, commodity position, vehicles)
     def test_no_records_all_zero_fixed_length(self):
-        dec = four_slot_map()
-        assert encode(dec, []) == [0.0, 0.0, 0.0, 0.0]
+        table = four_slot_table()
+        assert encode(table, []) == [0.0, 0.0, 0.0, 0.0]
 
     def test_single_record_lands_on_its_slot(self):
-        dec = four_slot_map()
-        values = encode(dec, [(1, 9, 0, 1, 11, 2.5)])
+        table = four_slot_table()
+        values = encode(table, [(9, 1, 0, 1, 2.5)])
         assert values == [0.0, 0.0, 0.0, 2.5]
 
     def test_round_trip_identity(self):
-        dec = four_slot_map()
-        records = [(0, 9, 0, 0, 11, 1.25), (1, 9, 0, 1, 11, 0.5)]
-        assert decode(dec, encode(dec, records)) == records
+        table = four_slot_table()
+        records = [(9, 0, 0, 0, 1.25), (9, 1, 0, 1, 0.5)]
+        assert decode(table, encode(table, records)) == records
 
     def test_zero_slots_produce_no_records(self):
-        dec = four_slot_map()
-        assert decode(dec, [0.0, 0.0, 0.0, 0.0]) == []
+        table = four_slot_table()
+        assert decode(table, [0.0, 0.0, 0.0, 0.0]) == []
 
     def test_unknown_record_rejected(self):
-        dec = four_slot_map()
+        table = four_slot_table()
         with pytest.raises(ProtocolError, match=r"no slot"):
-            encode(dec, [(7, 9, 0, 0, 11, 1.0)])
+            encode(table, [(9, 7, 0, 0, 1.0)])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ProtocolError, match=r"length"):
-            decode(four_slot_map(), [0.0, 0.0])
+            decode(four_slot_table(), [0.0, 0.0])
 
 
 class TestChannelTopology:

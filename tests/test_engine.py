@@ -12,7 +12,7 @@ from ctmdist.engine import (
     compute_supply,
     resolve_node_flows,
 )
-from ctmdist.errors import InternalAssertion, ScenarioError
+from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.partition import NodePartition, build_subnetworks
 from ctmdist.runner import run_sequential
 from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario
@@ -43,6 +43,27 @@ def discharged(engine, plan, lid):
         for p, d in enumerate(amounts)
         if d
     ]
+
+
+def flux(engine, plan, link_ids):
+    """`boundary_records` as (connection, link, group, vehicle type, next
+    link, vehicles)."""
+    out = []
+    for lid, cid, gidx, p, v in engine.boundary_records(plan, link_ids):
+        vt, nxt = engine.links[lid].comms[p]
+        out.append((cid, lid, gidx, vt, nxt, v))
+    return out
+
+
+def fractions(engine, lid, vtype, time):
+    """`entry_positions` as (next link, fraction) pairs."""
+    comms = engine.links[lid].comms
+    return tuple((comms[p][1], frac) for p, frac in engine.entry_positions(lid, vtype, time))
+
+
+def entry(engine, lid, cid, gidx, comm, veh):
+    """A received record for `comm` in lane group `gidx` of `lid`."""
+    return (lid, cid, gidx, engine.links[lid].comm_index[comm], veh)
 
 
 def totals(engine, lid):
@@ -163,7 +184,7 @@ class TestConnectionDemands:
         seed(eng, 0, 0, 1, (0, 1), 4.0)
         seed(eng, 0, 0, 1, (0, 2), 2.0)
         plan = eng.phase_a(0)
-        removals = eng.boundary_records(plan, [0])
+        removals = flux(eng, plan, [0])
         assert ((0, 0, 0, 0, 1, 4.0)) in removals  # connection 0 carries 4
         assert ((1, 0, 0, 0, 2, 2.0)) in removals  # connection 1 carries 2
 
@@ -223,9 +244,9 @@ class TestLaneChanges:
 class TestAssignment:
     def test_deterministic_path_advance(self, merge_diverge):
         eng = Engine(merge_diverge)
-        assert eng.entry_fractions(4, 0, 0.0) == ((5, 1.0),)
-        assert eng.entry_fractions(5, 0, 0.0) == ((7, 1.0),)
-        assert eng.entry_fractions(7, 0, 0.0) == ((TERMINAL, 1.0),)
+        assert fractions(eng, 4, 0, 0.0) == ((5, 1.0),)
+        assert fractions(eng, 5, 0, 0.0) == ((7, 1.0),)
+        assert fractions(eng, 7, 0, 0.0) == ((TERMINAL, 1.0),)
 
     def test_probabilistic_split_applied(self):
         s = parse_scenario(json.dumps(diverge_doc()))
@@ -234,7 +255,7 @@ class TestAssignment:
         seed(eng, 0, 0, 1, (0, 2), 3.0)
         plan = eng.phase_a(0)
         by_slot = {
-            (rec[0], rec[4]): rec[5] for rec in eng.boundary_records(plan, [1, 2])
+            (rec[0], rec[4]): rec[5] for rec in flux(eng, plan, [1, 2])
         }
         # 10 vehicles cross the node; each branch is a sink (terminal);
         # connection 0 carried 7, connection 1 carried 3
@@ -250,7 +271,7 @@ class TestAssignment:
         eng = Engine(s)
         seed(eng, 3, 0, 1, (0, 0), 10.0)
         plan = eng.phase_a(0)
-        amounts = [(rec[4], rec[5]) for rec in eng.boundary_records(plan, [0])]
+        amounts = [(rec[4], rec[5]) for rec in flux(eng, plan, [0])]
         assert amounts == [(1, 10.0 * 0.7), (2, 10.0 * 0.3)]
         assert amounts == [(1, 7.0), (2, 3.0)]
 
@@ -269,9 +290,9 @@ class TestAssignment:
 
     def test_time_varying_split_uses_global_step(self, merge_diverge):
         eng = Engine(merge_diverge)
-        assert eng.entry_fractions(4, 1, 0.0) == ((5, 0.6), (6, 0.4))
-        eng._fraction_cache.clear()
-        assert eng.entry_fractions(4, 1, 100.0) == ((5, 0.3), (6, 0.7))
+        assert fractions(eng, 4, 1, 0.0) == ((5, 0.6), (6, 0.4))
+        eng._position_cache.clear()
+        assert fractions(eng, 4, 1, 100.0) == ((5, 0.3), (6, 0.7))
 
 
 class TestUpdate:
@@ -374,9 +395,9 @@ class TestUpdate:
         seed(eng, 0, 0, 1, (0, 2), 6.0)
         seed(eng, 1, 0, 1, (0, 2), 2.0)
         plan = eng.phase_a(0)
-        assert eng.boundary_records(plan, [0]) == [(0, 0, 0, 0, 2, 3.0)]
-        assert eng.boundary_records(plan, [1]) == [(1, 1, 0, 0, 2, 1.0)]
-        delivered = sum(rec[5] for rec in eng.boundary_records(plan, [2]))
+        assert flux(eng, plan, [0]) == [(0, 0, 0, 0, 2, 3.0)]
+        assert flux(eng, plan, [1]) == [(1, 1, 0, 0, 2, 1.0)]
+        delivered = sum(rec[5] for rec in flux(eng, plan, [2]))
         assert delivered == pytest.approx(4.0, abs=1e-12)
         eng.phase_b(0)
         assert cell_total(eng.links[2].groups[0].cells[0]) == pytest.approx(4.0, abs=1e-12)
@@ -389,7 +410,7 @@ class TestUpdate:
         eng = Engine(merge_diverge)
         seed(eng, 1, 0, 1, (0, 4), 1.5)  # deterministic type headed into link 4
         plan = eng.phase_a(0)
-        recs = eng.boundary_records(plan, [4])
+        recs = flux(eng, plan, [4])
         assert [r[2] for r in recs] == [0, 1]
         total = recs[0][5] + recs[1][5]
         assert total == pytest.approx(1.5, abs=1e-12)
@@ -408,28 +429,58 @@ class TestChecks:
 
     def test_received_commodity_outside_link_tuple(self, merge_diverge):
         eng = Engine(merge_diverge)
-        eng.phase_a(0)
         # type 0's path goes 4 -> 5, so (0, 6) cannot occur on link 4
-        with pytest.raises(InternalAssertion, match=r"cannot occur"):
-            eng.phase_b(0, [(2, 4, 0, 0, 6, 1.0)])
+        with pytest.raises(ProtocolError, match=r"cannot occur"):
+            eng.slot_entries([(2, 4, 0, 0, 6)])
+
+    def test_slot_link_not_on_its_connection(self, merge_diverge):
+        # connection 2 joins links 1 and 4; link 5 is on neither end
+        with pytest.raises(ProtocolError, match=r"not on connection 2"):
+            Engine(merge_diverge).slot_entries([(2, 5, 0, 0, 7)])
+
+    def test_slot_lane_group_missing(self, merge_diverge):
+        # link 4 has lane groups 0 and 1 only
+        with pytest.raises(ProtocolError, match=r"no lane group 2"):
+            Engine(merge_diverge).slot_entries([(2, 4, 2, 0, 5)])
+
+    def test_slot_listed_twice(self, merge_diverge):
+        with pytest.raises(ProtocolError, match=r"repeats a slot"):
+            Engine(merge_diverge).slot_entries([(2, 4, 0, 0, 5), (2, 4, 0, 0, 5)])
+
+    def test_slot_link_not_simulated(self, merge_diverge):
+        # owning nodes 0-2, the fragment carries link 4 only as the stub end
+        # of connection 2
+        cut = NodePartition(2, {nid: int(nid >= 3) for nid in merge_diverge.nodes})
+        sub = build_subnetworks(merge_diverge, cut)[0]
+        eng = Engine(sub.fragment, set(sub.owned_nodes))
+        with pytest.raises(ProtocolError, match=r"not simulated here"):
+            eng.slot_entries([(2, 4, 0, 0, 5)])
+
+    def test_slot_entries_by_position(self, merge_diverge):
+        eng = Engine(merge_diverge)
+        # link 4 carries (0, 5), (1, 5) and (1, 6) at positions 0, 1, 2
+        assert eng.slot_entries([(2, 4, 0, 1, 6), (2, 4, 1, 0, 5)]) == {
+            (4, 2, 0, 2): 0,
+            (4, 2, 1, 0): 1,
+        }
 
     def test_negative_occupancy_rejected(self, merge_diverge):
         eng = Engine(merge_diverge)
         eng.phase_a(0)
         # a received removal of vehicles the empty cell does not hold
         with pytest.raises(InternalAssertion, match=r"negative occupancy"):
-            eng.phase_b(0, [(4, 4, 0, 1, 5, 1.0)])
+            eng.phase_b(0, [entry(eng, 4, 4, 0, (1, 5), 1.0)])
 
     def test_local_and_received_removals_conflict(self):
         eng = Engine(parse_scenario(json.dumps(diverge_doc())))
         seed(eng, 0, 0, 1, (0, 1), 4.0)
         eng.phase_a(0)
         with pytest.raises(InternalAssertion, match=r"local and received removals"):
-            eng.phase_b(0, [(0, 0, 0, 0, 1, 1.0)])
+            eng.phase_b(0, [entry(eng, 0, 0, 0, (0, 1), 1.0)])
 
     def test_deterministic_type_off_path(self, merge_diverge):
         with pytest.raises(InternalAssertion, match=r"off-path"):
-            Engine(merge_diverge).entry_fractions(6, 0, 0.0)
+            Engine(merge_diverge).entry_positions(6, 0, 0.0)
 
     def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
         # a path ending short of a sink passes only unvalidated fragments

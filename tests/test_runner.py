@@ -2,11 +2,13 @@
 dump plumbing, and the benchmark report."""
 
 import json
+import os
+import time
 
 import pytest
 
 from ctmdist.engine import Engine
-from ctmdist.errors import InternalAssertion, ScenarioError
+from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
 from ctmdist.partition import NodePartition, build_subnetworks
 from ctmdist.runner import (
@@ -147,6 +149,25 @@ class TestDistributed:
         dist = run_distributed(subs=subs, steps=30)
         seq = run_sequential(s, steps=30)
         assert dist.rows == seq.rows
+
+
+class TestDeadWorker:
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_dead_worker_fails_fast_and_is_named(self, monkeypatch, transport):
+        # worker 1 dies at step 2; its peer must see EOF at once rather than
+        # wait out the 30 s exchange timeout, and the error names worker 1
+        phase_a = Engine.phase_a
+
+        def dying_phase_a(engine, step):
+            if step == 2 and engine.scenario.subnetwork.index == 1:
+                os._exit(9)
+            return phase_a(engine, step)
+
+        monkeypatch.setattr(Engine, "phase_a", dying_phase_a)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"worker 1 exited with code 9"):
+            run_distributed(generate_grid(3, 3), 2, transport=transport, steps=10, timeout=30)
+        assert time.monotonic() - t0 < 5.0
 
 
 class TestMergeStates:
