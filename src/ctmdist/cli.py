@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import gridgen, partition as part, runner
-from .comm import DEFAULT_TIMEOUT
+from .comm import DEFAULT_TIMEOUT, tcp_listener
 from .errors import CtmError, ScenarioError
 from .partition import DecoderMap
 from .scenario import load_scenario, save_scenario
@@ -312,7 +312,6 @@ def _run_tcp_join(args, dump_every) -> int:
     """Join a roster-described TCP run as one worker (externally launched)."""
     if not args.fragments_dir or not args.roster:
         raise ScenarioError("tcp join mode needs --fragments-dir and --roster")
-    from .comm import tcp_connect_channels, tcp_listener
 
     subs = _load_fragments_dir(args.fragments_dir)
     sub = next((s for s in subs if s.index == args.worker_index), None)
@@ -323,14 +322,14 @@ def _run_tcp_join(args, dump_every) -> int:
     for index in (sub.index, *sub.neighbors()):
         if index not in roster:
             raise ScenarioError(f"roster {args.roster} has no line for worker {index}")
-    host, port = roster[sub.index]
-    listener = tcp_listener(host, port)
-    duplexes = tcp_connect_channels(
-        sub.index, list(sub.neighbors()), roster, listener, args.timeout
-    )
-    listener.close()
-    rows, per_step, timing = runner._worker_body(
-        sub, duplexes, decoders, args.steps or sub.fragment.sim.steps, dump_every, args.timeout
+    rows, per_step, timing = runner.run_tcp_worker(
+        sub,
+        roster,
+        tcp_listener(*roster[sub.index]),
+        decoders,
+        args.steps or sub.fragment.sim.steps,
+        dump_every,
+        args.timeout,
     )
     base = args.dump or os.path.join(args.fragments_dir, "dump")
     runner.write_dump(rows, f"{base}.worker{sub.index}.csv")
@@ -357,14 +356,20 @@ def cmd_bench(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
-    header = f"{'n':>4} {'setup':>9} {'comm':>9} {'compute':>9} {'total':>9} {'speedup':>8} {'ideal rate':>11}"
+    header = (
+        f"{'n':>4} {'setup':>9} {'comm':>9} {'compute':>9} {'total':>9} {'speedup':>8} "
+        f"{'compute speedup':>16} {'ideal rate':>11}"
+    )
     print(header)
     for row in report["rows"]:
         ideal = f"{row['ideal_rate']:.4f}" if row["ideal_rate"] is not None else "-"
+        compute_speedup = (
+            f"{row['compute_speedup']:.2f}" if row["compute_speedup"] is not None else "-"
+        )
         print(
             f"{row['n']:>4} {row['setup_s']:>9.3f} {row['comm_s']:>9.3f} "
             f"{row['compute_s']:>9.3f} {row['total_s']:>9.3f} {row['speedup']:>8.2f} "
-            f"{ideal:>11}"
+            f"{compute_speedup:>16} {ideal:>11}"
         )
     if not report["total_time_monotone_nonincreasing"]:
         print("warning: total time is not monotone nonincreasing over n")

@@ -5,10 +5,19 @@ Every mode drives the same per-step loop: phase A, encode, exchange, decode,
 phase B.  A sequential run is the loop with zero channels.  Distributed
 workers are forked processes; the parent merges their authoritative state
 rows, which must be bitwise identical to a sequential run's dump.
+
+The loop runs with the cyclic garbage collector paused and restores the
+state it found.  That is safe because the loop makes no reference cycles:
+reference counting frees every step's plan, records and demand entries
+(`tests/test_runner.py::TestCollectorPause` pins this).  Forked workers
+freeze the heap they inherit (`gc.freeze()`), so their set-up collections
+skip the parent's objects and leave those copy-on-write pages alone; the
+caller's process is never frozen.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 import traceback
@@ -95,43 +104,51 @@ def _simulate(
     entered_cum = 0.0
     exited_cum = 0.0
     ordered = sorted(channels, key=lambda c: c.remote)
-    for step in range(steps):
-        t0 = time.perf_counter()
-        plan = engine.phase_a(step)
-        outbox = {}
-        for ch in ordered:
-            records = engine.boundary_records(plan, ch.overlap_links)
-            outbox[ch.remote] = encode(tables[ch.remote][0], records)
-        t1 = time.perf_counter()
-        report.compute_s += t1 - t0
-        if ordered:
-            inbox = exchange(channels, outbox, step, timeout)
-            t2 = time.perf_counter()
-            report.comm_times.append(t2 - t1)
-        else:
-            inbox = {}
-            t2 = t1
-        received = []
-        for ch in ordered:
-            received.extend(decode(tables[ch.remote][1], inbox[ch.remote]))
-        stats = engine.phase_b(step, received)
-        report.compute_s += time.perf_counter() - t2
+    # the loop makes no reference cycles (see the module docstring), so the
+    # cyclic collector would only walk live objects
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for step in range(steps):
+            t0 = time.perf_counter()
+            plan = engine.phase_a(step)
+            outbox = {}
+            for ch in ordered:
+                records = engine.boundary_records(plan, ch.overlap_links)
+                outbox[ch.remote] = encode(tables[ch.remote][0], records)
+            t1 = time.perf_counter()
+            report.compute_s += t1 - t0
+            if ordered:
+                inbox = exchange(channels, outbox, step, timeout)
+                t2 = time.perf_counter()
+                report.comm_times.append(t2 - t1)
+            else:
+                inbox = {}
+                t2 = t1
+            received = []
+            for ch in ordered:
+                received.extend(decode(tables[ch.remote][1], inbox[ch.remote]))
+            stats = engine.phase_b(step, received)
+            report.compute_s += time.perf_counter() - t2
 
-        entered_cum += stats.entered
-        exited_cum += stats.exited
-        per_step["in_network"].append(stats.in_network)
-        per_step["entered_cum"].append(entered_cum)
-        per_step["exited_cum"].append(exited_cum)
-        per_step["queued"].append(stats.queued)
-        if check_conservation:
-            error = entered_cum - exited_cum - stats.in_network
-            if abs(error) > CONSERVATION_TOL:
-                raise InternalAssertion(
-                    f"conservation violated at step {step}: "
-                    f"entered-exited-in_network = {error}"
-                )
-        if dump_every and ((step + 1) % dump_every == 0 or step == steps - 1):
-            rows.extend(engine.state_rows(step + 1))
+            entered_cum += stats.entered
+            exited_cum += stats.exited
+            per_step["in_network"].append(stats.in_network)
+            per_step["entered_cum"].append(entered_cum)
+            per_step["exited_cum"].append(exited_cum)
+            per_step["queued"].append(stats.queued)
+            if check_conservation:
+                error = entered_cum - exited_cum - stats.in_network
+                if abs(error) > CONSERVATION_TOL:
+                    raise InternalAssertion(
+                        f"conservation violated at step {step}: "
+                        f"entered-exited-in_network = {error}"
+                    )
+            if dump_every and ((step + 1) % dump_every == 0 or step == steps - 1):
+                rows.extend(engine.state_rows(step + 1))
+    finally:
+        if collector_was_enabled:
+            gc.enable()
     return rows, per_step
 
 
@@ -234,6 +251,24 @@ def _worker_body(
     return rows, per_step, report.timing()
 
 
+def run_tcp_worker(
+    sub: Subnetwork,
+    roster: dict[int, tuple[str, int]],
+    listener,
+    decoders,
+    steps: int,
+    dump_every: int | None,
+    timeout: float,
+) -> tuple[list[Row], dict, dict]:
+    """Run one worker of a TCP run: connect to its neighbors through
+    `listener`, whose address the roster gives, close it, and simulate."""
+    with listener:
+        duplexes = tcp_connect_channels(
+            sub.index, list(sub.neighbors()), roster, listener, timeout
+        )
+    return _worker_body(sub, duplexes, decoders, steps, dump_every, timeout)
+
+
 def _worker_entry(
     sub,
     pipe_conns,
@@ -246,6 +281,8 @@ def _worker_entry(
     result_conn,
     inherited,
 ):
+    # the heap inherited through fork stays alive for the worker's life
+    gc.freeze()
     # close the copies of other workers' pipes and sockets that came through
     # fork, so that this worker's death reaches its peers as EOF
     own = [result_conn, listener, *(pipe_conns or {}).values()]
@@ -255,15 +292,12 @@ def _worker_entry(
     try:
         if pipe_conns is not None:
             duplexes = {nb: PipeDuplex(conn) for nb, conn in pipe_conns.items()}
+            outcome = _worker_body(sub, duplexes, decoders, steps, dump_every, timeout)
         else:
-            duplexes = tcp_connect_channels(
-                sub.index, list(sub.neighbors()), roster, listener, timeout
+            outcome = run_tcp_worker(
+                sub, roster, listener, decoders, steps, dump_every, timeout
             )
-            listener.close()
-        rows, per_step, timing = _worker_body(
-            sub, duplexes, decoders, steps, dump_every, timeout
-        )
-        result_conn.send(("ok", rows, per_step, timing))
+        result_conn.send(("ok", *outcome))
     except CtmError as e:
         result_conn.send(("error", type(e).__name__, str(e), e.exit_code))
     except Exception:
@@ -549,10 +583,17 @@ def benchmark(
 ) -> dict:
     """Run the scenario at each worker count and report the timing columns:
     setup, communication, computation, total, speed-up, and the ideal rate
-    (worker count times the serial simulation rate)."""
+    (worker count times the serial simulation rate).
+
+    `speedup` divides the first row's end-to-end wall by this row's; for
+    n > 1 that wall includes partitioning, forking and merging, which the
+    n=1 row (`run_sequential`) does not do.  `compute_speedup` divides the
+    n=1 row's largest worker compute time by this row's, and, like
+    `ideal_rate`, is None unless the first row is n=1."""
     rows = []
     base_total = None
     serial_rate = None
+    serial_compute = None
     for n in n_list:
         if n == 1:
             result = run_sequential(scenario, steps=steps, dump_every=None)
@@ -575,6 +616,7 @@ def benchmark(
             base_total = total
             if n == 1:
                 serial_rate = 1.0 / total
+                serial_compute = compute_max
         rows.append(
             {
                 "n": n,
@@ -583,6 +625,9 @@ def benchmark(
                 "compute_s": compute_max,
                 "total_s": total,
                 "speedup": base_total / total,
+                "compute_speedup": (
+                    serial_compute / compute_max if serial_compute is not None else None
+                ),
                 "rate": 1.0 / total,
                 "ideal_rate": (n * serial_rate) if serial_rate is not None else None,
             }

@@ -409,8 +409,10 @@ class TestBenchCmd:
         assert [row["n"] for row in report["rows"]] == [1, 2]
         assert report["rows"][0]["speedup"] == 1.0
         assert report["rows"][1]["speedup"] <= 2.0 + 1e-9
+        assert report["rows"][0]["compute_speedup"] == 1.0
         table = capsys.readouterr().out
         assert "speedup" in table
+        assert "compute speedup" in table
 
     def test_bad_n_list_exit_2(self, fixture_file):
         assert main(["bench", "--scenario", fixture_file, "--n-list", "1,zero"]) == 2

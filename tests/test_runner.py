@@ -1,16 +1,25 @@
 """Run orchestration: sequential reference behavior, distributed merging,
 dump plumbing, and the benchmark report."""
 
+import contextlib
+import gc
 import json
 import os
 import time
 
 import pytest
 
+from ctmdist.comm import decode, encode
 from ctmdist.engine import Engine
 from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
-from ctmdist.partition import NodePartition, build_subnetworks
+from ctmdist.partition import (
+    NodePartition,
+    build_decoder_map,
+    build_receive_map,
+    build_subnetworks,
+    partition_nodes,
+)
 from ctmdist.runner import (
     benchmark,
     diff_dumps,
@@ -23,7 +32,7 @@ from ctmdist.runner import (
 )
 from ctmdist.scenario import parse_scenario
 
-from conftest import chain_doc
+from conftest import chain_doc, lanes_grid, merge_diverge_doc
 
 
 class TestSequential:
@@ -151,23 +160,115 @@ class TestDistributed:
         assert dist.rows == seq.rows
 
 
+def _die_at_step_2(monkeypatch):
+    """Make worker 1 exit with code 9 at step 2, and a sequential run raise
+    there."""
+    phase_a = Engine.phase_a
+
+    def dying_phase_a(engine, step):
+        if step == 2:
+            sub = engine.scenario.subnetwork
+            if sub is None:
+                raise InternalAssertion("phase A failed at step 2")
+            if sub.index == 1:
+                os._exit(9)
+        return phase_a(engine, step)
+
+    monkeypatch.setattr(Engine, "phase_a", dying_phase_a)
+
+
 class TestDeadWorker:
     @pytest.mark.parametrize("transport", ["local", "tcp"])
     def test_dead_worker_fails_fast_and_is_named(self, monkeypatch, transport):
         # worker 1 dies at step 2; its peer must see EOF at once rather than
         # wait out the 30 s exchange timeout, and the error names worker 1
-        phase_a = Engine.phase_a
-
-        def dying_phase_a(engine, step):
-            if step == 2 and engine.scenario.subnetwork.index == 1:
-                os._exit(9)
-            return phase_a(engine, step)
-
-        monkeypatch.setattr(Engine, "phase_a", dying_phase_a)
+        _die_at_step_2(monkeypatch)
         t0 = time.monotonic()
         with pytest.raises(ProtocolError, match=r"worker 1 exited with code 9"):
             run_distributed(generate_grid(3, 3), 2, transport=transport, steps=10, timeout=30)
         assert time.monotonic() - t0 < 5.0
+
+
+class TestCollectorPause:
+    """The step loop runs with the cyclic collector paused.  That is safe
+    only while a run makes no reference cycles, and polite only while the
+    caller's collector state comes back as it was."""
+
+    @pytest.fixture
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lanes_grid, lambda: parse_scenario(json.dumps(merge_diverge_doc()))],
+        ids=["lanes_grid", "merge_diverge"],
+    )
+    def test_sequential_run_makes_no_cycles(self, collector_off, make):
+        scenario = make()
+        gc.collect()
+        result = run_sequential(scenario)
+        assert result.rows
+        assert gc.collect() == 0
+
+    def test_encode_decode_round_trip_makes_no_cycles(self, collector_off):
+        scenario = lanes_grid()
+        subs = build_subnetworks(scenario, partition_nodes(scenario, 2, seed=1))
+        engines = [Engine(sub.fragment, set(sub.owned_nodes)) for sub in subs]
+        tables = {
+            (sub.index, nb): (
+                engines[sub.index].slot_entries(build_decoder_map(sub, nb).slots),
+                engines[sub.index].slot_entries(build_receive_map(sub, nb).slots),
+            )
+            for sub in subs
+            for nb in sub.neighbors()
+        }
+        assert tables
+        gc.collect()
+        for step in range(60):
+            plans = [engine.phase_a(step) for engine in engines]
+            mailbox = {
+                (sub.index, nb): encode(
+                    tables[(sub.index, nb)][0],
+                    engines[sub.index].boundary_records(plans[sub.index], sub.links_with(nb)),
+                )
+                for sub in subs
+                for nb in sub.neighbors()
+            }
+            for sub in subs:
+                received = []
+                for nb in sub.neighbors():
+                    received.extend(decode(tables[(sub.index, nb)][1], mailbox[(nb, sub.index)]))
+                engines[sub.index].phase_b(step, received)
+        assert any(any(values) for values in mailbox.values())
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("mode", ["sequential", "local", "tcp"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["completes", "fails"])
+    def test_caller_collector_state_restored(self, monkeypatch, enabled, mode, fails):
+        if fails:
+            _die_at_step_2(monkeypatch)
+        scenario = generate_grid(3, 3)
+        was_enabled = gc.isenabled()
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            expected = (InternalAssertion, ProtocolError)
+            with pytest.raises(expected) if fails else contextlib.nullcontext():
+                if mode == "sequential":
+                    run_sequential(scenario, steps=5)
+                else:
+                    run_distributed(scenario, 2, transport=mode, steps=5, timeout=30)
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestMergeStates:
@@ -224,6 +325,7 @@ class TestBenchmark:
     def test_single_n_speedup_is_one(self, merge_diverge):
         report = benchmark(merge_diverge, [1], steps=30)
         assert report["rows"][0]["speedup"] == 1.0
+        assert report["rows"][0]["compute_speedup"] == 1.0
         assert report["rows"][0]["comm_s"] == 0.0
         assert report["rows"][0]["ideal_rate"] == report["rows"][0]["rate"]
 
@@ -232,6 +334,7 @@ class TestBenchmark:
         report = benchmark(s, [1, 2], steps=25)
         for row in report["rows"]:
             assert row["speedup"] <= row["n"] + 1e-9
+            assert row["compute_speedup"] == report["rows"][0]["compute_s"] / row["compute_s"]
         assert report["rows"][1]["ideal_rate"] == pytest.approx(
             2 * report["rows"][0]["rate"]
         )
@@ -241,3 +344,8 @@ class TestBenchmark:
         ]
         assert ratios[0] == 0.0
         assert ratios[1] > 0.0
+
+    def test_compute_speedup_needs_serial_first_row(self, merge_diverge):
+        report = benchmark(merge_diverge, [2], steps=10)
+        assert report["rows"][0]["speedup"] == 1.0
+        assert report["rows"][0]["compute_speedup"] is None
