@@ -132,6 +132,10 @@ def _decoder_path(out_dir: str, i: int, j: int) -> str:
     return os.path.join(out_dir, f"decoder_{i}_to_{j}.json")
 
 
+def _fragment_path(out_dir: str, index: int) -> str:
+    return os.path.join(out_dir, f"fragment_{index}.json")
+
+
 def _save_decoder(decoder: DecoderMap, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(decoder.to_doc(), f, indent=2, sort_keys=True)
@@ -163,7 +167,7 @@ def cmd_partition(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     for sub in subs:
-        save_scenario(sub.fragment, os.path.join(args.out_dir, f"fragment_{sub.index}.json"))
+        save_scenario(sub.fragment, _fragment_path(args.out_dir, sub.index))
     with open(
         os.path.join(args.out_dir, "metagraph.json"), "w", encoding="utf-8", newline="\n"
     ) as f:
@@ -192,30 +196,34 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _load_fragment(fragments_dir: str, index: int) -> part.Subnetwork:
+    """Subnetwork `index` of a partition directory; errors name the file."""
+    path = _fragment_path(fragments_dir, index)
+    try:
+        sub = part.Subnetwork(load_scenario(path))
+    except (OSError, ScenarioError) as e:
+        raise ScenarioError(f"fragment {path}: {e}") from None
+    if sub.index != index:
+        raise ScenarioError(f"fragment {path}: subnetwork metadata gives index {sub.index}")
+    return sub
+
+
 def _load_fragments_dir(fragments_dir: str) -> list:
     subs = []
-    index = 0
-    while True:
-        path = os.path.join(fragments_dir, f"fragment_{index}.json")
-        if not os.path.exists(path):
-            break
-        subs.append(part.Subnetwork(load_scenario(path)))
-        index += 1
+    while os.path.exists(_fragment_path(fragments_dir, len(subs))):
+        subs.append(_load_fragment(fragments_dir, len(subs)))
     if not subs:
         raise ScenarioError(f"no fragment_*.json files in {fragments_dir}")
     return subs
 
 
-def _load_decoders_dir(fragments_dir: str, subs) -> dict:
-    decoders: dict[int, dict[int, tuple[DecoderMap, DecoderMap]]] = {}
-    for sub in subs:
-        per = {}
-        for nb in sub.neighbors():
-            send_path = _decoder_path(fragments_dir, sub.index, nb)
-            recv_path = _decoder_path(fragments_dir, nb, sub.index)
-            if os.path.exists(send_path) and os.path.exists(recv_path):
-                per[nb] = (_load_decoder(send_path), _load_decoder(recv_path))
-        decoders[sub.index] = per
+def _load_decoders(fragments_dir: str, sub) -> dict[int, tuple]:
+    """(send map, receive map) by neighbor from `sub`'s decoder files, None
+    for a file that is absent."""
+    decoders = {}
+    for nb in sub.neighbors():
+        paths = [_decoder_path(fragments_dir, *ends) for ends in ((sub.index, nb), (nb, sub.index))]
+        decoders[nb] = tuple(_load_decoder(p) if os.path.exists(p) else None for p in paths)
     return decoders
 
 
@@ -276,7 +284,7 @@ def cmd_run(args) -> int:
         raise ScenarioError(f"unknown mode {args.mode}")
     elif args.fragments_dir:
         subs = _load_fragments_dir(args.fragments_dir)
-        decoders = _load_decoders_dir(args.fragments_dir, subs)
+        decoders = {sub.index: _load_decoders(args.fragments_dir, sub) for sub in subs}
         result = runner.run_distributed(
             subs=subs,
             decoders=decoders,
@@ -313,11 +321,8 @@ def _run_tcp_join(args, dump_every) -> int:
     if not args.fragments_dir or not args.roster:
         raise ScenarioError("tcp join mode needs --fragments-dir and --roster")
 
-    subs = _load_fragments_dir(args.fragments_dir)
-    sub = next((s for s in subs if s.index == args.worker_index), None)
-    if sub is None:
-        raise ScenarioError(f"no fragment for worker index {args.worker_index}")
-    decoders = _load_decoders_dir(args.fragments_dir, subs).get(sub.index)
+    sub = _load_fragment(args.fragments_dir, args.worker_index)
+    decoders = _load_decoders(args.fragments_dir, sub)
     roster = _parse_roster(args.roster)
     for index in (sub.index, *sub.neighbors()):
         if index not in roster:

@@ -23,9 +23,9 @@ import struct
 import time
 from dataclasses import dataclass
 
-from .engine import EntryRecord, SlotEntry
+from .engine import EntryRecord
 from .errors import ProtocolError
-from .partition import DecoderMap
+from .partition import DecoderMap, SlotEntry
 
 HEADER = struct.Struct("<QIII")
 HANDSHAKE_STEP = 0xFFFFFFFFFFFFFFFF
@@ -168,7 +168,7 @@ class NeighborChannel:
 
 def encode(table: dict[SlotEntry, int], records: list[EntryRecord]) -> list[float]:
     """Fill the fixed message layout of a channel's send table (see
-    `Engine.slot_entries`); slots without flow stay 0.0."""
+    `DecoderMap.positions`); slots without flow stay 0.0."""
     values = [0.0] * len(table)
     for lid, cid, gidx, p, amount in records:
         pos = table.get((lid, cid, gidx, p))
@@ -204,6 +204,19 @@ def _slot_fingerprint(decoder: DecoderMap) -> bytes:
     return json.dumps(decoder.to_doc(), separators=(",", ":")).encode("ascii")
 
 
+def map_difference(theirs: DecoderMap, mine: DecoderMap) -> str | None:
+    """How `theirs` differs from `mine`: the addressing, else the first
+    differing slot, else the lengths; None when the maps are equal."""
+    if (theirs.sender, theirs.receiver) != (mine.sender, mine.receiver):
+        return f"addressed {theirs.sender}->{theirs.receiver}, not {mine.sender}->{mine.receiver}"
+    for pos, (a, b) in enumerate(zip(theirs.slots, mine.slots)):
+        if a != b:
+            return f"slot {pos}: {a} != {b}"
+    if len(theirs.slots) != len(mine.slots):
+        return f"length {len(theirs.slots)} != {len(mine.slots)}"
+    return None
+
+
 def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:
     try:
         hello = DecoderMap.from_doc(json.loads(payload.decode("ascii")))
@@ -211,20 +224,8 @@ def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:
         raise ProtocolError(
             f"worker {channel.local}: unreadable handshake from {channel.remote}"
         ) from None
-    theirs = hello.slots
-    mine = channel.recv_map.slots
-    if hello.sender != channel.remote or hello.receiver != channel.local:
-        raise ProtocolError(
-            f"worker {channel.local}: handshake addressed "
-            f"{hello.sender}->{hello.receiver}, expected "
-            f"{channel.remote}->{channel.local}"
-        )
-    if theirs != mine:
-        detail = f"length {len(theirs)} != {len(mine)}"
-        for pos, (a, b) in enumerate(zip(theirs, mine)):
-            if a != b:
-                detail = f"slot {pos}: {a} != {b}"
-                break
+    detail = map_difference(hello, channel.recv_map)
+    if detail is not None:
         raise ProtocolError(
             f"worker {channel.local}: decoder mismatch with {channel.remote}: {detail}"
         )

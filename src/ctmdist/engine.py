@@ -14,11 +14,19 @@ Between the phases a distributed run exchanges boundary records with
 neighboring subnetworks; a sequential run is the same engine with every node
 owned and nothing to exchange.  A record has one shape from phase A through
 the wire to phase B: (link, connection, lane group, commodity position,
-vehicles).  Each worker resolves every slot of its decoder maps to such a
-position once, after the handshake (`slot_entries`); a slot that fits no
-position aborts the run with a protocol error.  All accumulation loops
-iterate in ascending (link, lane group, connection, commodity) order so that
-a partitioned run reproduces the sequential run bit for bit.
+vehicles).  All accumulation loops iterate in ascending (link, lane group,
+connection, commodity) order so that a partitioned run reproduces the
+sequential run bit for bit.
+
+`partition` derives each decoder-map slot with its key from the fragment the
+engine is built from, so the key fits by construction: its link is an overlap
+link, which `validate()` checks has one owned end, so the engine simulates
+it; its connection is in the link's `in_conns` (delivery) or a lane group's
+`conn_ids` (removal); its group and position index `Scenario.lane_groups`
+and `Scenario.commodities`, the engine's own tables; and no key repeats, as
+a link's slots in one direction are all deliveries or all removals.  A
+decoder file must equal the derived map, and the handshake compares the
+maps both fragments of a channel derive; both abort with a protocol error.
 
 Cells are dense.  Each link has a fixed, ascending tuple of the commodities
 that can occur on it, read from `Scenario.commodities`, the table that
@@ -58,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .errors import InternalAssertion, ProtocolError, ScenarioError
+from .errors import InternalAssertion, ScenarioError
 from .scenario import Commodity, Link, Scenario, TERMINAL, rate_at
 
 # a flow through a road connection into or out of a link, in the step plan
@@ -66,8 +74,6 @@ from .scenario import Commodity, Link, Scenario, TERMINAL, rate_at
 # link == connection.out_link -> delivery into the link's first cells
 # link == connection.in_link  -> removal from the link's last cells
 EntryRecord = tuple[int, int, int, int, float]
-# the key of such a record, and what a decoder-map slot resolves to
-SlotEntry = tuple[int, int, int, int]
 
 NEG_TOL = -1e-12
 
@@ -192,7 +198,6 @@ class Engine:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
 
         self._in_link_of = {cid: c.in_link for cid, c in scenario.connections.items()}
-        self._out_link_of = {cid: c.out_link for cid, c in scenario.connections.items()}
 
         self.links: dict[int, LinkRuntime] = {}
         for lid in sorted(scenario.links):
@@ -238,7 +243,7 @@ class Engine:
                     cells=[[0.0] * len(comms) for _ in range(lg.cell_count)],
                 )
             )
-            serving.append({self._out_link_of[cid]: cid for cid in lg.conn_ids})
+            serving.append({self.scenario.connections[cid].out_link: cid for cid in lg.conn_ids})
         if not link.is_sink:
             for g, conn_by_next in zip(groups, serving):
                 outflows, moves, stuck = [], [], []
@@ -712,28 +717,3 @@ class Engine:
             records.extend(plan.deliveries.get(lid, ()))
             records.extend(plan.removals.get(lid, ()))
         return records
-
-    def slot_entries(self, slots) -> dict[SlotEntry, int]:
-        """Resolve decoder-map slots (connection, link, group, vehicle type,
-        next link) to record keys (link, connection, group, commodity
-        position), mapped to their slot positions in message order.  A slot
-        that fits no entry of this engine is a protocol error."""
-        table: dict[SlotEntry, int] = {}
-        for pos, slot in enumerate(slots):
-            cid, lid, gidx, vt, nxt = slot
-            lrt = self.links.get(lid)
-            if lrt is None:
-                raise ProtocolError(f"slot {slot}: link {lid} is not simulated here")
-            if lid not in (self._in_link_of.get(cid), self._out_link_of.get(cid)):
-                raise ProtocolError(f"slot {slot}: link {lid} is not on connection {cid}")
-            p = lrt.comm_index.get((vt, nxt))
-            if p is None:
-                raise ProtocolError(
-                    f"slot {slot}: commodity {(vt, nxt)} cannot occur on link {lid}"
-                )
-            if not 0 <= gidx < len(lrt.groups):
-                raise ProtocolError(f"slot {slot}: link {lid} has no lane group {gidx}")
-            table[(lid, cid, gidx, p)] = pos
-        if len(table) != len(slots):
-            raise ProtocolError("decoder map repeats a slot")
-        return table

@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ScenarioError
 from .scenario import Scenario, SubnetworkMeta, validate
@@ -32,6 +34,8 @@ REFINE_PASSES = 10
 # one float in a boundary message:
 # (road connection, link, lane group index, vehicle type, next link)
 Slot = tuple[int, int, int, int, int]
+# a slot's engine key: (link, road connection, lane group index, commodity position)
+SlotEntry = tuple[int, int, int, int]
 
 
 @dataclass
@@ -87,6 +91,9 @@ class DecoderMap:
     sender: int
     receiver: int
     slots: tuple[Slot, ...]
+    # engine key -> slot position in message order, for `encode` and `decode`;
+    # set by derivation only, so equality, repr and to_doc() leave it out
+    positions: dict[SlotEntry, int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def message_length(self) -> int:
@@ -242,15 +249,6 @@ def _refine(nodes, adj, assignment, sizes, cap) -> None:
                 improved = True
         if not improved:
             break
-
-
-def cut_links(scenario: Scenario, partition: NodePartition) -> list[int]:
-    a = partition.assignment
-    return sorted(
-        l.id
-        for l in scenario.links.values()
-        if a[l.start_node] != a[l.end_node]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,48 +472,48 @@ def build_metagraph(subs: list[Subnetwork]) -> Metagraph:
 # ---------------------------------------------------------------------------
 
 
-def delivery_slots(frag: Scenario, link_id: int) -> list[Slot]:
-    """Slots for flows entering an overlap link, resolved by its upstream
-    side: one per (connection in, target lane group, commodity of the link
-    whose vehicle type can take that connection)."""
+def delivery_slots(frag: Scenario, link_id: int) -> Iterator[tuple[Slot, SlotEntry]]:
+    """(slot, engine key) pairs for flows entering an overlap link, resolved
+    upstream: one per (connection in, target lane group, commodity of the
+    link whose vehicle type can take that connection)."""
     comms = frag.commodities[link_id]
-    slots: list[Slot] = []
     for cid in frag.in_conns[link_id]:
         # a vehicle type can take cid iff (type, link_id) occurs upstream
         upstream = frag.commodities[frag.connections[cid].in_link]
-        entering = [(vt, nxt) for vt, nxt in comms if (vt, link_id) in upstream]
+        entering = [(p, vt, nxt) for p, (vt, nxt) in enumerate(comms) if (vt, link_id) in upstream]
         for g in frag.lane_groups[link_id]:
-            slots.extend((cid, link_id, g.index, vt, nxt) for vt, nxt in entering)
-    return slots
+            for p, vt, nxt in entering:
+                yield (cid, link_id, g.index, vt, nxt), (link_id, cid, g.index, p)
 
 
-def removal_slots(frag: Scenario, link_id: int) -> list[Slot]:
-    """Slots for flows leaving an overlap link, resolved by its downstream
-    side: one per (connection out, source lane group serving it, commodity
-    headed to the connection's out link)."""
+def removal_slots(frag: Scenario, link_id: int) -> Iterator[tuple[Slot, SlotEntry]]:
+    """(slot, engine key) pairs for flows leaving an overlap link, resolved
+    downstream: one per (connection out, source lane group serving it,
+    commodity headed to the connection's out link)."""
     comms = frag.commodities[link_id]
-    slots: list[Slot] = []
     for g in frag.lane_groups[link_id]:
         for cid in g.conn_ids:
             out_link = frag.connections[cid].out_link
-            slots.extend(
-                (cid, link_id, g.index, vt, nxt) for vt, nxt in comms if nxt == out_link
-            )
-    return slots
+            for p, (vt, nxt) in enumerate(comms):
+                if nxt == out_link:
+                    yield (cid, link_id, g.index, vt, nxt), (link_id, cid, g.index, p)
 
 
 def _message_map(sub: Subnetwork, sender: int, receiver: int) -> DecoderMap:
     """Layout of the message `sender` sends to `receiver`, derived from
     `sub`'s own fragment, `sub` being either of the two.  A link's slots are
     delivery slots when the sender owns its start node, removal slots
-    otherwise."""
+    otherwise.  The keys name positions in `sub`'s engine."""
     sub_sends = sub.index == sender
     starts_here = set(sub.relative_sinks)
-    slots: list[Slot] = []
+    pairs: list[tuple[Slot, SlotEntry]] = []
     for lid in sub.links_with(receiver if sub_sends else sender):
         slots_of = delivery_slots if (lid in starts_here) == sub_sends else removal_slots
-        slots.extend(slots_of(sub.fragment, lid))
-    return DecoderMap(sender=sender, receiver=receiver, slots=tuple(sorted(slots)))
+        pairs.extend(slots_of(sub.fragment, lid))
+    pairs.sort(key=itemgetter(0))  # by slot; slots are distinct
+    slots, keys = zip(*pairs) if pairs else ((), ())
+    positions = dict(zip(keys, range(len(keys))))
+    return DecoderMap(sender=sender, receiver=receiver, slots=slots, positions=positions)
 
 
 def build_decoder_map(sub: Subnetwork, neighbor: int) -> DecoderMap:

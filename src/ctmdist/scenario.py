@@ -621,10 +621,27 @@ def validate(s: Scenario) -> None:
         meta = s.subnetwork
         for nid in meta.owned_nodes:
             _require(nid in s.nodes, f"subnetwork owns missing node {nid}")
-        for lid in (
-            meta.interior_links + meta.relative_sources + meta.relative_sinks
+        owned = set(meta.owned_nodes)
+        for role, lids, ends, rule in (
+            ("interior", meta.interior_links, (True, True), "both ends"),
+            ("relative source", meta.relative_sources, (False, True), "only its end node"),
+            ("relative sink", meta.relative_sinks, (True, False), "only its start node"),
         ):
-            _require(lid in s.links, f"subnetwork references missing link {lid}")
+            for lid in lids:
+                _require(lid in s.links, f"subnetwork references missing link {lid}")
+                link = s.links[lid]
+                _require(
+                    (link.start_node in owned, link.end_node in owned) == ends,
+                    f"subnetwork {meta.index}: {role} link {lid} must have {rule} "
+                    f"owned (it runs from node {link.start_node} to node {link.end_node})",
+                )
+        neighbors = dict(meta.neighbor_of_link)
+        _require(
+            neighbors.keys() == set(meta.relative_sources + meta.relative_sinks)
+            and meta.index not in neighbors.values(),
+            f"subnetwork {meta.index}: neighbor_of_link must map exactly the overlap "
+            f"links, each to another subnetwork",
+        )
 
 
 def _short_float(x: float) -> str:

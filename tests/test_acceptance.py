@@ -141,9 +141,8 @@ def test_criterion_4_fixed_message_size(merge_fixture):
             assert send_maps[(sub.index, nb)].slots == build_receive_map(
                 [x for x in subs if x.index == nb][0], sub.index
             ).slots
-            eng = engines[sub.index]
-            send_tables[(sub.index, nb)] = eng.slot_entries(send_maps[(sub.index, nb)].slots)
-            recv_tables[(sub.index, nb)] = eng.slot_entries(build_receive_map(sub, nb).slots)
+            send_tables[(sub.index, nb)] = send_maps[(sub.index, nb)].positions
+            recv_tables[(sub.index, nb)] = build_receive_map(sub, nb).positions
     observed: dict[tuple[int, int], set[int]] = {}
     steps = 150
     for step in range(steps):

@@ -258,23 +258,34 @@ class TestTcpJoinMode:
         return [p.exitcode for p in procs]
 
     def test_externally_launched_workers_match_sequential(self, fixture_file, tmp_path):
-        parts = self._partition_two(fixture_file, tmp_path)
-        ports = _free_ports(2)
-        roster = tmp_path / "roster.txt"
-        roster.write_text(
-            f"0 127.0.0.1 {ports[0]}\n1 127.0.0.1 {ports[1]}\n"
-        )
-        codes = self._spawn_joined([parts, parts], roster, tmp_path)
-        assert codes == [0, 0]
+        import shutil
+
         from ctmdist.runner import merge_states, parse_dump, rows_to_csv, run_sequential
 
-        rows = []
-        for index in (0, 1):
-            partial = tmp_path / f"join{index}.worker{index}.csv"
-            rows.append(parse_dump(partial.read_text()))
-        merged = merge_states(rows)
+        parts = self._partition_two(fixture_file, tmp_path)
+        # each worker's directory holding only its own fragment and the
+        # decoder files of its channels, as on separate hosts
+        own = [tmp_path / f"own{index}" for index in (0, 1)]
+        for index, d in enumerate(own):
+            d.mkdir()
+            for name in (f"fragment_{index}.json", "decoder_0_to_1.json", "decoder_1_to_0.json"):
+                shutil.copy(parts / name, d / name)
         seq = run_sequential(load_scenario(fixture_file), steps=40)
-        assert rows_to_csv(merged) == rows_to_csv(seq.rows)
+        for dirs in ([parts, parts], own):
+            ports = _free_ports(2)
+            roster = tmp_path / "roster.txt"
+            roster.write_text(
+                f"0 127.0.0.1 {ports[0]}\n1 127.0.0.1 {ports[1]}\n"
+            )
+            codes = self._spawn_joined(dirs, roster, tmp_path)
+            assert codes == [0, 0]
+            rows = []
+            for index in (0, 1):
+                partial = tmp_path / f"join{index}.worker{index}.csv"
+                rows.append(parse_dump(partial.read_text()))
+                partial.unlink()
+            merged = merge_states(rows)
+            assert rows_to_csv(merged) == rows_to_csv(seq.rows)
 
     def test_per_worker_corruption_caught_at_handshake(self, fixture_file, tmp_path):
         import shutil
@@ -312,6 +323,20 @@ class TestProtocolExitCodes:
             ]
         )
         assert code == 3
+
+    def test_corrupt_decoder_file_without_its_pair_exits_3(self, fixture_file, tmp_path):
+        # the reverse map's file is gone; the one left is still checked
+        out = tmp_path / "parts"
+        assert main(
+            ["partition", "--scenario", fixture_file, "--n", "2", "--out-dir", str(out)]
+        ) == 0
+        (out / "decoder_1_to_0.json").unlink()
+        victim = out / "decoder_0_to_1.json"
+        doc = json.loads(victim.read_text())
+        doc["slots"][0][4] = 99
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(out), "--mode", "local", "--steps", "1"]
+        assert main(argv) == 3
 
     def test_consistent_corrupt_decoder_rejected_at_setup(self, fixture_file, tmp_path):
         # both workers read the one corrupted file, so the handshake agrees;
@@ -386,6 +411,23 @@ class TestMalformedRunInputs:
         text = "0 127.0.0.1 5000\n1 127.0.0.1 5001\n0 127.0.0.1 5002\n"
         assert self._join(parts, text, tmp_path) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["relative_sinks", "relative_sources"])
+    def test_stub_link_given_a_role(self, tmp_path, capsys, role):
+        # link 16 runs between two nodes of subnetwork 1; fragment 0 carries
+        # it only as the stub end of a road connection
+        grid = tmp_path / "grid44.json"
+        out = tmp_path / "parts44"
+        assert main(["gen-grid", "--rows", "4", "--cols", "4", "--out", str(grid)]) == 0
+        assert main(["partition", "--scenario", str(grid), "--n", "2", "--out-dir", str(out)]) == 0
+        victim = out / "fragment_0.json"
+        doc = json.loads(victim.read_text())
+        doc["subnetwork"][role].append(16)
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(out), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "fragment_0.json" in err and "link 16" in err
 
     def test_roster_file_missing(self, parts, tmp_path):
         argv = [

@@ -20,9 +20,8 @@ from ctmdist.comm import (
     exchange,
     pack_frame,
 )
-from ctmdist.engine import Engine
 from ctmdist.errors import ProtocolError
-from ctmdist.partition import DecoderMap, NodePartition, build_subnetworks
+from ctmdist.partition import DecoderMap, NodePartition, build_decoder_map, build_subnetworks
 from ctmdist.scenario import parse_scenario
 
 from conftest import link
@@ -43,8 +42,9 @@ def four_slot_map(sender=0, receiver=1):
 
 
 def four_slot_table():
-    """`four_slot_map()` resolved by an engine on which links 7 and 8 feed
-    link 9 through connections 0 and 1, and link 9 leads on to link 11; both
+    """The engine keys of `four_slot_map()`, as derived for the fragment that
+    owns nodes 0-2 of a network where links 7 and 8 feed link 9 through
+    connections 0 and 1, and link 9 leads on to link 11 past the cut; both
     vehicle types route probabilistically, so link 9 carries (0, 11) and
     (1, 11) at positions 0 and 1."""
     doc = {
@@ -58,7 +58,10 @@ def four_slot_table():
         "vehicletypes": [{"id": vt, "routing": {"type": "probabilistic"}} for vt in (0, 1)],
         "simulation": {"dt": 2.0, "steps": 5},
     }
-    return Engine(parse_scenario(json.dumps(doc))).slot_entries(four_slot_map().slots)
+    cut = NodePartition(2, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1})
+    send = build_decoder_map(build_subnetworks(parse_scenario(json.dumps(doc)), cut)[0], 1)
+    assert send == four_slot_map()
+    return send.positions
 
 
 def pipe_channel_pair(send_ab, send_ba):

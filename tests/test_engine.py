@@ -12,8 +12,8 @@ from ctmdist.engine import (
     compute_supply,
     resolve_node_flows,
 )
-from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
-from ctmdist.partition import NodePartition, build_subnetworks
+from ctmdist.errors import InternalAssertion, ScenarioError
+from ctmdist.partition import NodePartition, build_decoder_map, build_subnetworks
 from ctmdist.runner import run_sequential
 from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario
 
@@ -427,42 +427,14 @@ class TestChecks:
         with pytest.raises(InternalAssertion, match=r"before phase_a"):
             Engine(merge_diverge).phase_b(0)
 
-    def test_received_commodity_outside_link_tuple(self, merge_diverge):
-        eng = Engine(merge_diverge)
-        # type 0's path goes 4 -> 5, so (0, 6) cannot occur on link 4
-        with pytest.raises(ProtocolError, match=r"cannot occur"):
-            eng.slot_entries([(2, 4, 0, 0, 6)])
-
-    def test_slot_link_not_on_its_connection(self, merge_diverge):
-        # connection 2 joins links 1 and 4; link 5 is on neither end
-        with pytest.raises(ProtocolError, match=r"not on connection 2"):
-            Engine(merge_diverge).slot_entries([(2, 5, 0, 0, 7)])
-
-    def test_slot_lane_group_missing(self, merge_diverge):
-        # link 4 has lane groups 0 and 1 only
-        with pytest.raises(ProtocolError, match=r"no lane group 2"):
-            Engine(merge_diverge).slot_entries([(2, 4, 2, 0, 5)])
-
-    def test_slot_listed_twice(self, merge_diverge):
-        with pytest.raises(ProtocolError, match=r"repeats a slot"):
-            Engine(merge_diverge).slot_entries([(2, 4, 0, 0, 5), (2, 4, 0, 0, 5)])
-
-    def test_slot_link_not_simulated(self, merge_diverge):
-        # owning nodes 0-2, the fragment carries link 4 only as the stub end
-        # of connection 2
-        cut = NodePartition(2, {nid: int(nid >= 3) for nid in merge_diverge.nodes})
-        sub = build_subnetworks(merge_diverge, cut)[0]
-        eng = Engine(sub.fragment, set(sub.owned_nodes))
-        with pytest.raises(ProtocolError, match=r"not simulated here"):
-            eng.slot_entries([(2, 4, 0, 0, 5)])
-
     def test_slot_entries_by_position(self, merge_diverge):
-        eng = Engine(merge_diverge)
-        # link 4 carries (0, 5), (1, 5) and (1, 6) at positions 0, 1, 2
-        assert eng.slot_entries([(2, 4, 0, 1, 6), (2, 4, 1, 0, 5)]) == {
-            (4, 2, 0, 2): 0,
-            (4, 2, 1, 0): 1,
-        }
+        # owning nodes 0-4, fragment 0 delivers into link 4; a slot's engine
+        # key names its commodity's position on link 4
+        cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
+        send = build_decoder_map(build_subnetworks(merge_diverge, cut)[0], 1)
+        key_of = dict(zip(send.slots, send.positions))
+        assert key_of[(2, 4, 0, 1, 6)] == (4, 2, 0, 2)
+        assert key_of[(2, 4, 1, 0, 5)] == (4, 2, 1, 0)
 
     def test_negative_occupancy_rejected(self, merge_diverge):
         eng = Engine(merge_diverge)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ctmdist.engine import Engine
 from ctmdist.errors import ScenarioError
 from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
@@ -13,13 +14,13 @@ from ctmdist.partition import (
     build_metagraph,
     build_receive_map,
     build_subnetworks,
-    cut_links,
     parse_partition,
     partition_nodes,
     reconstruct_scenario,
     save_partition,
     load_partition,
     NodePartition,
+    Subnetwork,
 )
 from ctmdist.scenario import parse_scenario, serialize_scenario
 
@@ -73,14 +74,15 @@ class TestPartitionNodes:
         p = partition_nodes(merge_diverge, 1)
         assert p.n == 1
         assert set(p.assignment.values()) == {0}
-        assert cut_links(merge_diverge, p) == []
+        assert build_metagraph(build_subnetworks(merge_diverge, p)).edges == {}
 
     def test_four_node_path_minimum_cut(self):
         s = path_scenario(4)
         for seed in range(5):
             p = partition_nodes(s, 2, seed=seed)
             assert sorted(p.subset_sizes()) == [2, 2]
-            assert len(cut_links(s, p)) == 1
+            edges = build_metagraph(build_subnetworks(s, p)).edges
+            assert [len(cut) for cut in edges.values()] == [1]
             groups = {}
             for node, subset in p.assignment.items():
                 groups.setdefault(subset, set()).add(node)
@@ -331,7 +333,9 @@ class TestDecoderMaps:
     @pytest.mark.parametrize("n", [2, 3])
     def test_slots_name_shared_table_entries(self, n):
         # every slot's commodity and lane group come from the tables that
-        # validate() builds, and both sides of a cut carry the same tables
+        # validate() builds, both sides of a cut carry the same tables, and
+        # each slot's engine key names its commodity's position in the
+        # fragment's engine
         s = lanes_grid()
         subs = build_subnetworks(s, partition_nodes(s, n, seed=0))
         for sub in subs:
@@ -339,13 +343,36 @@ class TestDecoderMaps:
             for lid in sub.interior_links + sub.relative_sources + sub.relative_sinks:
                 assert frag.commodities[lid] == s.commodities[lid]
                 assert frag.lane_groups[lid] == s.lane_groups[lid]
+            engine = Engine(frag, set(sub.owned_nodes))
             for nb in sub.neighbors():
                 for decoder in (build_decoder_map(sub, nb), build_receive_map(sub, nb)):
                     assert decoder.slots
-                    for cid, lid, gidx, vtype, nxt in decoder.slots:
+                    assert list(decoder.positions.values()) == list(range(len(decoder.slots)))
+                    for slot, key in zip(decoder.slots, decoder.positions):
+                        cid, lid, gidx, vtype, nxt = slot
                         assert (vtype, nxt) in s.commodities[lid]
                         assert s.lane_groups[lid][gidx].index == gidx
                         assert lid in (s.connections[cid].in_link, s.connections[cid].out_link)
+                        assert key == (lid, cid, gidx, engine.links[lid].comm_index[(vtype, nxt)])
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [(lambda: generate_grid(4, 4), 3), (lanes_grid, 2), (lanes_grid, 3)],
+        ids=["grid4x4-n3", "lanes_grid-n2", "lanes_grid-n3"],
+    )
+    def test_reloaded_fragments_derive_the_same_maps(self, make, n):
+        # a worker checks decoder files against the maps its own fragment
+        # derives, so a fragment read back from disk must derive the maps,
+        # and the engine keys, of the fragment it was written from
+        s = make()
+        subs = build_subnetworks(s, partition_nodes(s, n, seed=0))
+        for sub in subs:
+            reloaded = Subnetwork(parse_scenario(serialize_scenario(sub.fragment)))
+            for nb in sub.neighbors():
+                for build in (build_decoder_map, build_receive_map):
+                    here, there = build(sub, nb), build(reloaded, nb)
+                    assert here == there
+                    assert list(here.positions.items()) == list(there.positions.items())
 
     def test_grid_n2_message_lengths_order_of_magnitude(self):
         # mirrors the reported mean of ~56 floats per neighbor at n=2 on a

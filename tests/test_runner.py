@@ -5,6 +5,7 @@ import contextlib
 import gc
 import json
 import os
+import re
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from ctmdist.engine import Engine
 from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
+    DecoderMap,
     NodePartition,
     build_decoder_map,
     build_receive_map,
@@ -189,6 +191,71 @@ class TestDeadWorker:
         assert time.monotonic() - t0 < 5.0
 
 
+class TestDecoderFileCheck:
+    """Supplied decoder maps are compared with the maps each worker derives
+    from its own fragment, before the first step.  Owning nodes 0-4 of the
+    merge fixture, worker 0 delivers into link 4 (lane groups 0 and 1;
+    commodities (0, 5), (1, 5) and (1, 6)) through connections 2 and 3; link
+    5 is carried there only as the stub end of connection 4.  Both workers
+    are given the one corrupted 0->1 map, as both read one decoder file."""
+
+    @pytest.mark.parametrize(
+        "pos, bad",
+        [
+            (0, (4, 5, 0, 0, 7)),
+            (0, (2, 5, 0, 0, 7)),
+            (0, (2, 4, 0, 0, 6)),
+            (0, (2, 4, 2, 0, 5)),
+            (1, (2, 4, 0, 0, 5)),
+            (0, (2, 4, 0, 0, 99)),
+        ],
+        ids=[
+            "link-not-simulated-here",
+            "link-not-on-connection-2",
+            "commodity-cannot-occur",
+            "no-lane-group-2",
+            "slot-listed-twice",
+            "next-link-99",
+        ],
+    )
+    def test_corrupt_map_rejected_before_first_step(self, monkeypatch, merge_diverge, pos, bad):
+        def phase_a(engine, step):
+            raise InternalAssertion("phase A ran")
+
+        monkeypatch.setattr(Engine, "phase_a", phase_a)
+        cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
+        subs = build_subnetworks(merge_diverge, cut)
+        good = build_decoder_map(subs[0], 1)
+        slots = list(good.slots)
+        slots[pos] = bad
+        corrupt = DecoderMap(sender=0, receiver=1, slots=tuple(slots))
+        back = build_decoder_map(subs[1], 0)
+        decoders = {0: {1: (corrupt, back)}, 1: {0: (back, corrupt)}}
+        detail = re.escape(f"slot {pos}: {bad} != {good.slots[pos]}")
+        with pytest.raises(ProtocolError, match=rf"decoder map 0->1 differs .*: {detail}"):
+            run_distributed(subs=subs, decoders=decoders, steps=5, timeout=30)
+
+
+class TestConservationCheck:
+    @pytest.mark.parametrize("mode", ["sequential", "local"])
+    def test_violation_names_its_step(self, monkeypatch, mode):
+        phase_b = Engine.phase_b
+
+        def leaky_phase_b(engine, step, received=None):
+            stats = phase_b(engine, step, received)
+            if step == 3:
+                stats.in_network += 1.0
+            return stats
+
+        monkeypatch.setattr(Engine, "phase_b", leaky_phase_b)
+        scenario = generate_grid(3, 3)
+        with pytest.raises(InternalAssertion, match=r"conservation violated at step 3: "):
+            if mode == "sequential":
+                run_sequential(scenario, steps=6)
+            else:
+                run_distributed(scenario, 2, transport=mode, steps=6, timeout=30)
+
+
 class TestCollectorPause:
     """The step loop runs with the cyclic collector paused.  That is safe
     only while a run makes no reference cycles, and polite only while the
@@ -222,8 +289,8 @@ class TestCollectorPause:
         engines = [Engine(sub.fragment, set(sub.owned_nodes)) for sub in subs]
         tables = {
             (sub.index, nb): (
-                engines[sub.index].slot_entries(build_decoder_map(sub, nb).slots),
-                engines[sub.index].slot_entries(build_receive_map(sub, nb).slots),
+                build_decoder_map(sub, nb).positions,
+                build_receive_map(sub, nb).positions,
             )
             for sub in subs
             for nb in sub.neighbors()
