@@ -1,16 +1,31 @@
 """Neighbor exchange over the metagraph: fixed-size float messages.
 
-Each metagraph edge gets one duplex channel.  A message is a frame:
+Each metagraph edge gets one channel, a stream socket that carries frames
+back to back: a socketpair between forked workers ("local") or a TCP
+connection ("tcp").  `SocketDuplex` writes and reads frames on both.  A
+message is a frame:
 
     header  <QIII  step, sender index, receiver index, value count
     payload <d * count  IEEE-754 doubles, one per decoder-map slot
 
 Little-endian throughout; values pass bit-exactly, which the
-distributed-equals-sequential guarantee relies on.  Two transports move
-frames: OS pipes between forked worker processes ("local") and
-length-delimited TCP sockets ("tcp").  `establish` performs a decoder-map
-handshake on every channel and aborts on any mismatch; `exchange` is the
-per-step synchronous swap with step-index verification.
+distributed-equals-sequential guarantee relies on.  `establish` performs a
+decoder-map handshake on every channel and aborts on any mismatch;
+`exchange` is the per-step synchronous swap.  Both go through `_swap`,
+which checks each received frame's step index and addressing.
+
+Exchange order.  A worker walks its channels in ascending neighbor index.
+On each channel the lower-indexed worker sends its frame and then
+receives, and the higher-indexed worker receives and then sends.  At every
+worker, ascending neighbor order is also the global ascending (min, max)
+order of its edges: for neighbors c < b of worker a, the edge {a, c} sorts
+before {a, b} whether a lies below c, between them or above b.  So both
+ends of the smallest unfinished edge have finished all their earlier
+edges and are working on this one: one writes while the other reads, then
+the reverse.  That edge finishes, and by induction every edge does,
+whatever the frame size and however small the kernel's socket buffer.
+Each send and each receive must finish within the timeout, or the run
+fails with a `ProtocolError`.
 
 See docs/wire-format.md.
 """
@@ -38,59 +53,25 @@ def pack_frame(step: int, sender: int, receiver: int, values: list[float]) -> by
     )
 
 
-def unpack_payload(count: int, payload: bytes) -> list[float]:
-    return list(struct.unpack(f"<{count}d", payload))
-
-
-class Duplex:
-    """Reliable ordered byte stream with framed reads."""
-
-    def send_frame(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def recv_frame(self, timeout: float) -> tuple[int, int, int, list[float], bytes]:
-        """Returns (step, sender, receiver, values, raw payload)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class PipeDuplex(Duplex):
-    """Frames over a multiprocessing connection (forked local workers)."""
-
-    def __init__(self, conn):
-        self.conn = conn
-
-    def send_frame(self, data: bytes) -> None:
-        self.conn.send_bytes(data)
-
-    def recv_frame(self, timeout: float):
-        if not self.conn.poll(timeout):
-            raise ProtocolError(f"timed out after {timeout}s waiting for a frame")
-        try:
-            data = self.conn.recv_bytes()
-        except (EOFError, OSError) as e:
-            raise ProtocolError(f"channel closed mid-exchange: {e}") from None
-        return _split_frame(data)
-
-    def close(self) -> None:
-        self.conn.close()
-
-
-class SocketDuplex(Duplex):
-    """Frames over a TCP socket."""
+class SocketDuplex:
+    """Frames back to back on a stream socket: a socketpair end between
+    forked local workers, or a TCP connection."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         try:
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
-            pass  # not a TCP socket (e.g. a socketpair in tests)
+            pass  # not a TCP socket (a socketpair)
 
-    def send_frame(self, data: bytes) -> None:
+    def send_frame(self, data: bytes, timeout: float = DEFAULT_TIMEOUT) -> None:
         try:
+            self.sock.settimeout(timeout)
             self.sock.sendall(data)
+        except socket.timeout:
+            raise ProtocolError(
+                f"timed out after {timeout}s sending a {len(data)}-byte frame"
+            ) from None
         except OSError as e:
             raise ProtocolError(f"send failed: {e}") from None
 
@@ -120,6 +101,8 @@ class SocketDuplex(Duplex):
         return b"".join(chunks)
 
     def recv_frame(self, timeout: float):
+        """(step, sender, receiver, values, raw payload) of the next frame,
+        read within `timeout` seconds."""
         deadline = time.monotonic() + timeout
         header = self._recv_exact(HEADER.size, deadline)
         step, sender, receiver, count = HEADER.unpack(header)
@@ -128,7 +111,7 @@ class SocketDuplex(Duplex):
             payload = self._recv_exact(count, deadline)
             return step, sender, receiver, [], payload
         payload = self._recv_exact(8 * count, deadline)
-        return step, sender, receiver, unpack_payload(count, payload), payload
+        return step, sender, receiver, list(struct.unpack(f"<{count}d", payload)), payload
 
     def close(self) -> None:
         try:
@@ -137,18 +120,9 @@ class SocketDuplex(Duplex):
             pass
 
 
-def _split_frame(data: bytes):
-    if len(data) < HEADER.size:
-        raise ProtocolError(f"truncated frame: {len(data)} bytes")
-    step, sender, receiver, count = HEADER.unpack(data[: HEADER.size])
-    payload = data[HEADER.size :]
-    if step == HANDSHAKE_STEP:
-        return step, sender, receiver, [], payload
-    if len(payload) != 8 * count:
-        raise ProtocolError(
-            f"truncated frame: header promises {count} values, got {len(payload)} bytes"
-        )
-    return step, sender, receiver, unpack_payload(count, payload), payload
+# kept only because perfbench/spans.py wraps PipeDuplex's methods by name
+class PipeDuplex(SocketDuplex):
+    """`SocketDuplex` under a second name; the program never uses it."""
 
 
 @dataclass
@@ -158,7 +132,7 @@ class NeighborChannel:
     send_map: DecoderMap
     recv_map: DecoderMap
     overlap_links: tuple[int, ...]
-    duplex: Duplex
+    duplex: SocketDuplex
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +205,47 @@ def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:
         )
 
 
+def _step_label(step: int) -> str:
+    return "handshake" if step == HANDSHAKE_STEP else f"step {step}"
+
+
+def _swap(ch: NeighborChannel, frame: bytes, step: int, timeout: float):
+    """Send `frame` on `ch` and receive the neighbor's frame for `step`,
+    the lower-indexed worker sending first (see the module docstring).
+    Returns the received (values, raw payload)."""
+    try:
+        if ch.local < ch.remote:
+            ch.duplex.send_frame(frame, timeout)
+            got = ch.duplex.recv_frame(timeout)
+        else:
+            got = ch.duplex.recv_frame(timeout)
+            ch.duplex.send_frame(frame, timeout)
+    except ProtocolError as e:
+        raise ProtocolError(
+            f"worker {ch.local}: exchange with neighbor {ch.remote} failed at "
+            f"{_step_label(step)}: {e}"
+        ) from None
+    got_step, sender, receiver, values, payload = got
+    if got_step != step:
+        raise ProtocolError(
+            f"worker {ch.local}: step-index mismatch with {ch.remote}: "
+            f"got {_step_label(got_step)}, expected {_step_label(step)}"
+        )
+    if sender != ch.remote or receiver != ch.local:
+        raise ProtocolError(
+            f"worker {ch.local}: frame addressed {sender}->{receiver} arrived "
+            f"on channel {ch.remote}->{ch.local}"
+        )
+    return values, payload
+
+
 def establish(channels: list[NeighborChannel], timeout: float = DEFAULT_TIMEOUT) -> None:
     """Exchange decoder maps over every channel and cross-validate them.
     Any disagreement in length or slot identity aborts the run."""
     for ch in sorted(channels, key=lambda c: c.remote):
         hello = _slot_fingerprint(ch.send_map)
-        ch.duplex.send_frame(HEADER.pack(HANDSHAKE_STEP, ch.local, ch.remote, len(hello)) + hello)
-    for ch in sorted(channels, key=lambda c: c.remote):
-        step, sender, receiver, _values, payload = ch.duplex.recv_frame(timeout)
-        if step != HANDSHAKE_STEP:
-            raise ProtocolError(
-                f"worker {ch.local}: expected handshake from {ch.remote}, got step {step}"
-            )
-        _verify_hello(ch, payload)
+        frame = HEADER.pack(HANDSHAKE_STEP, ch.local, ch.remote, len(hello)) + hello
+        _verify_hello(ch, _swap(ch, frame, HANDSHAKE_STEP, timeout)[1])
 
 
 def exchange(
@@ -252,42 +254,17 @@ def exchange(
     step: int,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> dict[int, list[float]]:
-    """Synchronous per-step swap: send one message per channel, then block
-    until one message per channel arrives carrying the same step index."""
-    if not channels:
-        return {}
-    ordered = sorted(channels, key=lambda c: c.remote)
-    for ch in ordered:
+    """Synchronous per-step swap: one message each way on every channel,
+    carrying the same step index."""
+    incoming: dict[int, list[float]] = {}
+    for ch in sorted(channels, key=lambda c: c.remote):
         values = outgoing[ch.remote]
         if len(values) != ch.send_map.message_length:
             raise ProtocolError(
                 f"worker {ch.local}: outgoing message for {ch.remote} has "
                 f"{len(values)} values, decoder expects {ch.send_map.message_length}"
             )
-        ch.duplex.send_frame(pack_frame(step, ch.local, ch.remote, values))
-    incoming: dict[int, list[float]] = {}
-    for ch in ordered:
-        try:
-            got_step, sender, receiver, values, _payload = ch.duplex.recv_frame(timeout)
-        except ProtocolError as e:
-            raise ProtocolError(
-                f"worker {ch.local}: exchange with neighbor {ch.remote} failed at "
-                f"step {step}: {e}"
-            ) from None
-        if got_step == HANDSHAKE_STEP:
-            raise ProtocolError(
-                f"worker {ch.local}: unexpected handshake from {ch.remote} at step {step}"
-            )
-        if got_step != step:
-            raise ProtocolError(
-                f"worker {ch.local}: step-index mismatch with {ch.remote}: "
-                f"got {got_step}, expected {step}"
-            )
-        if sender != ch.remote or receiver != ch.local:
-            raise ProtocolError(
-                f"worker {ch.local}: frame addressed {sender}->{receiver} arrived "
-                f"on channel {ch.remote}->{ch.local}"
-            )
+        values, _payload = _swap(ch, pack_frame(step, ch.local, ch.remote, values), step, timeout)
         if len(values) != ch.recv_map.message_length:
             raise ProtocolError(
                 f"worker {ch.local}: message from {ch.remote} has {len(values)} "
@@ -316,10 +293,10 @@ def tcp_connect_channels(
     roster: dict[int, tuple[str, int]],
     listener: socket.socket,
     timeout: float = DEFAULT_TIMEOUT,
-) -> dict[int, Duplex]:
+) -> dict[int, SocketDuplex]:
     """Open one socket per neighbor: connect to lower indexes, accept from
-    higher ones.  Peers identify themselves with a one-line preamble."""
-    duplexes: dict[int, Duplex] = {}
+    higher ones.  Peers identify themselves with a 4-byte preamble."""
+    duplexes: dict[int, SocketDuplex] = {}
     deadline = time.monotonic() + timeout
     for nb in sorted(n for n in neighbors if n < my_index):
         host, port = roster[nb]
@@ -349,18 +326,16 @@ def tcp_connect_channels(
             sock, _addr = listener.accept()
         except socket.timeout:
             continue
-        sock.settimeout(max(0.1, deadline - time.monotonic()))
-        preamble = b""
-        while len(preamble) < 4:
-            chunk = sock.recv(4 - len(preamble))
-            if not chunk:
-                raise ProtocolError(f"worker {my_index}: peer vanished before preamble")
-            preamble += chunk
+        duplex = SocketDuplex(sock)
+        try:
+            preamble = duplex._recv_exact(4, max(deadline, time.monotonic() + 0.1))
+        except ProtocolError as e:
+            raise ProtocolError(f"worker {my_index}: no preamble from a peer: {e}") from None
         (peer,) = struct.unpack("<I", preamble)
         if peer not in expected:
             raise ProtocolError(
                 f"worker {my_index}: unexpected connection from worker {peer}"
             )
         expected.discard(peer)
-        duplexes[peer] = SocketDuplex(sock)
+        duplexes[peer] = duplex
     return duplexes

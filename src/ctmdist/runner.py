@@ -3,8 +3,10 @@ conservation metrics, timing breakdown, and the scaling benchmark.
 
 Every mode drives the same per-step loop: phase A, encode, exchange, decode,
 phase B.  A sequential run is the loop with zero channels.  Distributed
-workers are forked processes; the parent merges their authoritative state
-rows, which must be bitwise identical to a sequential run's dump.  Workers
+workers are forked processes that exchange frames over one stream socket
+per metagraph edge, a socketpair in local mode and a TCP connection in tcp
+mode (see `comm`).  The parent merges their authoritative state rows,
+which must be bitwise identical to a sequential run's dump.  Workers
 derive decoder maps and their engine keys from their own fragments; maps
 read from files are only compared with them.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import socket
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -29,7 +32,7 @@ from multiprocessing.connection import wait
 from .comm import (
     DEFAULT_TIMEOUT,
     NeighborChannel,
-    PipeDuplex,
+    SocketDuplex,
     decode,
     encode,
     establish,
@@ -266,7 +269,7 @@ def run_tcp_worker(
 
 def _worker_entry(
     sub,
-    pipe_conns,
+    pair_socks,
     roster,
     listener,
     decoders,
@@ -280,13 +283,13 @@ def _worker_entry(
     gc.freeze()
     # close the copies of other workers' pipes and sockets that came through
     # fork, so that this worker's death reaches its peers as EOF
-    own = [result_conn, listener, *(pipe_conns or {}).values()]
+    own = [result_conn, listener, *(pair_socks or {}).values()]
     for handle in inherited:
         if handle not in own:
             handle.close()
     try:
-        if pipe_conns is not None:
-            duplexes = {nb: PipeDuplex(conn) for nb, conn in pipe_conns.items()}
+        if pair_socks is not None:
+            duplexes = {nb: SocketDuplex(sock) for nb, sock in pair_socks.items()}
             outcome = _worker_body(sub, duplexes, decoders, steps, dump_every, timeout)
         else:
             outcome = run_tcp_worker(
@@ -332,7 +335,7 @@ def run_distributed(
 ) -> RunResult:
     """Partition (unless fragments are supplied), fork one worker per
     subnetwork, run in lockstep, and merge.  `transport` picks the channel
-    implementation: "local" pipes or "tcp" loopback sockets."""
+    implementation: "local" socketpairs or "tcp" loopback sockets."""
     if transport not in ("local", "tcp"):
         raise ScenarioError(f"unknown transport {transport!r}")
     wall0 = time.perf_counter()
@@ -351,16 +354,14 @@ def run_distributed(
     metagraph = build_metagraph(subs)
 
     ctx = multiprocessing.get_context("fork")
-    pipe_conns: list[dict[int, object] | None] = [None] * n
+    pair_socks: list[dict[int, socket.socket] | None] = [None] * n
     roster = None
     listeners = None
     if transport == "local":
         for i in range(n):
-            pipe_conns[i] = {}
+            pair_socks[i] = {}
         for (i, j) in metagraph.edges:
-            a, b = ctx.Pipe(duplex=True)
-            pipe_conns[i][j] = a
-            pipe_conns[j][i] = b
+            pair_socks[i][j], pair_socks[j][i] = socket.socketpair()
     else:
         listeners = {i: tcp_listener() for i in range(n)}
         roster = {i: ("127.0.0.1", listeners[i].getsockname()[1]) for i in range(n)}
@@ -368,7 +369,7 @@ def run_distributed(
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
     # every pipe end and socket a forked worker inherits
     inherited = [end for pipe in result_pipes for end in pipe]
-    inherited += [conn for conns in pipe_conns if conns for conn in conns.values()]
+    inherited += [sock for socks in pair_socks if socks for sock in socks.values()]
     inherited += listeners.values() if listeners else ()
     procs = []
     for sub in subs:
@@ -377,7 +378,7 @@ def run_distributed(
             target=_worker_entry,
             args=(
                 sub,
-                pipe_conns[sub.index],
+                pair_socks[sub.index],
                 roster,
                 listeners[sub.index] if listeners else None,
                 worker_decoders,
@@ -450,12 +451,12 @@ def run_distributed(
 
 def _check_ownership(subs: list[Subnetwork]) -> None:
     """Every link must have exactly one authoritative (relative-sink-side)
-    owner across the fragments."""
+    owner across the fragments; overlapping fragments are bad input."""
     owners: dict[int, int] = {}
     for sub in subs:
         for lid in list(sub.interior_links) + list(sub.relative_sinks):
             if lid in owners:
-                raise InternalAssertion(
+                raise ScenarioError(
                     f"link {lid} claimed by subnetworks {owners[lid]} and {sub.index}"
                 )
             owners[lid] = sub.index

@@ -429,6 +429,24 @@ class TestMalformedRunInputs:
         err = capsys.readouterr().err
         assert "fragment_0.json" in err and "link 16" in err
 
+    def test_overlapping_fragments(self, tmp_path, capsys):
+        # fragment 1 is fragment 0 again under index 1, so both own link 0
+        grid = tmp_path / "grid44.json"
+        out = tmp_path / "parts44"
+        assert main(["gen-grid", "--rows", "4", "--cols", "4", "--out", str(grid)]) == 0
+        assert main(["partition", "--scenario", str(grid), "--n", "2", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "fragment_0.json").read_text())
+        doc["subnetwork"]["index"] = 1
+        doc["subnetwork"]["neighbor_of_link"] = {
+            lid: 0 for lid in doc["subnetwork"]["neighbor_of_link"]
+        }
+        (out / "fragment_1.json").write_text(json.dumps(doc))
+        for name in ("decoder_0_to_1.json", "decoder_1_to_0.json"):
+            (out / name).unlink()
+        argv = ["run", "--fragments-dir", str(out), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        assert "link 0 claimed by subnetworks 0 and 1" in capsys.readouterr().err
+
     def test_roster_file_missing(self, parts, tmp_path):
         argv = [
             "run", "--mode", "tcp", "--worker-index", "0", "--fragments-dir", str(parts),

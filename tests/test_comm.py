@@ -1,10 +1,11 @@
 """Channel encoding, the decoder handshake, and exchange protocol errors."""
 
 import json
-import multiprocessing
 import socket
 import struct
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,13 +13,14 @@ from ctmdist.comm import (
     HANDSHAKE_STEP,
     HEADER,
     NeighborChannel,
-    PipeDuplex,
     SocketDuplex,
     decode,
     encode,
     establish,
     exchange,
     pack_frame,
+    tcp_connect_channels,
+    tcp_listener,
 )
 from ctmdist.errors import ProtocolError
 from ctmdist.partition import DecoderMap, NodePartition, build_decoder_map, build_subnetworks
@@ -64,16 +66,33 @@ def four_slot_table():
     return send.positions
 
 
+# sockets a test opened; `close_sockets` closes them after it
+_opened: list[socket.socket] = []
+
+
+def socketpair():
+    pair = socket.socketpair()
+    _opened.extend(pair)
+    return pair
+
+
+@pytest.fixture(autouse=True)
+def close_sockets():
+    yield
+    while _opened:
+        _opened.pop().close()
+
+
 def pipe_channel_pair(send_ab, send_ba):
-    """Two NeighborChannels joined by an OS pipe."""
-    a_end, b_end = multiprocessing.Pipe(duplex=True)
+    """Two NeighborChannels joined by a socketpair, as local workers are."""
+    a_end, b_end = socketpair()
     ch_a = NeighborChannel(
         local=send_ab.sender,
         remote=send_ab.receiver,
         send_map=send_ab,
         recv_map=send_ba,
         overlap_links=(9,),
-        duplex=PipeDuplex(a_end),
+        duplex=SocketDuplex(a_end),
     )
     ch_b = NeighborChannel(
         local=send_ba.sender,
@@ -81,7 +100,7 @@ def pipe_channel_pair(send_ab, send_ba):
         send_map=send_ba,
         recv_map=send_ab,
         overlap_links=(9,),
-        duplex=PipeDuplex(b_end),
+        duplex=SocketDuplex(b_end),
     )
     return ch_a, ch_b
 
@@ -139,9 +158,10 @@ class TestChannelTopology:
         assert subs[2].neighbors() == (1,)
 
 
-def _run_both(side_a, side_b):
-    """Run two blocking closures concurrently; return their exceptions."""
-    errors = [None, None]
+def _run_bounded(fns, seconds=30.0):
+    """Run blocking closures concurrently in daemon threads; return their
+    exceptions.  Fails if any still runs after `seconds`."""
+    errors = [None] * len(fns)
 
     def runner(idx, fn):
         try:
@@ -150,14 +170,19 @@ def _run_both(side_a, side_b):
             errors[idx] = e
 
     threads = [
-        threading.Thread(target=runner, args=(0, side_a)),
-        threading.Thread(target=runner, args=(1, side_b)),
+        threading.Thread(target=runner, args=(i, fn), daemon=True) for i, fn in enumerate(fns)
     ]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + seconds
     for t in threads:
-        t.join()
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads), f"still blocked after {seconds}s"
     return errors
+
+
+def _run_both(side_a, side_b):
+    return _run_bounded([side_a, side_b])
 
 
 class TestEstablish:
@@ -171,11 +196,11 @@ class TestEstablish:
         bad_slots = list(good_ab.slots)
         bad_slots[2] = (1, 9, 0, 0, 12)  # one corrupted next-link id
         bad_ab = DecoderMap(sender=0, receiver=1, slots=tuple(bad_slots))
-        a_end, b_end = multiprocessing.Pipe(duplex=True)
+        a_end, b_end = socketpair()
         # worker 0 read a corrupted decoder file: its send AND recv views
         # disagree with worker 1's
-        ch_a = NeighborChannel(0, 1, bad_ab, good_ba, (9,), PipeDuplex(a_end))
-        ch_b = NeighborChannel(1, 0, good_ba, good_ab, (9,), PipeDuplex(b_end))
+        ch_a = NeighborChannel(0, 1, bad_ab, good_ba, (9,), SocketDuplex(a_end))
+        ch_b = NeighborChannel(1, 0, good_ba, good_ab, (9,), SocketDuplex(b_end))
         bad_recv = list(good_ba.slots)
         bad_recv[2] = (1, 9, 0, 0, 12)
         ch_a.recv_map = DecoderMap(sender=1, receiver=0, slots=tuple(bad_recv))
@@ -233,7 +258,7 @@ class TestExchange:
         ends = {}
         for i in range(4):
             j = (i + 1) % 4
-            a, b = multiprocessing.Pipe(duplex=True)
+            a, b = socketpair()
             ends[(i, j)] = a
             ends[(j, i)] = b
         channels = {}
@@ -243,7 +268,7 @@ class TestExchange:
                 chs.append(
                     NeighborChannel(
                         i, j, four_slot_map(i, j), four_slot_map(j, i), (9,),
-                        PipeDuplex(ends[(i, j)]),
+                        SocketDuplex(ends[(i, j)]),
                     )
                 )
             channels[i] = chs
@@ -300,3 +325,69 @@ class TestTcpFraming:
         assert step == HANDSHAKE_STEP
         assert values == []
         assert payload == hello
+
+
+# 4 MiB of doubles per frame: far beyond any socket buffer
+BIG = 1 << 19
+
+
+def synthetic_channel(local, remote, sock, length=BIG):
+    """A channel whose maps only give the message length."""
+    layout = SimpleNamespace(message_length=length)
+    return NeighborChannel(local, remote, layout, layout, (), SocketDuplex(sock))
+
+
+def tcp_socket_pair(timeout=10.0):
+    """Sockets of workers 0 and 1 joined the way a TCP run joins them."""
+    listeners = {i: tcp_listener() for i in (0, 1)}
+    roster = {i: ("127.0.0.1", listeners[i].getsockname()[1]) for i in (0, 1)}
+    joined = {}
+
+    def join(i):
+        with listeners[i]:
+            joined[i] = tcp_connect_channels(i, [1 - i], roster, listeners[i], timeout)
+
+    assert _run_bounded([lambda: join(0), lambda: join(1)]) == [None, None]
+    _opened.extend((joined[0][1].sock, joined[1][0].sock))
+    return joined[0][1].sock, joined[1][0].sock
+
+
+class TestOrderedSwap:
+    """Both directions of a channel carry frames larger than the kernel's
+    socket buffer at once, and no wait outlasts the timeout."""
+
+    @pytest.mark.parametrize("transport", ["socketpair", "tcp"])
+    def test_four_megabyte_frames_both_ways(self, transport):
+        a, b = socketpair() if transport == "socketpair" else tcp_socket_pair()
+        ch_a, ch_b = synthetic_channel(0, 1, a), synthetic_channel(1, 0, b)
+        out_a = [float(k) for k in range(BIG)]
+        out_b = [-float(k) for k in range(BIG)]
+        got = [None, None]
+
+        def side(idx, ch, outgoing):
+            got[idx] = exchange([ch], {ch.remote: outgoing}, step=4, timeout=10.0)
+
+        try:
+            errors = _run_bounded(
+                [lambda: side(0, ch_a, out_a), lambda: side(1, ch_b, out_b)], 20.0
+            )
+        finally:
+            for sock in (a, b):  # wakes a side still blocked in a send
+                sock.shutdown(socket.SHUT_RDWR)
+        assert errors == [None, None]
+        assert got[0] == {1: out_b}
+        assert got[1] == {0: out_a}
+
+    def test_peer_that_never_reads_fails_the_sender(self):
+        a, _b = socketpair()
+        ch_a = synthetic_channel(0, 1, a)
+        t0 = time.monotonic()
+        try:
+            errors = _run_bounded(
+                [lambda: exchange([ch_a], {1: [0.0] * BIG}, step=0, timeout=0.5)], 5.0
+            )
+        finally:
+            a.shutdown(socket.SHUT_RDWR)  # wakes the send if it still blocks
+        assert isinstance(errors[0], ProtocolError)
+        assert "neighbor 1 failed at step 0: timed out" in str(errors[0])
+        assert time.monotonic() - t0 < 2.0

@@ -3,14 +3,18 @@ dump plumbing, and the benchmark report."""
 
 import contextlib
 import gc
+import importlib.util
 import json
+import multiprocessing
 import os
 import re
+import signal
+import sys
 import time
 
 import pytest
 
-from ctmdist.comm import decode, encode
+from ctmdist.comm import HEADER, SocketDuplex, decode, encode
 from ctmdist.engine import Engine
 from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
@@ -189,6 +193,77 @@ class TestDeadWorker:
         with pytest.raises(ProtocolError, match=r"worker 1 exited with code 9"):
             run_distributed(generate_grid(3, 3), 2, transport=transport, steps=10, timeout=30)
         assert time.monotonic() - t0 < 5.0
+
+
+class TestStalledWorker:
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_half_frame_times_out(self, monkeypatch, transport):
+        # worker 1 writes half of its step-2 frame and stops; worker 0 must
+        # give up within the exchange timeout, not wait for the rest
+        send_frame = SocketDuplex.send_frame
+
+        def stalling_send(duplex, data, *args):
+            step, sender = HEADER.unpack_from(data)[:2]
+            if (step, sender) == (2, 1):
+                duplex.sock.sendall(data[: len(data) // 2])
+                time.sleep(60)
+            send_frame(duplex, data, *args)
+
+        monkeypatch.setattr(SocketDuplex, "send_frame", stalling_send)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"worker 0: .*step 2: timed out"):
+            run_distributed(generate_grid(3, 3), 2, transport=transport, steps=5, timeout=1.0)
+        assert time.monotonic() - t0 < 10.0
+
+
+def _load_workloads(monkeypatch):
+    """The benchmark's input generators, `perfbench/workloads.py`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bounded_in_child(fn, seconds):
+    """fn()'s result, computed in a forked child that leads its own process
+    group; if no result arrives within `seconds`, the group (the child and
+    every worker it forked) is killed and the test fails."""
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def body():
+        os.setpgid(0, 0)
+        try:
+            sender.send(("ok", fn()))
+        except Exception as e:  # noqa: BLE001 - reported to the test
+            sender.send(("error", repr(e)))
+
+    proc = ctx.Process(target=body)
+    proc.start()
+    sender.close()
+    arrived = receiver.poll(seconds)
+    outcome = receiver.recv() if arrived else ("hung", f"no result after {seconds}s")
+    if not arrived:
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.join()
+    assert outcome[0] == "ok", outcome[1]
+    return outcome[1]
+
+
+class TestOrderedExchange:
+    def test_checkerboard_cut_over_socketpairs(self, monkeypatch):
+        # the checker-tcp2 benchmark inputs: every junction-to-junction link
+        # crosses the cut, so each handshake frame is about 310 KB, larger
+        # than a socketpair's buffer, and both directions send at once
+        workloads = _load_workloads(monkeypatch)
+        scenario = workloads.grid_scenario(1, 3)
+        subs = build_subnetworks(scenario, workloads.checker_partition(scenario, 30, 30, 1))
+        dist = _bounded_in_child(
+            lambda: rows_to_csv(run_distributed(subs=subs, steps=3, timeout=5.0).rows), 60.0
+        )
+        assert dist == rows_to_csv(run_sequential(scenario, steps=3).rows)
 
 
 class TestDecoderFileCheck:
