@@ -192,6 +192,11 @@ def map_difference(theirs: DecoderMap, mine: DecoderMap) -> str | None:
 
 
 def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:
+    """Check the neighbor's handshake against this side's receive map.  A
+    byte-equal payload is the same map; any other payload is parsed so that
+    the error can name the first difference."""
+    if payload == _slot_fingerprint(channel.recv_map):
+        return
     try:
         hello = DecoderMap.from_doc(json.loads(payload.decode("ascii")))
     except (KeyError, TypeError, ValueError):

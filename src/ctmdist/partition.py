@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import ScenarioError
-from .scenario import Scenario, SubnetworkMeta, validate
+from .scenario import Scenario, SubnetworkMeta, derive_link_tables, validate
 
 BALANCE_FACTOR = 1.1
 REFINE_PASSES = 10
@@ -329,7 +329,7 @@ def load_partition(path: str, scenario: Scenario) -> NodePartition:
 
 
 def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subnetwork]:
-    """Cut the scenario into per-subset fragments.
+    """Cut the validated `scenario` into per-subset fragments.
 
     Each fragment carries: its owned nodes; every link incident to them
     (interior plus overlap); the road connections touching those links (so
@@ -339,6 +339,18 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
     link lives at a node the other side owns); and the demand rows of all
     carried simulated links (both replicas of an overlap source inject
     identically).  Fragments validate as stand-alone scenarios.
+
+    The fragments are not run through validate() again.  A simulated link
+    keeps every road connection it has in `scenario`, so its connection,
+    lane-group and commodity entries, its split and demand rows and its
+    flags equal the parent's; the fragment takes those entries, all
+    immutable, from `scenario`.  A stub keeps only its connections to
+    simulated links and may become a sink, so `derive_link_tables` derives
+    its entries as validate() does.  Every check validate() makes holds by
+    construction: the rows and lane groups of simulated links passed it in
+    `scenario`, a stub's lane groups serve a subset of its connections, and
+    link roles and `neighbor_of_link` follow from `partition`.  Fragments
+    read from files are validated in full.
     """
     assign = partition.assignment
     subs = []
@@ -398,8 +410,18 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             demands=[r for r in scenario.demands if r.link in sim_set],
             sim=scenario.sim,
             subnetwork=meta,
+            out_conns={lid: scenario.out_conns[lid] for lid in sim_links},
+            in_conns={lid: scenario.in_conns[lid] for lid in sim_links},
+            lane_groups={lid: scenario.lane_groups[lid] for lid in sim_links},
+            commodities={lid: scenario.commodities[lid] for lid in sim_links},
+            _split_index={
+                key: rows for key, rows in scenario._split_index.items() if key[0] in sim_set
+            },
+            _demand_index={
+                lid: rows for lid, rows in scenario._demand_index.items() if lid in sim_set
+            },
         )
-        validate(fragment)
+        derive_link_tables(fragment, sorted(frag_link_ids - sim_set))
         subs.append(Subnetwork(fragment))
     return subs
 

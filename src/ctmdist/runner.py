@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import signal
 import socket
 import time
 import traceback
@@ -309,8 +310,8 @@ def _read_result(conn) -> tuple:
     try:
         if conn.poll():
             return conn.recv()
-    except EOFError:
-        pass
+    except (EOFError, OSError):
+        pass  # none, or cut short
     return DEAD
 
 
@@ -413,17 +414,22 @@ def run_distributed(
             if results[i][0] != "ok":
                 failure = failure or results[i]
     if failure is not None:
-        grace = time.monotonic() + 2.0
-        for i, proc in enumerate(procs):
-            proc.join(max(0.0, grace - time.monotonic()))
-            if results[i] is None and proc.exitcode is not None:
-                results[i] = _read_result(result_pipes[i][0])
+        # stop the workers still running, then read what each one sent
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
+        for i, proc in enumerate(procs):
             proc.join()
-        # a worker that died is the cause of the errors its neighbors saw
-        dead = [i for i, r in enumerate(results) if r == DEAD]
+            if results[i] is None:
+                results[i] = _read_result(result_pipes[i][0])
+        # a worker that died by itself is the cause of the errors its
+        # neighbors saw; one that terminate() stopped is not, and a worker
+        # already exiting keeps its own exit code
+        dead = [
+            i
+            for i, r in enumerate(results)
+            if r == DEAD and procs[i].exitcode != -signal.SIGTERM
+        ]
         if dead:
             code = procs[dead[0]].exitcode
             raise ProtocolError(f"worker {dead[0]} exited with code {code} without a result")

@@ -150,14 +150,15 @@ class Scenario:
     sim: SimParams
     subnetwork: SubnetworkMeta | None = None
 
-    # --- derived lookup tables, built by validate() ---
+    # --- derived lookup tables, built by validate(); immutable values, so a
+    # fragment cut by partition.build_subnetworks shares its parent's ---
     out_conns: dict[int, tuple[int, ...]] = _derived()
     in_conns: dict[int, tuple[int, ...]] = _derived()
     lane_groups: dict[int, tuple[LaneGroup, ...]] = _derived()
-    # link -> ascending commodities that can occur on it; see validate()
+    # link -> ascending commodities that can occur on it; see derive_link_tables()
     commodities: dict[int, tuple[Commodity, ...]] = _derived()
-    _split_index: dict[tuple[int, int], list[SplitRow]] = _derived()
-    _demand_index: dict[int, list[DemandRow]] = _derived()
+    _split_index: dict[tuple[int, int], tuple[SplitRow, ...]] = _derived()
+    _demand_index: dict[int, tuple[DemandRow, ...]] = _derived()
 
     # --- queries used by the engine and partitioner ---
 
@@ -180,8 +181,8 @@ class Scenario:
                 break
         return chosen.ratios if chosen is not None else None
 
-    def demand_rows(self, link_id: int) -> list[DemandRow]:
-        return self._demand_index.get(link_id, [])
+    def demand_rows(self, link_id: int) -> tuple[DemandRow, ...]:
+        return self._demand_index.get(link_id, ())
 
 
 def rate_at(profile: tuple[tuple[float, float], ...], time: float) -> float:
@@ -256,26 +257,23 @@ def build_lane_groups(
 # ---------------------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(msg)
-
-
-def _as_id(value, what: str) -> int:
+def _as_id(value, what: str, *args) -> int:
+    """`value` as an id.  `what` names the field, formatted with `args` only
+    when `value` is rejected."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ScenarioError(f"{what} must be a non-negative integer, got {value!r}")
+        raise ScenarioError(f"{what.format(*args)} must be a non-negative integer, got {value!r}")
     return value
 
 
-def _lane_range(raw, lanes: int, what: str) -> tuple[int, int]:
+def _lane_range(raw, lanes: int, what: str, *args) -> tuple[int, int]:
+    """An inclusive lane pair, (1, lanes) when absent; `what` as in `_as_id`."""
     if raw is None:
         return (1, lanes)
-    _require(
-        isinstance(raw, list) and len(raw) == 2,
-        f"{what} must be a [lo, hi] lane pair",
-    )
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ScenarioError(f"{what.format(*args)} must be a [lo, hi] lane pair")
     lo, hi = int(raw[0]), int(raw[1])
-    _require(1 <= lo <= hi <= lanes, f"{what} [{lo}, {hi}] outside lanes 1..{lanes}")
+    if not 1 <= lo <= hi <= lanes:
+        raise ScenarioError(f"{what.format(*args)} [{lo}, {hi}] outside lanes 1..{lanes}")
     return (lo, hi)
 
 
@@ -294,38 +292,51 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _build_scenario(doc) -> Scenario:
-    _require(isinstance(doc, dict), "top level must be a JSON object")
+    # every check formats its message only when it fails
+    if not isinstance(doc, dict):
+        raise ScenarioError("top level must be a JSON object")
     for key in ("nodes", "links", "simulation"):
-        _require(key in doc, f"missing top-level key '{key}'")
+        if key not in doc:
+            raise ScenarioError(f"missing top-level key '{key}'")
 
     sim_raw = doc["simulation"]
     dt = float(sim_raw.get("dt", 0.0))
     steps = int(sim_raw.get("steps", 0))
     eta = float(sim_raw.get("lane_change_rate", 0.5))
-    _require(dt > 0, "simulation.dt must be positive")
-    _require(steps >= 1, "simulation.steps must be >= 1")
-    _require(0.0 < eta <= 1.0, "simulation.lane_change_rate must be in (0, 1]")
+    if not dt > 0:
+        raise ScenarioError("simulation.dt must be positive")
+    if not steps >= 1:
+        raise ScenarioError("simulation.steps must be >= 1")
+    if not 0.0 < eta <= 1.0:
+        raise ScenarioError("simulation.lane_change_rate must be in (0, 1]")
     sim = SimParams(dt=dt, steps=steps, lane_change_rate=eta)
 
     nodes: dict[int, Node] = {}
     for raw in doc["nodes"]:
         nid = _as_id(raw["id"], "node id")
-        _require(nid not in nodes, f"duplicate node id {nid}")
+        if nid in nodes:
+            raise ScenarioError(f"duplicate node id {nid}")
         nodes[nid] = Node(id=nid)
 
     links: dict[int, Link] = {}
     for raw in doc["links"]:
         lid = _as_id(raw["id"], "link id")
-        _require(lid not in links, f"duplicate link id {lid}")
-        start = _as_id(raw["start_node"], f"link {lid} start_node")
-        end = _as_id(raw["end_node"], f"link {lid} end_node")
-        _require(start in nodes, f"link {lid} references missing node {start}")
-        _require(end in nodes, f"link {lid} references missing node {end}")
-        _require(start != end, f"link {lid} start and end node coincide")
+        if lid in links:
+            raise ScenarioError(f"duplicate link id {lid}")
+        start = _as_id(raw["start_node"], "link {} start_node", lid)
+        end = _as_id(raw["end_node"], "link {} end_node", lid)
+        if start not in nodes:
+            raise ScenarioError(f"link {lid} references missing node {start}")
+        if end not in nodes:
+            raise ScenarioError(f"link {lid} references missing node {end}")
+        if start == end:
+            raise ScenarioError(f"link {lid} start and end node coincide")
         length = float(raw["length"])
-        _require(length > 0, f"link {lid} length must be positive")
+        if not length > 0:
+            raise ScenarioError(f"link {lid} length must be positive")
         lanes = int(raw["lanes"])
-        _require(lanes >= 1, f"link {lid} must have at least one lane")
+        if not lanes >= 1:
+            raise ScenarioError(f"link {lid} must have at least one lane")
         fd_raw = raw["fd"]
         fd = FDParams(
             capacity=float(fd_raw["capacity"]),
@@ -334,22 +345,21 @@ def _build_scenario(doc) -> Scenario:
             jam_density=float(fd_raw["jam_density"]),
         )
         for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
-            _require(getattr(fd, name) > 0, f"link {lid} fd.{name} must be positive")
-        _require(
-            fd.congestion_wave_speed <= fd.free_flow_speed,
-            f"link {lid}: congestion wave speed exceeds free-flow speed",
-        )
+            if not getattr(fd, name) > 0:
+                raise ScenarioError(f"link {lid} fd.{name} must be positive")
+        if not fd.congestion_wave_speed <= fd.free_flow_speed:
+            raise ScenarioError(f"link {lid}: congestion wave speed exceeds free-flow speed")
         tri = fd.capacity / fd.free_flow_speed + fd.capacity / fd.congestion_wave_speed
-        _require(
-            tri <= fd.jam_density + SUM_TOL,
-            f"link {lid}: triangular diagram does not fit under jam density "
-            f"(needs {tri}, jam {fd.jam_density})",
-        )
-        _require(
-            fd.free_flow_speed * dt <= length + CFL_TOL,
-            f"link {lid}: CFL violation, free-flow step {fd.free_flow_speed * dt} m "
-            f"exceeds length {length} m",
-        )
+        if not tri <= fd.jam_density + SUM_TOL:
+            raise ScenarioError(
+                f"link {lid}: triangular diagram does not fit under jam density "
+                f"(needs {tri}, jam {fd.jam_density})"
+            )
+        if not fd.free_flow_speed * dt <= length + CFL_TOL:
+            raise ScenarioError(
+                f"link {lid}: CFL violation, free-flow step {fd.free_flow_speed * dt} m "
+                f"exceeds length {length} m"
+            )
         links[lid] = Link(
             id=lid,
             start_node=start,
@@ -363,37 +373,42 @@ def _build_scenario(doc) -> Scenario:
     connections: dict[int, RoadConnection] = {}
     for raw in doc.get("roadconnections", []):
         cid = _as_id(raw["id"], "road connection id")
-        _require(cid not in connections, f"duplicate road connection id {cid}")
-        in_link = _as_id(raw["in_link"], f"connection {cid} in_link")
-        out_link = _as_id(raw["out_link"], f"connection {cid} out_link")
-        _require(in_link in links, f"connection {cid} references missing link {in_link}")
-        _require(out_link in links, f"connection {cid} references missing link {out_link}")
-        _require(
-            links[in_link].end_node == links[out_link].start_node,
-            f"connection {cid}: in_link {in_link} does not end where "
-            f"out_link {out_link} starts",
-        )
+        if cid in connections:
+            raise ScenarioError(f"duplicate road connection id {cid}")
+        in_link = _as_id(raw["in_link"], "connection {} in_link", cid)
+        out_link = _as_id(raw["out_link"], "connection {} out_link", cid)
+        if in_link not in links:
+            raise ScenarioError(f"connection {cid} references missing link {in_link}")
+        if out_link not in links:
+            raise ScenarioError(f"connection {cid} references missing link {out_link}")
+        if links[in_link].end_node != links[out_link].start_node:
+            raise ScenarioError(
+                f"connection {cid}: in_link {in_link} does not end where "
+                f"out_link {out_link} starts"
+            )
         connections[cid] = RoadConnection(
             id=cid,
             in_link=in_link,
             out_link=out_link,
             in_lanes=_lane_range(
-                raw.get("in_lanes"), links[in_link].lanes, f"connection {cid} in_lanes"
+                raw.get("in_lanes"), links[in_link].lanes, "connection {} in_lanes", cid
             ),
             out_lanes=_lane_range(
-                raw.get("out_lanes"), links[out_link].lanes, f"connection {cid} out_lanes"
+                raw.get("out_lanes"), links[out_link].lanes, "connection {} out_lanes", cid
             ),
         )
 
     vehicle_types: dict[int, VehicleType] = {}
     for raw in doc.get("vehicletypes", []):
         vid = _as_id(raw["id"], "vehicle type id")
-        _require(vid not in vehicle_types, f"duplicate vehicle type id {vid}")
+        if vid in vehicle_types:
+            raise ScenarioError(f"duplicate vehicle type id {vid}")
         routing = raw["routing"]
         mode = routing.get("type")
         if mode == "deterministic":
-            path = tuple(_as_id(x, f"vehicle type {vid} path entry") for x in routing["path"])
-            _require(len(path) >= 1, f"vehicle type {vid} has an empty path")
+            path = tuple(_as_id(x, "vehicle type {} path entry", vid) for x in routing["path"])
+            if not len(path) >= 1:
+                raise ScenarioError(f"vehicle type {vid} has an empty path")
             vehicle_types[vid] = VehicleType(id=vid, routing="deterministic", path=path)
         elif mode == "probabilistic":
             vehicle_types[vid] = VehicleType(id=vid, routing="probabilistic")
@@ -449,21 +464,18 @@ def _build_scenario(doc) -> Scenario:
     return scenario
 
 
-def validate(s: Scenario) -> None:
-    """Cross-reference and invariant checks; also builds derived indexes."""
-    out_conns: dict[int, list[int]] = {lid: [] for lid in s.links}
-    in_conns: dict[int, list[int]] = {lid: [] for lid in s.links}
+def derive_link_tables(s: Scenario, lids) -> None:
+    """Derive what validate() keeps for each link of `lids` from
+    `s.connections` and `s.vehicle_types`: its sorted out- and
+    in-connections, its sink flag, its lane groups and its commodities.
+    Other links' entries are left as they are."""
+    out_conns: dict[int, list[int]] = {lid: [] for lid in lids}
+    in_conns: dict[int, list[int]] = {lid: [] for lid in lids}
     for c in s.connections.values():
-        out_conns[c.in_link].append(c.id)
-        in_conns[c.out_link].append(c.id)
-    s.out_conns = {lid: tuple(sorted(v)) for lid, v in out_conns.items()}
-    s.in_conns = {lid: tuple(sorted(v)) for lid, v in in_conns.items()}
-
-    # sink flag is derived from connectivity
-    for lid, link in list(s.links.items()):
-        is_sink = len(s.out_conns[lid]) == 0
-        if link.is_sink != is_sink:
-            s.links[lid] = dataclasses.replace(link, is_sink=is_sink)
+        if c.in_link in out_conns:
+            out_conns[c.in_link].append(c.id)
+        if c.out_link in in_conns:
+            in_conns[c.out_link].append(c.id)
 
     # commodities per link: (vt, TERMINAL) for every type on a sink;
     # elsewhere the path successor of each deterministic type whose path
@@ -479,18 +491,23 @@ def validate(s: Scenario) -> None:
     )
     sink_comms = tuple((vt, TERMINAL) for vt in sorted(s.vehicle_types))
 
-    # lane groups must be constructible and unambiguous for routing
-    s.lane_groups, s.commodities = {}, {}
-    for lid, link in s.links.items():
-        outgoing = [s.connections[c] for c in s.out_conns[lid]]
+    for lid, conns in out_conns.items():
+        s.out_conns[lid] = out = tuple(sorted(conns))
+        s.in_conns[lid] = tuple(sorted(in_conns[lid]))
+        # the sink flag is derived from connectivity
+        link = s.links[lid]
+        if link.is_sink != (not out):
+            link = s.links[lid] = dataclasses.replace(link, is_sink=not out)
+        # lane groups must be constructible and unambiguous for routing
+        outgoing = [s.connections[c] for c in out]
         groups = tuple(build_lane_groups(link, outgoing, s.sim.dt))
         for g in groups:
             targets = [s.connections[c].out_link for c in g.conn_ids]
-            _require(
-                len(targets) == len(set(targets)),
-                f"link {lid} lanes {g.lane_lo}-{g.lane_hi}: two road connections "
-                f"lead to the same downstream link",
-            )
+            if len(targets) != len(set(targets)):
+                raise ScenarioError(
+                    f"link {lid} lanes {g.lane_lo}-{g.lane_hi}: two road connections "
+                    f"lead to the same downstream link"
+                )
         s.lane_groups[lid] = groups
         if not outgoing:
             s.commodities[lid] = sink_comms
@@ -500,6 +517,12 @@ def validate(s: Scenario) -> None:
         comms.extend(det_comms.get(lid, ()))
         s.commodities[lid] = tuple(sorted(comms))
 
+
+def validate(s: Scenario) -> None:
+    """Cross-reference and invariant checks; also builds derived indexes."""
+    s.out_conns, s.in_conns, s.lane_groups, s.commodities = {}, {}, {}, {}
+    derive_link_tables(s, s.links)
+
     # deterministic paths: connected, loop-free, end at a sink; fragments
     # keep the full global path (checked before partitioning) but carry only
     # their own links, so the checks apply to whole scenarios only
@@ -508,108 +531,104 @@ def validate(s: Scenario) -> None:
             break
         if vt.routing != "deterministic":
             continue
-        _require(
-            len(set(vt.path)) == len(vt.path),
-            f"vehicle type {vt.id} path repeats a link",
-        )
+        if len(set(vt.path)) != len(vt.path):
+            raise ScenarioError(f"vehicle type {vt.id} path repeats a link")
         for lid in vt.path:
-            _require(lid in s.links, f"vehicle type {vt.id} path references missing link {lid}")
+            if lid not in s.links:
+                raise ScenarioError(f"vehicle type {vt.id} path references missing link {lid}")
         for a, b in zip(vt.path, vt.path[1:]):
             hops = {s.connections[c].out_link for c in s.out_conns[a]}
-            _require(
-                b in hops,
-                f"vehicle type {vt.id}: no road connection from link {a} to link {b}",
-            )
+            if b not in hops:
+                raise ScenarioError(
+                    f"vehicle type {vt.id}: no road connection from link {a} to link {b}"
+                )
         last = vt.path[-1]
-        _require(
-            len(s.out_conns[last]) == 0,
-            f"vehicle type {vt.id} path must end at a sink link, link {last} has "
-            f"outgoing connections",
-        )
+        if s.out_conns[last]:
+            raise ScenarioError(
+                f"vehicle type {vt.id} path must end at a sink link, link {last} has "
+                f"outgoing connections"
+            )
 
     # split rows: structural checks plus distribution sums
     split_index: dict[tuple[int, int], list[SplitRow]] = {}
     for row in s.splits:
-        _require(row.node in s.nodes, f"split references missing node {row.node}")
-        _require(row.in_link in s.links, f"split references missing link {row.in_link}")
-        _require(
-            s.links[row.in_link].end_node == row.node,
-            f"split row for link {row.in_link} keyed to node {row.node}, but the "
-            f"link ends at node {s.links[row.in_link].end_node}",
-        )
-        _require(
-            row.vtype in s.vehicle_types,
-            f"split references missing vehicle type {row.vtype}",
-        )
-        _require(
-            s.vehicle_types[row.vtype].routing == "probabilistic",
-            f"split row given for deterministic vehicle type {row.vtype}",
-        )
+        if row.node not in s.nodes:
+            raise ScenarioError(f"split references missing node {row.node}")
+        if row.in_link not in s.links:
+            raise ScenarioError(f"split references missing link {row.in_link}")
+        if s.links[row.in_link].end_node != row.node:
+            raise ScenarioError(
+                f"split row for link {row.in_link} keyed to node {row.node}, but the "
+                f"link ends at node {s.links[row.in_link].end_node}"
+            )
+        if row.vtype not in s.vehicle_types:
+            raise ScenarioError(f"split references missing vehicle type {row.vtype}")
+        if s.vehicle_types[row.vtype].routing != "probabilistic":
+            raise ScenarioError(f"split row given for deterministic vehicle type {row.vtype}")
         reachable = set(s.successors(row.in_link))
         total = 0.0
         for out_link, p in row.ratios:
-            _require(
-                out_link in reachable,
-                f"split at node {row.node}: link {out_link} is not reachable from "
-                f"link {row.in_link} via a road connection",
-            )
-            _require(p >= 0, f"split at node {row.node}: negative ratio for {out_link}")
+            if out_link not in reachable:
+                raise ScenarioError(
+                    f"split at node {row.node}: link {out_link} is not reachable from "
+                    f"link {row.in_link} via a road connection"
+                )
+            if not p >= 0:
+                raise ScenarioError(f"split at node {row.node}: negative ratio for {out_link}")
             total += p
-        _require(
-            abs(total - 1.0) <= SUM_TOL,
-            f"split at node {row.node} in_link {row.in_link}: distribution sums to "
-            f"{_short_float(total)}",
-        )
+        if not abs(total - 1.0) <= SUM_TOL:
+            raise ScenarioError(
+                f"split at node {row.node} in_link {row.in_link}: distribution sums to "
+                f"{_short_float(total)}"
+            )
         split_index.setdefault((row.in_link, row.vtype), []).append(row)
     for key, rows in split_index.items():
         rows.sort(key=lambda r: r.start_time)
-        _require(
-            rows[0].start_time == 0.0,
-            f"split rows for link {key[0]} vtype {key[1]} must start at time 0",
-        )
-        for a, b in zip(rows, rows[1:]):
-            _require(
-                a.start_time < b.start_time,
-                f"split rows for link {key[0]} vtype {key[1]} have duplicate "
-                f"start_time {b.start_time}",
+        if rows[0].start_time != 0.0:
+            raise ScenarioError(
+                f"split rows for link {key[0]} vtype {key[1]} must start at time 0"
             )
-    s._split_index = split_index
+        for a, b in zip(rows, rows[1:]):
+            if not a.start_time < b.start_time:
+                raise ScenarioError(
+                    f"split rows for link {key[0]} vtype {key[1]} have duplicate "
+                    f"start_time {b.start_time}"
+                )
+    s._split_index = {key: tuple(rows) for key, rows in split_index.items()}
 
     # demands: sources must be roots or explicitly flagged
     demand_index: dict[int, list[DemandRow]] = {}
     source_links = set()
     for row in s.demands:
-        _require(row.link in s.links, f"demand references missing link {row.link}")
-        _require(
-            row.vtype in s.vehicle_types,
-            f"demand references missing vehicle type {row.vtype}",
-        )
-        has_predecessors = len(s.in_conns[row.link]) > 0
-        _require(
-            not has_predecessors or s.links[row.link].is_source,
-            f"demand on link {row.link} which has upstream connections and no "
-            f"is_source flag",
-        )
+        if row.link not in s.links:
+            raise ScenarioError(f"demand references missing link {row.link}")
+        if row.vtype not in s.vehicle_types:
+            raise ScenarioError(f"demand references missing vehicle type {row.vtype}")
+        if s.in_conns[row.link] and not s.links[row.link].is_source:
+            raise ScenarioError(
+                f"demand on link {row.link} which has upstream connections and no "
+                f"is_source flag"
+            )
         last = -math.inf
         for start, flow in row.profile:
-            _require(flow >= 0, f"demand on link {row.link}: negative flow {flow}")
-            _require(
-                start > last,
-                f"demand on link {row.link}: breakpoints not strictly increasing",
-            )
+            if not flow >= 0:
+                raise ScenarioError(f"demand on link {row.link}: negative flow {flow}")
+            if not start > last:
+                raise ScenarioError(
+                    f"demand on link {row.link}: breakpoints not strictly increasing"
+                )
             last = start
         vt = s.vehicle_types[row.vtype]
-        if vt.routing == "deterministic":
-            _require(
-                vt.path[0] == row.link,
+        if vt.routing == "deterministic" and vt.path[0] != row.link:
+            raise ScenarioError(
                 f"deterministic vehicle type {vt.id} demand on link {row.link}, "
-                f"but its path starts at link {vt.path[0]}",
+                f"but its path starts at link {vt.path[0]}"
             )
         demand_index.setdefault(row.link, []).append(row)
         source_links.add(row.link)
-    for rows in demand_index.values():
-        rows.sort(key=lambda r: r.vtype)
-    s._demand_index = demand_index
+    s._demand_index = {
+        lid: tuple(sorted(rows, key=lambda r: r.vtype)) for lid, rows in demand_index.items()
+    }
 
     # mark links carrying demand as sources
     for lid in sorted(source_links):
@@ -620,7 +639,8 @@ def validate(s: Scenario) -> None:
     if s.subnetwork is not None:
         meta = s.subnetwork
         for nid in meta.owned_nodes:
-            _require(nid in s.nodes, f"subnetwork owns missing node {nid}")
+            if nid not in s.nodes:
+                raise ScenarioError(f"subnetwork owns missing node {nid}")
         owned = set(meta.owned_nodes)
         for role, lids, ends, rule in (
             ("interior", meta.interior_links, (True, True), "both ends"),
@@ -628,20 +648,23 @@ def validate(s: Scenario) -> None:
             ("relative sink", meta.relative_sinks, (True, False), "only its start node"),
         ):
             for lid in lids:
-                _require(lid in s.links, f"subnetwork references missing link {lid}")
+                if lid not in s.links:
+                    raise ScenarioError(f"subnetwork references missing link {lid}")
                 link = s.links[lid]
-                _require(
-                    (link.start_node in owned, link.end_node in owned) == ends,
-                    f"subnetwork {meta.index}: {role} link {lid} must have {rule} "
-                    f"owned (it runs from node {link.start_node} to node {link.end_node})",
-                )
+                if (link.start_node in owned, link.end_node in owned) != ends:
+                    raise ScenarioError(
+                        f"subnetwork {meta.index}: {role} link {lid} must have {rule} "
+                        f"owned (it runs from node {link.start_node} to node {link.end_node})"
+                    )
         neighbors = dict(meta.neighbor_of_link)
-        _require(
+        if not (
             neighbors.keys() == set(meta.relative_sources + meta.relative_sinks)
-            and meta.index not in neighbors.values(),
-            f"subnetwork {meta.index}: neighbor_of_link must map exactly the overlap "
-            f"links, each to another subnetwork",
-        )
+            and meta.index not in neighbors.values()
+        ):
+            raise ScenarioError(
+                f"subnetwork {meta.index}: neighbor_of_link must map exactly the overlap "
+                f"links, each to another subnetwork"
+            )
 
 
 def _short_float(x: float) -> str:

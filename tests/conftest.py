@@ -1,8 +1,11 @@
 """Shared fixtures: hand-built networks used across the test modules."""
 
 import dataclasses
+import importlib.util
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -201,3 +204,13 @@ def lanes_grid(rows=5, cols=5, steps=120, seed=7):
 @pytest.fixture
 def single_link():
     return parse_scenario(json.dumps(chain_doc(cells_per_link=10, links=1, demand=0.9)))
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's input generators, `perfbench/workloads.py`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads

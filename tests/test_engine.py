@@ -15,7 +15,7 @@ from ctmdist.engine import (
 from ctmdist.errors import InternalAssertion, ScenarioError
 from ctmdist.partition import NodePartition, build_decoder_map, build_subnetworks
 from ctmdist.runner import run_sequential
-from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario
+from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario, validate
 
 from conftest import link, merge_diverge_doc
 
@@ -26,12 +26,14 @@ def seed(engine, lid, gidx, cell, comm, veh):
 
 
 def fragment_with_path(scenario, path):
-    """`scenario` as its one fragment, with vehicle type 0 on `path`.  A
-    fragment skips the path checks, so an inconsistent path gets through to
-    the commodity table."""
-    scenario.vehicle_types[0] = VehicleType(0, "deterministic", path)
+    """`scenario` as its one fragment, with vehicle type 0 on `path` and the
+    fragment validated again.  A fragment skips the path checks, so an
+    inconsistent path gets through to the commodity table."""
     whole = NodePartition(1, {nid: 0 for nid in scenario.nodes})
-    return build_subnetworks(scenario, whole)[0].fragment
+    fragment = build_subnetworks(scenario, whole)[0].fragment
+    fragment.vehicle_types[0] = VehicleType(0, "deterministic", path)
+    validate(fragment)
+    return fragment
 
 
 def discharged(engine, plan, lid):

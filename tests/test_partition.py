@@ -22,9 +22,9 @@ from ctmdist.partition import (
     NodePartition,
     Subnetwork,
 )
-from ctmdist.scenario import parse_scenario, serialize_scenario
+from ctmdist.scenario import Scenario, parse_scenario, serialize_scenario, validate
 
-from conftest import lanes_grid, link
+from conftest import lanes_grid, link, load_workloads, merge_diverge_doc
 
 
 def path_scenario(n_nodes=4):
@@ -214,6 +214,45 @@ class TestSubnetworks:
             text = serialize_scenario(sub.fragment)
             again = parse_scenario(text)  # full validation on reload
             assert again == sub.fragment
+
+    @pytest.mark.parametrize(
+        "cut",
+        ["grid4x4-n3", "lanes_grid-n2", "lanes_grid-n3", "merge-at-node-5", "checker-tcp2"],
+    )
+    def test_sliced_tables_are_the_ones_validate_derives(self, monkeypatch, cut):
+        # build_subnetworks takes a simulated link's tables from the parent
+        # and derives a stub's alone; validate() on a copy of each fragment
+        # must derive every table, and every link's flags, the same
+        if cut == "checker-tcp2":
+            workloads = load_workloads(monkeypatch)
+            s = workloads.grid_scenario(1, 3)
+            p = workloads.checker_partition(s, 30, 30, 1)
+        elif cut == "merge-at-node-5":
+            s = parse_scenario(json.dumps(merge_diverge_doc()))
+            p = NodePartition(2, {nid: int(nid >= 5) for nid in s.nodes})
+        else:
+            s = generate_grid(4, 4) if cut == "grid4x4-n3" else lanes_grid()
+            p = partition_nodes(s, int(cut[-1]), seed=0)
+        for sub in build_subnetworks(s, p):
+            frag = sub.fragment
+            copy = Scenario(
+                nodes=dict(frag.nodes),
+                links=dict(frag.links),
+                connections=dict(frag.connections),
+                vehicle_types=dict(frag.vehicle_types),
+                splits=list(frag.splits),
+                demands=list(frag.demands),
+                sim=frag.sim,
+                subnetwork=frag.subnetwork,
+            )
+            validate(copy)
+            assert frag.links == copy.links
+            assert frag.out_conns == copy.out_conns
+            assert frag.in_conns == copy.in_conns
+            assert frag.lane_groups == copy.lane_groups
+            assert frag.commodities == copy.commodities
+            assert frag._split_index == copy._split_index
+            assert frag._demand_index == copy._demand_index
 
     def test_split_rows_follow_overlap_links(self, merge_diverge):
         # the upstream side of an overlap link needs the turn ratios that

@@ -3,13 +3,11 @@ dump plumbing, and the benchmark report."""
 
 import contextlib
 import gc
-import importlib.util
 import json
 import multiprocessing
 import os
 import re
 import signal
-import sys
 import time
 
 import pytest
@@ -38,7 +36,7 @@ from ctmdist.runner import (
 )
 from ctmdist.scenario import parse_scenario
 
-from conftest import chain_doc, lanes_grid, merge_diverge_doc
+from conftest import chain_doc, lanes_grid, load_workloads, merge_diverge_doc
 
 
 class TestSequential:
@@ -195,35 +193,40 @@ class TestDeadWorker:
         assert time.monotonic() - t0 < 5.0
 
 
+def _stall_half_frame(monkeypatch):
+    """Make worker 1 write half of its step-2 frame and then sleep for 60 s."""
+    send_frame = SocketDuplex.send_frame
+
+    def stalling_send(duplex, data, *args):
+        step, sender = HEADER.unpack_from(data)[:2]
+        if (step, sender) == (2, 1):
+            duplex.sock.sendall(data[: len(data) // 2])
+            time.sleep(60)
+        send_frame(duplex, data, *args)
+
+    monkeypatch.setattr(SocketDuplex, "send_frame", stalling_send)
+
+
 class TestStalledWorker:
     @pytest.mark.parametrize("transport", ["local", "tcp"])
     def test_half_frame_times_out(self, monkeypatch, transport):
-        # worker 1 writes half of its step-2 frame and stops; worker 0 must
-        # give up within the exchange timeout, not wait for the rest
-        send_frame = SocketDuplex.send_frame
-
-        def stalling_send(duplex, data, *args):
-            step, sender = HEADER.unpack_from(data)[:2]
-            if (step, sender) == (2, 1):
-                duplex.sock.sendall(data[: len(data) // 2])
-                time.sleep(60)
-            send_frame(duplex, data, *args)
-
-        monkeypatch.setattr(SocketDuplex, "send_frame", stalling_send)
+        # worker 0 must give up within the exchange timeout, not wait for
+        # the rest of the frame
+        _stall_half_frame(monkeypatch)
         t0 = time.monotonic()
         with pytest.raises(ProtocolError, match=r"worker 0: .*step 2: timed out"):
             run_distributed(generate_grid(3, 3), 2, transport=transport, steps=5, timeout=1.0)
         assert time.monotonic() - t0 < 10.0
 
-
-def _load_workloads(monkeypatch):
-    """The benchmark's input generators, `perfbench/workloads.py`."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
-    return workloads
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_failure_stops_the_stalled_peer(self, monkeypatch, transport):
+        # once worker 0 has reported, the run stops the sleeping worker 1
+        # instead of waiting on it: about the 1 s timeout plus set-up
+        _stall_half_frame(monkeypatch)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"worker 0: .*step 2: timed out"):
+            run_distributed(generate_grid(3, 3), 2, transport=transport, steps=5, timeout=1.0)
+        assert time.monotonic() - t0 < 2.5
 
 
 def _bounded_in_child(fn, seconds):
@@ -257,7 +260,7 @@ class TestOrderedExchange:
         # the checker-tcp2 benchmark inputs: every junction-to-junction link
         # crosses the cut, so each handshake frame is about 310 KB, larger
         # than a socketpair's buffer, and both directions send at once
-        workloads = _load_workloads(monkeypatch)
+        workloads = load_workloads(monkeypatch)
         scenario = workloads.grid_scenario(1, 3)
         subs = build_subnetworks(scenario, workloads.checker_partition(scenario, 30, 30, 1))
         dist = _bounded_in_child(
