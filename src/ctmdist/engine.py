@@ -3,20 +3,26 @@
 State is the number of vehicles per (lane group, cell, commodity), where a
 commodity is a (vehicle type, next downstream link) pair.  Every step runs:
 
-  phase A: lane changes, then demand/supply per cell, then flow resolution
-           at every node this engine owns (proportional merge against the
-           downstream link's first-cell supply);
-  phase B: next-link assignment for flows entering each link, then the
-           conservation update (internal cell flows, boundary removals and
-           deliveries, sink discharge, source injection).
+  phase A: lane changes; demand/supply per cell; internal cell flows and
+           sink discharge; flow resolution at every node this engine owns
+           (proportional merge against the downstream link's first-cell
+           supply) with next-link assignment for the entering flows.  Each
+           flow is applied to the cells as soon as it is computed.
+  phase B: the records received from neighbors, the deliveries phase A
+           deferred, source injection, then one ascending pass over the
+           active and touched links that settles float dust, folds each
+           cell's total once, decides which links stay active and counts
+           the vehicles in the network.
 
 Between the phases a distributed run exchanges boundary records with
 neighboring subnetworks; a sequential run is the same engine with every node
-owned and nothing to exchange.  A record has one shape from phase A through
-the wire to phase B: (link, connection, lane group, commodity position,
-vehicles).  All accumulation loops iterate in ascending (link, lane group,
-connection, commodity) order so that a partitioned run reproduces the
-sequential run bit for bit.
+owned and nothing to exchange.  Records exist only for flows through the
+road connections of overlap links, which the neighbor applies to its
+replica, and for deliveries into one-cell links, which phase B applies.  A
+record has one shape from phase A through the wire to phase B: (link,
+connection, lane group, commodity position, vehicles).  All accumulation
+loops iterate in ascending (link, lane group, connection, commodity) order
+so that a partitioned run reproduces the sequential run bit for bit.
 
 `partition` derives each decoder-map slot with its key from the fragment the
 engine is built from, so the key fits by construction: its link is an overlap
@@ -49,11 +55,46 @@ those of a map from commodity to vehicles iterated in sorted order:
   are exact, since `x * 1.0 == x` and `s / s == 1.0` for `s > 0`.
 - `in_network` adds per-cell totals in ascending link order.  It skips
   inactive links, which only ever hold zeros.
-- Each entry receives its additions and subtractions in the order the
-  records were made, so phase B applies records in list order.
 - The builtin `sum()` never runs over simulation floats: since CPython 3.12
   it adds floats with compensated (Neumaier) summation, which changes the
   bits.  `cell_total` is a plain left fold.
+
+Every entry receives its additions and subtractions in one fixed order, and
+deltas are never summed first: `(c - r) + d` is not `c + (d - r)`.  Per
+link the order is internal flows in ascending (group, cell), removals,
+discharge, deliveries, injection, as if the step's flows were applied as a
+list of records.  Phase A keeps that order while it applies each flow at
+once:
+
+- A link's totals, connection demands, discharge and internal amounts are
+  all read before any of its flows are applied.  `_move_internal` reads
+  cell k's amounts from its pre-step list and only then replaces it.
+- Cell k gets +(k-1 -> k) before -(k -> k+1): k runs in ascending order and
+  the new entry is `(v + inflow) - outflow`.
+- The last cell gets its internal inflow, then at most one removal, then
+  discharge.  Every active link's internal flows are applied before the
+  node loop makes any removal, and a lane group serves each next link
+  through one connection, so a (group, position) has one removal at most.
+  Discharge happens only on sinks, which have no outgoing connections and
+  so no removals; it follows the sink's internal flows directly.
+- The first cell gets its internal outflow, then the deliveries in
+  ascending (target, connection) order, then received records, then
+  injection.  A link's deliveries all come from one target in the node
+  loop, or all from the neighbor when a neighbor owns its start node.
+- A one-cell link's first cell is also its last, and the node loop may make
+  its deliveries (as a target) before its removals (as an upstream link).
+  Deliveries into one-cell links are therefore deferred: phase B applies
+  them after every removal, received ones included.
+- Both replicas of an overlap link keep the order: the side owning the end
+  node applies removals in phase A and received deliveries in phase B; the
+  side owning the start node applies received removals in phase B, before
+  its deferred one-cell deliveries.  A received removal on a link whose end
+  node this engine owns, or a received delivery on a link whose start node
+  it owns, would break this and is rejected.
+- Phase B's pass folds each cell's total after its last update of the
+  step.  Phase A of the next step reuses the totals for single-group
+  links, which no lane change touches; `set_cell_value` drops a link's
+  totals.
 
 Removal and delivery records are made for nonzero entries only, and dumps
 skip zero entries.
@@ -169,12 +210,15 @@ class LinkRuntime:
 
 @dataclass(slots=True)
 class StepPlan:
-    # link -> (group index, cell k, per-position flows from cell k to k + 1)
-    internal: dict[int, list[tuple[int, int, list[float]]]] = field(default_factory=dict)
+    # overlap link -> the removals or deliveries this engine resolved on it,
+    # in the order applied; the neighbor applies them to its replica
     removals: dict[int, list[EntryRecord]] = field(default_factory=dict)
     deliveries: dict[int, list[EntryRecord]] = field(default_factory=dict)
-    # link -> (group index, per-position discharge from the last cell)
-    discharge: dict[int, list[tuple[int, list[float]]]] = field(default_factory=dict)
+    # deliveries into one-cell links, applied in phase B after every removal
+    deferred: list[EntryRecord] = field(default_factory=list)
+    # links a connection demands to enter; phase A delivers only into these
+    targets: set[int] = field(default_factory=set)
+    exited: float = 0.0  # sink discharge on authoritative links
 
 
 @dataclass(slots=True)
@@ -212,8 +256,10 @@ class Engine:
             for lid in sorted(self.links)
             if self.scenario.demand_rows(lid)
         )
+        self._source_set = frozenset(self.source_links)
         self.active: set[int] = set(self.source_links)
-        # per step: cell totals of active links after lane changes
+        # cell totals of the active links: left by phase B's pass, taken
+        # again by phase A after lane changes on multi-group links
         self._totals: dict[int, list[list[float]]] = {}
         self._empty_supplies: dict[int, tuple[float, tuple]] = {}
         # entry fractions stay valid while no split row starts: cached per
@@ -283,7 +329,9 @@ class Engine:
     # ------------------------------------------------------------------
 
     def phase_a(self, step: int) -> StepPlan:
-        """Lane changes, demand/supply, and flow resolution at owned nodes.
+        """Lane changes, demand/supply, flow resolution at owned nodes, and
+        the flows this engine resolves, applied to the cells as they are
+        computed (see the module docstring for the order).
 
         Returns the step plan; records for overlap links must be shipped to
         the neighboring subnetwork before phase B.
@@ -295,27 +343,45 @@ class Engine:
             self._epoch = epoch
             self._position_cache.clear()
 
+        links = self.links
         active = sorted(self.active)
         for lid in active:
-            lrt = self.links[lid]
+            lrt = links[lid]
             if len(lrt.groups) > 1:
                 self.apply_lane_changes(lrt)
 
         totals = self._totals
-        totals.clear()
         demand_by_conn: dict[int, list] = {}
-        touched_links: set[int] = set()
+        exited = 0.0
         for lid in active:
-            lrt = self.links[lid]
-            totals[lid] = [[reduce(add, cell, 0.0) for cell in g.cells] for g in lrt.groups]
-            self._plan_internal_flows(lrt, plan)
+            lrt = links[lid]
+            groups = lrt.groups
+            # phase B's pass left the totals of every active link; lane
+            # changes may have moved vehicles since on multi-group links
+            link_totals = totals.get(lid) if len(groups) == 1 else None
+            if link_totals is None:
+                link_totals = totals[lid] = [
+                    [reduce(add, cell, 0.0) for cell in g.cells] for g in groups
+                ]
+            discharge = []
             if lrt.link.is_sink:
-                self._plan_discharge(lrt, plan)
+                for g in groups:
+                    n_last = link_totals[g.index][-1]
+                    total, amounts = compute_demand(g.cells[-1], n_last, g.cap_step)
+                    if total > 0.0:
+                        discharge.append((g, amounts))
             elif lrt.outflow_local:
-                self.compute_connection_demands(lrt, demand_by_conn, touched_links)
+                self.compute_connection_demands(lrt, demand_by_conn, plan.targets)
+            self._move_internal(lrt, link_totals)
+            for g, amounts in discharge:
+                g.cells[-1] = [v - a for v, a in zip(g.cells[-1], amounts)]
+                if lrt.authoritative:
+                    for amount in amounts:
+                        exited += amount
+        plan.exited = exited
 
         in_conns = self.scenario.in_conns
-        for target in sorted(touched_links):
+        for target in sorted(plan.targets):
             entries = {}
             for cid in in_conns[target]:
                 demand = demand_by_conn.get(cid)
@@ -323,7 +389,7 @@ class Engine:
                     entries[cid] = demand
             supply_total, shares = self._supplies(target)
             flows = resolve_node_flows(entries, supply_total)
-            self._record_flows(target, flows, shares, time, plan)
+            self._apply_node_flows(target, flows, shares, time, plan)
 
         self._plan = plan
         return plan
@@ -372,33 +438,37 @@ class Engine:
                     src_cell[p] = src_cell[p] - moved
                     dst_cell[p] = dst_cell[p] + moved
 
-    def _plan_internal_flows(self, lrt: LinkRuntime, plan: StepPlan) -> None:
-        records: list[tuple[int, int, list[float]]] = []
-        link_totals = self._totals[lrt.link.id]
+    @staticmethod
+    def _move_internal(lrt: LinkRuntime, link_totals: list[list[float]]) -> None:
+        """Move each cell's flow into the next cell of its lane group, in
+        ascending k.  Cell k's outflow is read from its pre-step list, which
+        stays untouched until then, and its new list is `(v + inflow) -
+        outflow` entry by entry; the last cell only gains."""
         for g in lrt.groups:
             totals = link_totals[g.index]
+            cells = g.cells
+            cap = g.cap_step
+            inflow = None
             for k in range(g.cell_count - 1):
-                total, demands = compute_demand(g.cells[k], totals[k], g.cap_step)
-                if total <= 0.0:
-                    continue
-                supply = compute_supply(totals[k + 1], g.cap_step, g.wv_ratio, g.jam_veh)
-                flow = total if total < supply else supply
-                if flow <= 0.0:
-                    continue
-                scale = flow / total
-                records.append((g.index, k, [d * scale for d in demands]))
-        if records:
-            plan.internal[lrt.link.id] = records
-
-    def _plan_discharge(self, lrt: LinkRuntime, plan: StepPlan) -> None:
-        records: list[tuple[int, list[float]]] = []
-        link_totals = self._totals[lrt.link.id]
-        for g in lrt.groups:
-            total, demands = compute_demand(g.cells[-1], link_totals[g.index][-1], g.cap_step)
-            if total > 0.0:
-                records.append((g.index, demands))
-        if records:
-            plan.discharge[lrt.link.id] = records
+                cell = cells[k]
+                outflow = None
+                total, demands = compute_demand(cell, totals[k], cap)
+                if not total <= 0.0:
+                    supply = compute_supply(totals[k + 1], cap, g.wv_ratio, g.jam_veh)
+                    flow = total if total < supply else supply
+                    if not flow <= 0.0:
+                        share = flow / total
+                        outflow = [d * share for d in demands]
+                if outflow is not None:
+                    if inflow is None:
+                        cells[k] = [v - b for v, b in zip(cell, outflow)]
+                    else:
+                        cells[k] = [(v + a) - b for v, a, b in zip(cell, inflow, outflow)]
+                elif inflow is not None:
+                    cells[k] = [v + a for v, a in zip(cell, inflow)]
+                inflow = outflow
+            if inflow is not None:
+                cells[-1] = [v + a for v, a in zip(cells[-1], inflow)]
 
     def compute_connection_demands(
         self,
@@ -512,20 +582,33 @@ class Engine:
         self._position_cache[key] = result
         return result
 
-    def _record_flows(
+    def _apply_node_flows(
         self, target: int, flows: dict[int, tuple], shares: tuple, time: float, plan: StepPlan
     ) -> None:
-        """Turn resolved per-connection flows into removal records on their
-        upstream links and delivery records on `target`, split over its lane
-        groups by their `shares` of its supply and assigned next links."""
-        deliveries = plan.deliveries.setdefault(target, [])
+        """Apply resolved per-connection flows: each one's removals from the
+        last cells of its upstream link, then its deliveries into `target`'s
+        first cells, split over the lane groups by their `shares` of its
+        supply and by assigned next links.  Flows on overlap links are also
+        recorded for the neighbor; deliveries into a one-cell link are left
+        to phase B."""
+        links = self.links
+        tlrt = links[target]
+        first = [g.cells[0] for g in tlrt.groups]
+        deferred = tlrt.groups[0].cell_count == 1
+        deliveries = None if tlrt.outflow_local else plan.deliveries.setdefault(target, [])
         for cid, entries in flows.items():
             in_link = self._in_link_of[cid]
-            removals = plan.removals.setdefault(in_link, [])
+            groups = links[in_link].groups
+            removals = None
+            if not links[in_link].inflow_local:
+                removals = plan.removals.setdefault(in_link, [])
             arrived: dict[int, float] = {}
             for (p, _cid, _out_link, gidx, vt), amount in entries:
                 if amount:
-                    removals.append((in_link, cid, gidx, p, amount))
+                    cell = groups[gidx].cells[-1]
+                    cell[p] = cell[p] - amount
+                    if removals is not None:
+                        removals.append((in_link, cid, gidx, p, amount))
                 arrived[vt] = arrived.get(vt, 0.0) + amount
             for vt in sorted(arrived):
                 total = arrived[vt]
@@ -535,80 +618,94 @@ class Engine:
                 for gidx, share in shares:
                     # share = group supply / summed supply, divided first
                     base = total * share
+                    cell = first[gidx]
                     for p, frac in positions:
                         amount = base * frac
                         if amount:
-                            deliveries.append((target, cid, gidx, p, amount))
+                            if deferred:
+                                plan.deferred.append((target, cid, gidx, p, amount))
+                            else:
+                                cell[p] = cell[p] + amount
+                            if deliveries is not None:
+                                deliveries.append((target, cid, gidx, p, amount))
 
     # ------------------------------------------------------------------
     # phase B
     # ------------------------------------------------------------------
 
     def phase_b(self, step: int, received: list[EntryRecord] | None = None) -> StepStats:
-        """Apply the step plan plus records received from neighbors; returns
-        step statistics over this engine's authoritative links.  A neighbor
-        resolves the far end of an overlap link, so a received record is a
-        removal where this engine resolves the link's inflow, a delivery
-        otherwise."""
+        """Apply the records received from neighbors and the deliveries
+        phase A deferred, inject demand, then settle every active or touched
+        link in one ascending pass; returns step statistics over this
+        engine's authoritative links.  A neighbor resolves the far end of an
+        overlap link, so a received record is a removal from a link whose
+        start node this engine owns, or a delivery into a link whose end
+        node it owns."""
         if self._plan is None:
             raise InternalAssertion("phase_b called before phase_a")
         plan = self._plan
         self._plan = None
         time = step * self.dt
+        links = self.links
 
-        by_link: dict[int, list[EntryRecord]] = {}
-        for record in received or ():
-            by_link.setdefault(record[0], []).append(record)
-        for lid, records in by_link.items():
-            is_removal = self.links[lid].inflow_local
-            local = plan.removals if is_removal else plan.deliveries
-            if local.get(lid):
-                kind = "removals" if is_removal else "deliveries"
-                raise InternalAssertion(f"link {lid} has both local and received {kind}")
-            local[lid] = records
-
-        stats = StepStats()
-        work = set(plan.internal) | set(plan.removals) | set(plan.deliveries)
-        work |= set(plan.discharge) | set(self.source_links)
-        for lid in sorted(work):
-            lrt = self.links[lid]
-            groups = lrt.groups
-
-            for gidx, k, amounts in plan.internal.get(lid, ()):
-                cells = groups[gidx].cells
-                cells[k][:] = [v - a for v, a in zip(cells[k], amounts)]
-                cells[k + 1][:] = [v + a for v, a in zip(cells[k + 1], amounts)]
-
-            for _lid, _cid, gidx, p, amount in plan.removals.get(lid, ()):
-                cell = groups[gidx].cells[-1]
+        work = self.active | plan.targets
+        for lid, cid, gidx, p, amount in received or ():
+            lrt = links[lid]
+            if self._in_link_of[cid] == lid:
+                if lrt.outflow_local:
+                    raise InternalAssertion(
+                        f"received removal on link {lid}, whose end node this engine "
+                        f"owns: local and received removals conflict"
+                    )
+                cell = lrt.groups[gidx].cells[-1]
                 cell[p] = cell[p] - amount
-
-            for gidx, amounts in plan.discharge.get(lid, ()):
-                cells = groups[gidx].cells
-                cells[-1][:] = [v - a for v, a in zip(cells[-1], amounts)]
-                if lrt.authoritative:
-                    for amount in amounts:
-                        stats.exited += amount
-
-            for _lid, _cid, gidx, p, amount in plan.deliveries.get(lid, ()):
-                cell = groups[gidx].cells[0]
+            else:
+                if lrt.inflow_local:
+                    raise InternalAssertion(
+                        f"received delivery on link {lid}, whose start node this engine "
+                        f"owns: local and received deliveries conflict"
+                    )
+                cell = lrt.groups[gidx].cells[0]
                 cell[p] = cell[p] + amount
+            work.add(lid)
+        for lid, _cid, gidx, p, amount in plan.deferred:
+            cell = links[lid].groups[gidx].cells[0]
+            cell[p] = cell[p] + amount
 
-            if lrt.link.is_source:
-                stats.entered += self._inject(lrt, time)
+        stats = StepStats(exited=plan.exited)
+        for lid in self.source_links:
+            stats.entered += self._inject(links[lid], time)
 
-            self._settle_link(lrt)
-
-        self._refresh_active(work)
-        for lid in sorted(self.active):
-            lrt = self.links[lid]
-            if not lrt.authoritative:
-                continue
+        # settle each cell, fold its total once, decide activity, count
+        # vehicles; phase A reuses the totals
+        active = self.active
+        totals = self._totals
+        sources = self._source_set
+        in_network = 0.0
+        for lid in sorted(work):
+            lrt = links[lid]
+            link_totals = []
+            busy = False
             for g in lrt.groups:
                 for cell in g.cells:
-                    stats.in_network += reduce(add, cell, 0.0)
+                    if cell and not min(cell) >= 0.0:
+                        self._clamp(lrt, g, cell)
+                cell_totals = [reduce(add, cell, 0.0) for cell in g.cells]
+                link_totals.append(cell_totals)
+                busy = busy or any(cell_totals)
+            if busy or lid in sources:
+                active.add(lid)
+                totals[lid] = link_totals
+                if lrt.authoritative:
+                    for cell_totals in link_totals:
+                        for total in cell_totals:
+                            in_network += total
+            else:
+                active.discard(lid)
+                totals.pop(lid, None)
+        stats.in_network = in_network
         for key in sorted(self.queues):
-            if self.links[key[0]].authoritative:
+            if links[key[0]].authoritative:
                 stats.queued += self.queues[key]
         return stats
 
@@ -638,37 +735,17 @@ class Engine:
             self.queues[key] = queue
         return entered if lrt.authoritative else 0.0
 
-    def _settle_link(self, lrt: LinkRuntime) -> None:
+    @staticmethod
+    def _clamp(lrt: LinkRuntime, g: GroupRuntime, cell: list[float]) -> None:
         """Clamp float dust to zero and reject real negatives."""
-        for g in lrt.groups:
-            for cell in g.cells:
-                if not cell or min(cell) >= 0.0:
-                    continue
-                for p, value in enumerate(cell):
-                    if value < 0.0:
-                        if value < NEG_TOL:
-                            raise InternalAssertion(
-                                f"negative occupancy {value} on link {lrt.link.id} "
-                                f"group {g.index} commodity {lrt.comms[p]}"
-                            )
-                        cell[p] = 0.0
-
-    def _refresh_active(self, worked: set[int]) -> None:
-        for lid in worked:
-            busy = False
-            for g in self.links[lid].groups:
-                if any(map(any, g.cells)):
-                    busy = True
-                    break
-            if not busy:
-                busy = any(
-                    self.queues.get((lid, vt), 0.0) > 0.0
-                    for vt in self.scenario.vehicle_types
-                )
-            if busy or lid in self.source_links:
-                self.active.add(lid)
-            else:
-                self.active.discard(lid)
+        for p, value in enumerate(cell):
+            if value < 0.0:
+                if value < NEG_TOL:
+                    raise InternalAssertion(
+                        f"negative occupancy {value} on link {lrt.link.id} "
+                        f"group {g.index} commodity {lrt.comms[p]}"
+                    )
+                cell[p] = 0.0
 
     # ------------------------------------------------------------------
     # inspection
@@ -685,12 +762,13 @@ class Engine:
         self, link_id: int, gidx: int, k: int, comm: Commodity, vehicles: float
     ) -> None:
         """Overwrite one cell entry, e.g. to seed a test state.  The link is
-        not marked active."""
+        not marked active, and its cached cell totals are dropped."""
         lrt = self.links[link_id]
         p = lrt.comm_index.get(comm)
         if p is None:
             raise InternalAssertion(f"commodity {comm} cannot occur on link {link_id}")
         lrt.groups[gidx].cells[k][p] = vehicles
+        self._totals.pop(link_id, None)
 
     def state_rows(self, step: int) -> list[tuple[int, int, int, int, int, int, float]]:
         """Dump rows (step, link, group, cell, vtype, next, vehicles) for the

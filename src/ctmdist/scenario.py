@@ -227,28 +227,33 @@ def build_lane_groups(
         if c.in_link != link.id:
             raise ScenarioError(f"connection {c.id} does not leave link {link.id}")
     cells, cell_len = discretize(link.length, link.fd.free_flow_speed, dt)
-    lane_sets = []
-    for lane in range(1, link.lanes + 1):
-        conns = tuple(
-            sorted(c.id for c in outgoing if c.in_lanes[0] <= lane <= c.in_lanes[1])
-        )
-        lane_sets.append(conns)
+    # a lane's connection set can change only at a connection's first lane
+    # or just past its last, so only those lanes are visited: the work grows
+    # with the connections, not with the lane count
+    starts = {1}
+    for c in outgoing:
+        starts.update((c.in_lanes[0], c.in_lanes[1] + 1))
+    runs = []  # (first lane, connection ids) of each maximal run
+    for lane in sorted(starts):
+        if not 1 <= lane <= link.lanes:
+            continue
+        conns = tuple(sorted(c.id for c in outgoing if c.in_lanes[0] <= lane <= c.in_lanes[1]))
+        if not runs or runs[-1][1] != conns:
+            runs.append((lane, conns))
     groups = []
-    lo = 1
-    for lane in range(2, link.lanes + 2):
-        if lane > link.lanes or lane_sets[lane - 1] != lane_sets[lo - 1]:
-            groups.append(
-                LaneGroup(
-                    link=link.id,
-                    index=len(groups),
-                    lane_lo=lo,
-                    lane_hi=lane - 1,
-                    conn_ids=lane_sets[lo - 1],
-                    cell_count=cells,
-                    cell_length=cell_len,
-                )
+    for i, (lo, conns) in enumerate(runs):
+        hi = runs[i + 1][0] - 1 if i + 1 < len(runs) else link.lanes
+        groups.append(
+            LaneGroup(
+                link=link.id,
+                index=i,
+                lane_lo=lo,
+                lane_hi=hi,
+                conn_ids=conns,
+                cell_count=cells,
+                cell_length=cell_len,
             )
-            lo = lane
+        )
     return groups
 
 
@@ -265,13 +270,25 @@ def _as_id(value, what: str, *args) -> int:
     return value
 
 
+def _as_lane(value, what: str, *args) -> int:
+    """`value` as a lane number or count: an integer, or a float with an
+    integral value; never a bool or a string.  `what` as in `_as_id`."""
+    if type(value) is int:  # a bool's type is bool
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ScenarioError(f"{what.format(*args)} must be an integer, got {value!r}")
+
+
 def _lane_range(raw, lanes: int, what: str, *args) -> tuple[int, int]:
     """An inclusive lane pair, (1, lanes) when absent; `what` as in `_as_id`."""
     if raw is None:
         return (1, lanes)
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ScenarioError(f"{what.format(*args)} must be a [lo, hi] lane pair")
-    lo, hi = int(raw[0]), int(raw[1])
+    lo, hi = raw
+    if type(lo) is not int or type(hi) is not int:
+        lo, hi = _as_lane(lo, what, *args), _as_lane(hi, what, *args)
     if not 1 <= lo <= hi <= lanes:
         raise ScenarioError(f"{what.format(*args)} [{lo}, {hi}] outside lanes 1..{lanes}")
     return (lo, hi)
@@ -334,7 +351,7 @@ def _build_scenario(doc) -> Scenario:
         length = float(raw["length"])
         if not length > 0:
             raise ScenarioError(f"link {lid} length must be positive")
-        lanes = int(raw["lanes"])
+        lanes = _as_lane(raw["lanes"], "link {} lanes", lid)
         if not lanes >= 1:
             raise ScenarioError(f"link {lid} must have at least one lane")
         fd_raw = raw["fd"]

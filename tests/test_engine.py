@@ -13,16 +13,30 @@ from ctmdist.engine import (
     resolve_node_flows,
 )
 from ctmdist.errors import InternalAssertion, ScenarioError
-from ctmdist.partition import NodePartition, build_decoder_map, build_subnetworks
-from ctmdist.runner import run_sequential
+from ctmdist.gridgen import generate_grid
+from ctmdist.partition import (
+    NodePartition,
+    build_decoder_map,
+    build_subnetworks,
+    partition_nodes,
+)
+from ctmdist.runner import rows_to_csv, run_distributed, run_sequential
 from ctmdist.scenario import TERMINAL, VehicleType, parse_scenario, validate
 
-from conftest import link, merge_diverge_doc
+from conftest import chain_doc, link, merge_diverge_doc
 
 
 def seed(engine, lid, gidx, cell, comm, veh):
     engine.set_cell_value(lid, gidx, cell, comm, veh)
     engine.active.add(lid)
+
+
+def cut_engine(merge_diverge, index):
+    """The engine of fragment `index` of the merge fixture cut at node 5:
+    fragment 0 resolves link 4's inflow, fragment 1 its outflow."""
+    cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
+    sub = build_subnetworks(merge_diverge, cut)[index]
+    return Engine(sub.fragment, set(sub.owned_nodes))
 
 
 def fragment_with_path(scenario, path):
@@ -34,27 +48,6 @@ def fragment_with_path(scenario, path):
     fragment.vehicle_types[0] = VehicleType(0, "deterministic", path)
     validate(fragment)
     return fragment
-
-
-def discharged(engine, plan, lid):
-    """The plan's sink discharge on `lid` as (group, commodity, vehicles)."""
-    comms = engine.links[lid].comms
-    return [
-        (gidx, comms[p], d)
-        for gidx, amounts in plan.discharge[lid]
-        for p, d in enumerate(amounts)
-        if d
-    ]
-
-
-def flux(engine, plan, link_ids):
-    """`boundary_records` as (connection, link, group, vehicle type, next
-    link, vehicles)."""
-    out = []
-    for lid, cid, gidx, p, v in engine.boundary_records(plan, link_ids):
-        vt, nxt = engine.links[lid].comms[p]
-        out.append((cid, lid, gidx, vt, nxt, v))
-    return out
 
 
 def fractions(engine, lid, vtype, time):
@@ -180,15 +173,17 @@ class TestNodeModel:
 class TestConnectionDemands:
     def test_split_by_next_link(self):
         # commodities headed to links 1 and 2 under a roomy capacity land on
-        # their own connections untouched
+        # their own connections untouched; phase A applies the flows
         s = parse_scenario(json.dumps(diverge_doc()))
         eng = Engine(s)
         seed(eng, 0, 0, 1, (0, 1), 4.0)
         seed(eng, 0, 0, 1, (0, 2), 2.0)
-        plan = eng.phase_a(0)
-        removals = flux(eng, plan, [0])
-        assert ((0, 0, 0, 0, 1, 4.0)) in removals  # connection 0 carries 4
-        assert ((1, 0, 0, 0, 2, 2.0)) in removals  # connection 1 carries 2
+        eng.phase_a(0)
+        assert eng.cell_value(0, 0, 1, (0, 1)) == 0.0
+        assert eng.cell_value(0, 0, 1, (0, 2)) == 0.0
+        # connection 0 carries 4 into link 1, connection 1 carries 2 into 2
+        assert eng.cell_value(1, 0, 0, (0, TERMINAL)) == 4.0
+        assert eng.cell_value(2, 0, 0, (0, TERMINAL)) == 2.0
 
     def test_unserved_commodity_waits(self, merge_diverge):
         # lane group 0 of the merge link only reaches branch 5; a commodity
@@ -196,16 +191,17 @@ class TestConnectionDemands:
         eng = Engine(merge_diverge)
         eng.eta = 0.0  # freeze lane changes to observe the blocked demand
         seed(eng, 4, 0, 2, (1, 6), 3.0)
-        plan = eng.phase_a(0)
-        assert 4 not in plan.removals
-        assert plan.deliveries.get(6) is None
+        eng.phase_a(0)
+        assert eng.cell_value(4, 0, 2, (1, 6)) == 3.0
+        assert totals(eng, 6) == [[0.0, 0.0]]
 
     def test_single_connection_takes_all(self):
         s = parse_scenario(json.dumps(diverge_doc()))
         eng = Engine(s)
         seed(eng, 1, 0, 1, (0, TERMINAL), 2.5)  # branch 1 is a sink
-        plan = eng.phase_a(0)
-        assert discharged(eng, plan, 1) == [(0, (0, TERMINAL), 2.5)]
+        eng.phase_a(0)
+        assert eng.cell_value(1, 0, 1, (0, TERMINAL)) == 0.0
+        assert eng.phase_b(0).exited == 2.5
 
 
 class TestLaneChanges:
@@ -213,7 +209,7 @@ class TestLaneChanges:
         eng = Engine(merge_diverge)
         seed(eng, 4, 0, 0, (0, 5), 2.0)  # group 0 serves link 5
         before = totals(eng, 4)
-        eng.phase_a(0)
+        eng.apply_lane_changes(eng.links[4])
         assert totals(eng, 4) == before
 
     def test_misplaced_fraction_moves(self, merge_diverge):
@@ -221,7 +217,7 @@ class TestLaneChanges:
         # eta=0.5 moves 2.5 of them one group over
         eng = Engine(merge_diverge)
         seed(eng, 4, 0, 1, (1, 6), 5.0)
-        eng.phase_a(0)
+        eng.apply_lane_changes(eng.links[4])
         assert eng.cell_value(4, 0, 1, (1, 6)) == 2.5
         assert eng.cell_value(4, 1, 1, (1, 6)) == 2.5
 
@@ -230,7 +226,7 @@ class TestLaneChanges:
         seed(eng, 4, 0, 1, (1, 6), 5.0)
         filler = eng.links[4].groups[1].jam_veh - 1.0
         seed(eng, 4, 1, 1, (1, 5), filler)  # leave exactly 1.0 veh of room
-        eng.phase_a(0)
+        eng.apply_lane_changes(eng.links[4])
         assert eng.cell_value(4, 0, 1, (1, 6)) == 4.0
         assert eng.cell_value(4, 1, 1, (1, 6)) == 1.0
 
@@ -238,7 +234,7 @@ class TestLaneChanges:
         eng = Engine(merge_diverge)
         seed(eng, 4, 0, 0, (1, 6), 3.0)
         seed(eng, 4, 1, 0, (1, 6), 0.25)
-        eng.phase_a(0)
+        eng.apply_lane_changes(eng.links[4])
         moved = eng.cell_value(4, 0, 0, (1, 6)) + eng.cell_value(4, 1, 0, (1, 6))
         assert moved == pytest.approx(3.25, abs=1e-12)
 
@@ -255,13 +251,11 @@ class TestAssignment:
         eng = Engine(s)
         seed(eng, 0, 0, 1, (0, 1), 7.0)
         seed(eng, 0, 0, 1, (0, 2), 3.0)
-        plan = eng.phase_a(0)
-        by_slot = {
-            (rec[0], rec[4]): rec[5] for rec in flux(eng, plan, [1, 2])
-        }
+        eng.phase_a(0)
         # 10 vehicles cross the node; each branch is a sink (terminal);
-        # connection 0 carried 7, connection 1 carried 3
-        assert by_slot == {(0, TERMINAL): 7.0, (1, TERMINAL): 3.0}
+        # connection 0 carried 7 into link 1, connection 1 carried 3 into 2
+        assert eng.cell_value(1, 0, 0, (0, TERMINAL)) == 7.0
+        assert eng.cell_value(2, 0, 0, (0, TERMINAL)) == 3.0
 
     def test_split_row_fractions_exact(self):
         # entering flow splits by the current split row, bit for bit
@@ -272,8 +266,8 @@ class TestAssignment:
         s = parse_scenario(json.dumps(doc))
         eng = Engine(s)
         seed(eng, 3, 0, 1, (0, 0), 10.0)
-        plan = eng.phase_a(0)
-        amounts = [(rec[4], rec[5]) for rec in flux(eng, plan, [0])]
+        eng.phase_a(0)
+        amounts = [(nxt, eng.cell_value(0, 0, 0, (0, nxt))) for nxt in (1, 2)]
         assert amounts == [(1, 10.0 * 0.7), (2, 10.0 * 0.3)]
         assert amounts == [(1, 7.0), (2, 3.0)]
 
@@ -326,8 +320,9 @@ class TestUpdate:
         s = parse_scenario(json.dumps(doc))
         eng = Engine(s)
         seed(eng, 0, 0, 0, (0, TERMINAL), 5.0)
-        plan = eng.phase_a(0)
-        assert discharged(eng, plan, 0) == [(0, (0, TERMINAL), 2.0)]  # C = 0.5*2*2
+        eng.phase_a(0)
+        # phase A discharges C = 0.5*2*2 and phase B injects
+        assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 3.0
         stats = eng.phase_b(0)
         assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 5.0
         assert stats.entered == 2.0
@@ -396,10 +391,10 @@ class TestUpdate:
         # narrow link: C = 2*1*2 = 4, supply = min(4, 0.25*0.4*1*50=5) = 4
         seed(eng, 0, 0, 1, (0, 2), 6.0)
         seed(eng, 1, 0, 1, (0, 2), 2.0)
-        plan = eng.phase_a(0)
-        assert flux(eng, plan, [0]) == [(0, 0, 0, 0, 2, 3.0)]
-        assert flux(eng, plan, [1]) == [(1, 1, 0, 0, 2, 1.0)]
-        delivered = sum(rec[5] for rec in flux(eng, plan, [2]))
+        eng.phase_a(0)
+        assert 6.0 - eng.cell_value(0, 0, 1, (0, 2)) == 3.0
+        assert 2.0 - eng.cell_value(1, 0, 1, (0, 2)) == 1.0
+        delivered = cell_total(eng.links[2].groups[0].cells[0])
         assert delivered == pytest.approx(4.0, abs=1e-12)
         eng.phase_b(0)
         assert cell_total(eng.links[2].groups[0].cells[0]) == pytest.approx(4.0, abs=1e-12)
@@ -411,14 +406,15 @@ class TestUpdate:
         # arriving flow lands 1:2 across the groups
         eng = Engine(merge_diverge)
         seed(eng, 1, 0, 1, (0, 4), 1.5)  # deterministic type headed into link 4
-        plan = eng.phase_a(0)
-        recs = flux(eng, plan, [4])
-        assert [r[2] for r in recs] == [0, 1]
-        total = recs[0][5] + recs[1][5]
+        eng.phase_a(0)
+        arrived = [eng.cell_value(4, gidx, 0, (0, 5)) for gidx in (0, 1)]
+        assert all(arrived)
+        assert totals(eng, 4) == [[arrived[0], 0.0, 0.0], [arrived[1], 0.0, 0.0]]
+        total = arrived[0] + arrived[1]
         assert total == pytest.approx(1.5, abs=1e-12)
-        assert recs[1][5] == pytest.approx(2.0 * recs[0][5], rel=1e-12)
-        for rec, cap in zip(recs, (1.0, 2.0)):
-            assert rec[5] <= cap + 1e-12
+        assert arrived[1] == pytest.approx(2.0 * arrived[0], rel=1e-12)
+        for amount, cap in zip(arrived, (1.0, 2.0)):
+            assert amount <= cap + 1e-12
 
 
 class TestChecks:
@@ -439,9 +435,10 @@ class TestChecks:
         assert key_of[(2, 4, 1, 0, 5)] == (4, 2, 1, 0)
 
     def test_negative_occupancy_rejected(self, merge_diverge):
-        eng = Engine(merge_diverge)
+        # the neighbor resolving link 4's outflow sends a removal of
+        # vehicles the empty cell does not hold
+        eng = cut_engine(merge_diverge, 0)
         eng.phase_a(0)
-        # a received removal of vehicles the empty cell does not hold
         with pytest.raises(InternalAssertion, match=r"negative occupancy"):
             eng.phase_b(0, [entry(eng, 4, 4, 0, (1, 5), 1.0)])
 
@@ -451,6 +448,21 @@ class TestChecks:
         eng.phase_a(0)
         with pytest.raises(InternalAssertion, match=r"local and received removals"):
             eng.phase_b(0, [entry(eng, 0, 0, 0, (0, 1), 1.0)])
+
+    def test_received_removal_conflicts_without_local_removals(self):
+        # link 0's end node is owned here, whether or not it has a local
+        # removal this step
+        eng = Engine(parse_scenario(json.dumps(diverge_doc())))
+        eng.phase_a(0)
+        with pytest.raises(InternalAssertion, match=r"local and received removals"):
+            eng.phase_b(0, [entry(eng, 0, 0, 0, (0, 1), 1.0)])
+
+    def test_received_delivery_where_start_node_is_owned(self, merge_diverge):
+        # fragment 0 resolves the flows into link 4 itself
+        eng = cut_engine(merge_diverge, 0)
+        eng.phase_a(0)
+        with pytest.raises(InternalAssertion, match=r"local and received deliveries"):
+            eng.phase_b(0, [entry(eng, 4, 2, 0, (0, 5), 1.0)])
 
     def test_deterministic_type_off_path(self, merge_diverge):
         with pytest.raises(InternalAssertion, match=r"off-path"):
@@ -474,6 +486,42 @@ class TestChecks:
         seed(eng, 4, 0, 0, (0, 7), 1.0)  # no lane group of link 4 reaches 7
         with pytest.raises(InternalAssertion, match=r"cannot reach"):
             eng.phase_a(0)
+
+
+class TestOrder:
+    """Each cell entry receives its flows in one fixed order (see the
+    `engine` module docstring).  Float addition is not associative, so any
+    other order changes the bits."""
+
+    def test_internal_flows_run_in_ascending_cell_order(self):
+        # one lane, three cells, C = 1 veh/step: cell 0 sends its 0.9 into
+        # cell 1 while cell 1 sends its 0.3 on into cell 2
+        eng = Engine(parse_scenario(json.dumps(chain_doc(cells_per_link=3, links=1))))
+        seed(eng, 0, 0, 0, (0, TERMINAL), 0.9)
+        seed(eng, 0, 0, 1, (0, TERMINAL), 0.3)
+        inflow, outflow = 0.9, 0.3
+        ascending = (0.3 + inflow) - outflow
+        assert ascending == 0.8999999999999999
+        assert ascending != (0.3 - outflow) + inflow  # descending k gives 0.9
+        assert ascending != 0.3 + (inflow - outflow)  # a pre-summed delta
+        eng.phase_a(0)
+        assert eng.cell_value(0, 0, 1, (0, TERMINAL)) == ascending
+        assert eng.cell_value(0, 0, 2, (0, TERMINAL)) == outflow
+        eng.phase_b(0)
+        assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 0.0
+        assert eng.cell_value(0, 0, 1, (0, TERMINAL)) == ascending
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_one_cell_links_cut_both_ways(self, transport):
+        # every link is one cell long, so a first cell is also a last cell:
+        # its removals, local or received, come before its deliveries
+        scenario = generate_grid(4, 4, link_length=100.0)
+        assert {groups[0].cell_count for groups in scenario.lane_groups.values()} == {1}
+        sub = build_subnetworks(scenario, partition_nodes(scenario, 2, seed=0))[0]
+        assert sub.relative_sinks and sub.relative_sources
+        reference = rows_to_csv(run_sequential(scenario, steps=120).rows)
+        result = run_distributed(scenario, 2, transport=transport, steps=120, seed=0)
+        assert rows_to_csv(result.rows) == reference
 
 
 class TestInvariants:

@@ -5,7 +5,9 @@ Criterion 1 compares the engine with itself (distributed against
 sequential), so a change that alters the arithmetic of both sides alike
 would pass it.  The dump hashes were taken from the sparse per-cell-dict
 engine that the dense per-link commodity vectors replaced; any change in
-the bits of a state value, or in which rows are dumped, shows here.
+the bits of a state value, or in which rows are dumped, shows here.  The
+one-cell grid, whose first cells are also last cells, was pinned from the
+engine that still applied every flow as a record in phase B.
 
 Both sides of a cut derive the decoder maps independently, so a change to
 the slot layout that both derive alike would pass the handshake.  The
@@ -28,6 +30,7 @@ from conftest import lanes_grid, merge_diverge_doc
 
 GOLDEN = {
     "grid4x4": "27e3e5a6f7a7de8f53fe527f73b954bf95afb3e22c5b7f14e1440e26991c4200",
+    "grid4x4-1cell": "a0676b87a393078088020c927ca6457ad859b97f7aa5ec1edf27a63722e6112e",
     "merge": "b39698be889484726e08cb381c471631984e84b5d22f625e3a8a5b9a3dbd216d",
     "lanes5x5": "72d58b4591821f508a82c2ef3334cc66249e2c2867ec5fb97c24368a3d75fc2a",
 }
@@ -36,6 +39,8 @@ GOLDEN = {
 def _scenario(name):
     if name == "grid4x4":
         return generate_grid(4, 4), 200
+    if name == "grid4x4-1cell":
+        return generate_grid(4, 4, link_length=100.0), 200
     if name == "merge":
         return parse_scenario(json.dumps(merge_diverge_doc())), None
     return lanes_grid(), None

@@ -2,9 +2,11 @@
 
 import json
 import random
+import time
 
 import pytest
 
+from ctmdist.cli import main
 from ctmdist.errors import ScenarioError
 from ctmdist.scenario import (
     FDParams,
@@ -16,7 +18,7 @@ from ctmdist.scenario import (
     serialize_scenario,
 )
 
-from conftest import link, merge_diverge_doc
+from conftest import chain_doc, link, merge_diverge_doc
 
 
 def minimal_doc():
@@ -134,6 +136,40 @@ class TestParse:
         # explicit flag makes it legal, plus a split row for entries
         doc["links"][4]["is_source"] = True
         parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [2.7, "2", True], ids=["fraction", "string", "bool"])
+    @pytest.mark.parametrize("field", ["lanes", "in_lanes"])
+    def test_lane_values_must_be_integers(self, tmp_path, field, value):
+        # int() used to turn 2.7 into 2 lanes and "2" into 2
+        doc = merge_diverge_doc()
+        if field == "lanes":
+            doc["links"][4]["lanes"] = value
+        else:
+            doc["roadconnections"][4]["in_lanes"] = [1, value]
+        with pytest.raises(ScenarioError, match=r"must be an integer"):
+            parse_scenario(json.dumps(doc))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--mode", "seq", "--steps", "1"]) == 2
+
+    def test_integral_float_lanes_accepted(self):
+        doc = merge_diverge_doc()
+        doc["links"][4]["lanes"] = 3.0
+        assert parse_scenario(json.dumps(doc)) == parse_scenario(json.dumps(merge_diverge_doc()))
+
+    def test_lane_count_costs_no_work_per_lane(self):
+        # lane groups come from the connections' lane ranges; one entry per
+        # lane took 0.9 s and 63 MB for this link
+        doc = chain_doc(links=2)
+        doc["links"][0]["lanes"] = 3_000_000
+        doc["roadconnections"][0]["in_lanes"] = [2, 3_000_000]
+        start = time.perf_counter()
+        s = parse_scenario(json.dumps(doc))
+        assert time.perf_counter() - start < 0.25
+        assert [(g.lane_lo, g.lane_hi, g.conn_ids) for g in s.lane_groups[0]] == [
+            (1, 1, ()),
+            (2, 3_000_000, (0,)),
+        ]
 
     def test_parse_serialize_round_trip(self, merge_diverge):
         text = serialize_scenario(merge_diverge)
