@@ -10,18 +10,24 @@ which must be bitwise identical to a sequential run's dump.  Workers
 derive decoder maps and their engine keys from their own fragments; maps
 read from files are only compared with them.
 
-The loop runs with the cyclic garbage collector paused and restores the
-state it found.  That is safe because the loop makes no reference cycles:
-reference counting frees every step's plan, records and demand entries
-(`tests/test_runner.py::TestCollectorPause` pins this).  Forked workers
-freeze the heap they inherit (`gc.freeze()`), so their set-up collections
-skip the parent's objects and leave those copy-on-write pages alone; the
-caller's process is never frozen.
+Set-up and the loop run with the cyclic garbage collector paused
+(`scenario.collector_paused`, which puts back the state it found): parsing
+a scenario; a sequential run's engine build and loop; a distributed run's
+partition, fragments, fork and merge in the parent, and each worker's
+engine, decoder maps, handshake and loop.  That is safe because none of
+these stages makes a reference cycle: reference counting frees every
+step's plan, records and demand entries and every set-up temporary
+(`tests/test_runner.py::TestCollectorPause` checks each stage).  A pause
+does not skip the young-generation pass over what it allocated: that pass
+runs as the pause ends, at its first allocation after it.  For a parse
+that is the parse's own return, inside set-up and not after step 0; for a
+sequential run's engine it is after the last step.  Forked workers inherit
+the paused collector and never collect, so they leave the copy-on-write
+pages of the heap they inherit alone.  No process is frozen (`gc.freeze()`).
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import signal
 import socket
@@ -53,7 +59,7 @@ from .partition import (
     build_subnetworks,
     partition_nodes,
 )
-from .scenario import Scenario
+from .scenario import Scenario, collector_paused
 
 CONSERVATION_TOL = 1e-9
 DUMP_HEADER = "step,link,lane_group,cell,vehicle_type,next_link,vehicles"
@@ -102,50 +108,43 @@ def _simulate(
     timeout: float,
     report: WorkerReport,
 ) -> tuple[list[Row], dict]:
-    """The per-step loop shared by every execution mode."""
+    """The per-step loop shared by every execution mode; its callers run it
+    inside their collector pause."""
     rows: list[Row] = []
     per_step = {"in_network": [], "entered_cum": [], "exited_cum": [], "queued": []}
     entered_cum = 0.0
     exited_cum = 0.0
     ordered = sorted(channels, key=lambda c: c.remote)
-    # the loop makes no reference cycles (see the module docstring), so the
-    # cyclic collector would only walk live objects
-    collector_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for step in range(steps):
-            t0 = time.perf_counter()
-            plan = engine.phase_a(step)
-            outbox = {}
-            for ch in ordered:
-                records = engine.boundary_records(plan, ch.overlap_links)
-                outbox[ch.remote] = encode(ch.send_map.positions, records)
-            t1 = time.perf_counter()
-            report.compute_s += t1 - t0
-            if ordered:
-                inbox = exchange(channels, outbox, step, timeout)
-                t2 = time.perf_counter()
-                report.comm_times.append(t2 - t1)
-            else:
-                inbox = {}
-                t2 = t1
-            received = []
-            for ch in ordered:
-                received.extend(decode(ch.recv_map.positions, inbox[ch.remote]))
-            stats = engine.phase_b(step, received)
-            report.compute_s += time.perf_counter() - t2
+    for step in range(steps):
+        t0 = time.perf_counter()
+        plan = engine.phase_a(step)
+        outbox = {}
+        for ch in ordered:
+            records = engine.boundary_records(plan, ch.overlap_links)
+            outbox[ch.remote] = encode(ch.send_map.positions, records)
+        t1 = time.perf_counter()
+        report.compute_s += t1 - t0
+        if ordered:
+            inbox = exchange(channels, outbox, step, timeout)
+            t2 = time.perf_counter()
+            report.comm_times.append(t2 - t1)
+        else:
+            inbox = {}
+            t2 = t1
+        received = []
+        for ch in ordered:
+            received.extend(decode(ch.recv_map.positions, inbox[ch.remote]))
+        stats = engine.phase_b(step, received)
+        report.compute_s += time.perf_counter() - t2
 
-            entered_cum += stats.entered
-            exited_cum += stats.exited
-            per_step["in_network"].append(stats.in_network)
-            per_step["entered_cum"].append(entered_cum)
-            per_step["exited_cum"].append(exited_cum)
-            per_step["queued"].append(stats.queued)
-            if dump_every and ((step + 1) % dump_every == 0 or step == steps - 1):
-                rows.extend(engine.state_rows(step + 1))
-    finally:
-        if collector_was_enabled:
-            gc.enable()
+        entered_cum += stats.entered
+        exited_cum += stats.exited
+        per_step["in_network"].append(stats.in_network)
+        per_step["entered_cum"].append(entered_cum)
+        per_step["exited_cum"].append(exited_cum)
+        per_step["queued"].append(stats.queued)
+        if dump_every and ((step + 1) % dump_every == 0 or step == steps - 1):
+            rows.extend(engine.state_rows(step + 1))
     return rows, per_step
 
 
@@ -170,6 +169,7 @@ def _finalize_metrics(per_step: dict, steps: int) -> dict:
     }
 
 
+@collector_paused()
 def run_sequential(
     scenario: Scenario,
     steps: int | None = None,
@@ -230,6 +230,7 @@ def _worker_channels(
     return channels
 
 
+@collector_paused()
 def _worker_body(
     sub: Subnetwork,
     duplexes: dict[int, object],
@@ -280,8 +281,6 @@ def _worker_entry(
     result_conn,
     inherited,
 ):
-    # the heap inherited through fork stays alive for the worker's life
-    gc.freeze()
     # close the copies of other workers' pipes and sockets that came through
     # fork, so that this worker's death reaches its peers as EOF
     own = [result_conn, listener, *(pair_socks or {}).values()]
@@ -322,6 +321,7 @@ def _raise_worker_error(kind: str, message: str, exit_code: int) -> None:
     raise CtmError(message)
 
 
+@collector_paused()
 def run_distributed(
     scenario: Scenario | None = None,
     n: int | None = None,

@@ -12,7 +12,9 @@ The file format is documented in docs/scenario-format.md.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -160,13 +162,7 @@ class Scenario:
     _split_index: dict[tuple[int, int], tuple[SplitRow, ...]] = _derived()
     _demand_index: dict[int, tuple[DemandRow, ...]] = _derived()
 
-    # --- queries used by the engine and partitioner ---
-
-    def successors(self, link_id: int) -> tuple[int, ...]:
-        """Sorted out-link ids reachable from `link_id` via road connections."""
-        return tuple(
-            sorted({self.connections[c].out_link for c in self.out_conns[link_id]})
-        )
+    # --- queries used by the engine ---
 
     def split_row_at(self, link_id: int, vtype: int, time: float):
         """Ratios for vehicles of `vtype` entering `link_id` at `time`, or None."""
@@ -223,10 +219,17 @@ def build_lane_groups(
     """Group the link's lanes into maximal contiguous runs with identical
     outgoing-connection sets; a link with no outgoing connections forms a
     single (sink) group."""
+    every_lane = (1, link.lanes)
+    spans_every_lane = True
     for c in outgoing:
         if c.in_link != link.id:
             raise ScenarioError(f"connection {c.id} does not leave link {link.id}")
+        if c.in_lanes != every_lane:
+            spans_every_lane = False
     cells, cell_len = discretize(link.length, link.fd.free_flow_speed, dt)
+    if spans_every_lane:  # every lane has every connection, or none
+        conns = tuple(sorted([c.id for c in outgoing]))
+        return [LaneGroup(link.id, 0, 1, link.lanes, conns, cells, cell_len)]
     # a lane's connection set can change only at a connection's first lane
     # or just past its last, so only those lanes are visited: the work grows
     # with the connections, not with the lane count
@@ -294,6 +297,22 @@ def _lane_range(raw, lanes: int, what: str, *args) -> tuple[int, int]:
     return (lo, hi)
 
 
+@contextlib.contextmanager
+def collector_paused():
+    """Run a block, or as a decorator each call, with the cyclic garbage
+    collector paused, and put back the state it found whether the block
+    ends or raises.  Only for code that makes no reference cycles, whose
+    garbage reference counting frees (see the `runner` docstring)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@collector_paused()
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario JSON document."""
     try:
@@ -309,7 +328,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _build_scenario(doc) -> Scenario:
-    # every check formats its message only when it fails
+    # every check formats its message only when it fails.  The loops over
+    # links, connections and splits, the most numerous records, accept a
+    # plain non-negative int id inline and hand anything else to `_as_id`,
+    # which returns it or raises; they pass record fields by position, the
+    # cheaper call.
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
     for key in ("nodes", "links", "simulation"):
@@ -336,12 +359,19 @@ def _build_scenario(doc) -> Scenario:
         nodes[nid] = Node(id=nid)
 
     links: dict[int, Link] = {}
+    checked_fds: dict[tuple[float, ...], FDParams] = {}  # fd values that passed
     for raw in doc["links"]:
-        lid = _as_id(raw["id"], "link id")
+        lid = raw["id"]
+        if type(lid) is not int or lid < 0:
+            lid = _as_id(lid, "link id")
         if lid in links:
             raise ScenarioError(f"duplicate link id {lid}")
-        start = _as_id(raw["start_node"], "link {} start_node", lid)
-        end = _as_id(raw["end_node"], "link {} end_node", lid)
+        start = raw["start_node"]
+        if type(start) is not int or start < 0:
+            start = _as_id(start, "link {} start_node", lid)
+        end = raw["end_node"]
+        if type(end) is not int or end < 0:
+            end = _as_id(end, "link {} end_node", lid)
         if start not in nodes:
             raise ScenarioError(f"link {lid} references missing node {start}")
         if end not in nodes:
@@ -351,69 +381,71 @@ def _build_scenario(doc) -> Scenario:
         length = float(raw["length"])
         if not length > 0:
             raise ScenarioError(f"link {lid} length must be positive")
-        lanes = _as_lane(raw["lanes"], "link {} lanes", lid)
+        lanes = raw["lanes"]
+        if type(lanes) is not int:
+            lanes = _as_lane(lanes, "link {} lanes", lid)
         if not lanes >= 1:
             raise ScenarioError(f"link {lid} must have at least one lane")
         fd_raw = raw["fd"]
-        fd = FDParams(
-            capacity=float(fd_raw["capacity"]),
-            free_flow_speed=float(fd_raw["free_flow_speed"]),
-            congestion_wave_speed=float(fd_raw["congestion_wave_speed"]),
-            jam_density=float(fd_raw["jam_density"]),
+        fd_values = (
+            float(fd_raw["capacity"]),
+            float(fd_raw["free_flow_speed"]),
+            float(fd_raw["congestion_wave_speed"]),
+            float(fd_raw["jam_density"]),
         )
-        for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
-            if not getattr(fd, name) > 0:
-                raise ScenarioError(f"link {lid} fd.{name} must be positive")
-        if not fd.congestion_wave_speed <= fd.free_flow_speed:
-            raise ScenarioError(f"link {lid}: congestion wave speed exceeds free-flow speed")
-        tri = fd.capacity / fd.free_flow_speed + fd.capacity / fd.congestion_wave_speed
-        if not tri <= fd.jam_density + SUM_TOL:
-            raise ScenarioError(
-                f"link {lid}: triangular diagram does not fit under jam density "
-                f"(needs {tri}, jam {fd.jam_density})"
-            )
+        # the fd checks read the fd alone, so values that passed for an
+        # earlier link pass again; the CFL check below reads the length too
+        fd = checked_fds.get(fd_values)
+        if fd is None:
+            fd = FDParams(*fd_values)
+            for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
+                if not getattr(fd, name) > 0:
+                    raise ScenarioError(f"link {lid} fd.{name} must be positive")
+            if not fd.congestion_wave_speed <= fd.free_flow_speed:
+                raise ScenarioError(f"link {lid}: congestion wave speed exceeds free-flow speed")
+            tri = fd.capacity / fd.free_flow_speed + fd.capacity / fd.congestion_wave_speed
+            if not tri <= fd.jam_density + SUM_TOL:
+                raise ScenarioError(
+                    f"link {lid}: triangular diagram does not fit under jam density "
+                    f"(needs {tri}, jam {fd.jam_density})"
+                )
+            checked_fds[fd_values] = fd
         if not fd.free_flow_speed * dt <= length + CFL_TOL:
             raise ScenarioError(
                 f"link {lid}: CFL violation, free-flow step {fd.free_flow_speed * dt} m "
                 f"exceeds length {length} m"
             )
-        links[lid] = Link(
-            id=lid,
-            start_node=start,
-            end_node=end,
-            length=length,
-            lanes=lanes,
-            fd=fd,
-            is_source=bool(raw.get("is_source", False)),
-        )
+        links[lid] = Link(lid, start, end, length, lanes, fd, bool(raw.get("is_source", False)))
 
     connections: dict[int, RoadConnection] = {}
     for raw in doc.get("roadconnections", []):
-        cid = _as_id(raw["id"], "road connection id")
+        cid = raw["id"]
+        if type(cid) is not int or cid < 0:
+            cid = _as_id(cid, "road connection id")
         if cid in connections:
             raise ScenarioError(f"duplicate road connection id {cid}")
-        in_link = _as_id(raw["in_link"], "connection {} in_link", cid)
-        out_link = _as_id(raw["out_link"], "connection {} out_link", cid)
-        if in_link not in links:
+        in_link = raw["in_link"]
+        if type(in_link) is not int or in_link < 0:
+            in_link = _as_id(in_link, "connection {} in_link", cid)
+        out_link = raw["out_link"]
+        if type(out_link) is not int or out_link < 0:
+            out_link = _as_id(out_link, "connection {} out_link", cid)
+        upstream = links.get(in_link)
+        if upstream is None:
             raise ScenarioError(f"connection {cid} references missing link {in_link}")
-        if out_link not in links:
+        downstream = links.get(out_link)
+        if downstream is None:
             raise ScenarioError(f"connection {cid} references missing link {out_link}")
-        if links[in_link].end_node != links[out_link].start_node:
+        if upstream.end_node != downstream.start_node:
             raise ScenarioError(
                 f"connection {cid}: in_link {in_link} does not end where "
                 f"out_link {out_link} starts"
             )
-        connections[cid] = RoadConnection(
-            id=cid,
-            in_link=in_link,
-            out_link=out_link,
-            in_lanes=_lane_range(
-                raw.get("in_lanes"), links[in_link].lanes, "connection {} in_lanes", cid
-            ),
-            out_lanes=_lane_range(
-                raw.get("out_lanes"), links[out_link].lanes, "connection {} out_lanes", cid
-            ),
+        in_lanes = _lane_range(raw.get("in_lanes"), upstream.lanes, "connection {} in_lanes", cid)
+        out_lanes = _lane_range(
+            raw.get("out_lanes"), downstream.lanes, "connection {} out_lanes", cid
         )
+        connections[cid] = RoadConnection(cid, in_link, out_link, in_lanes, out_lanes)
 
     vehicle_types: dict[int, VehicleType] = {}
     for raw in doc.get("vehicletypes", []):
@@ -434,17 +466,19 @@ def _build_scenario(doc) -> Scenario:
 
     splits: list[SplitRow] = []
     for raw in doc.get("splits", []):
-        node = _as_id(raw["node"], "split node")
-        in_link = _as_id(raw["in_link"], "split in_link")
-        vtype = _as_id(raw["vtype"], "split vtype")
+        node = raw["node"]
+        if type(node) is not int or node < 0:
+            node = _as_id(node, "split node")
+        in_link = raw["in_link"]
+        if type(in_link) is not int or in_link < 0:
+            in_link = _as_id(in_link, "split in_link")
+        vtype = raw["vtype"]
+        if type(vtype) is not int or vtype < 0:
+            vtype = _as_id(vtype, "split vtype")
         start_time = float(raw.get("start_time", 0.0))
         ratios_raw = raw["ratios"]
-        ratios = tuple(sorted((int(k), float(v)) for k, v in ratios_raw.items()))
-        splits.append(
-            SplitRow(
-                node=node, in_link=in_link, vtype=vtype, start_time=start_time, ratios=ratios
-            )
-        )
+        ratios = tuple(sorted([(int(k), float(v)) for k, v in ratios_raw.items()]))
+        splits.append(SplitRow(node, in_link, vtype, start_time, ratios))
 
     demands: list[DemandRow] = []
     for raw in doc.get("demands", []):
@@ -481,18 +515,23 @@ def _build_scenario(doc) -> Scenario:
     return scenario
 
 
-def derive_link_tables(s: Scenario, lids) -> None:
+def derive_link_tables(s: Scenario, lids) -> dict[int, set[int]]:
     """Derive what validate() keeps for each link of `lids` from
     `s.connections` and `s.vehicle_types`: its sorted out- and
     in-connections, its sink flag, its lane groups and its commodities.
-    Other links' entries are left as they are."""
-    out_conns: dict[int, list[int]] = {lid: [] for lid in lids}
+    Other links' entries are left as they are.  Returns each link's
+    successors, the out-links of its connections, for validate()'s checks
+    only: the scenario does not keep them."""
+    outgoing_of: dict[int, list[RoadConnection]] = {lid: [] for lid in lids}
     in_conns: dict[int, list[int]] = {lid: [] for lid in lids}
-    for c in s.connections.values():
-        if c.in_link in out_conns:
-            out_conns[c.in_link].append(c.id)
+    successors: dict[int, set[int]] = {lid: set() for lid in lids}
+    for cid in sorted(s.connections):  # so each link's lists come out sorted
+        c = s.connections[cid]
+        if c.in_link in outgoing_of:
+            outgoing_of[c.in_link].append(c)
+            successors[c.in_link].add(c.out_link)
         if c.out_link in in_conns:
-            in_conns[c.out_link].append(c.id)
+            in_conns[c.out_link].append(cid)
 
     # commodities per link: (vt, TERMINAL) for every type on a sink;
     # elsewhere the path successor of each deterministic type whose path
@@ -508,37 +547,39 @@ def derive_link_tables(s: Scenario, lids) -> None:
     )
     sink_comms = tuple((vt, TERMINAL) for vt in sorted(s.vehicle_types))
 
-    for lid, conns in out_conns.items():
-        s.out_conns[lid] = out = tuple(sorted(conns))
-        s.in_conns[lid] = tuple(sorted(in_conns[lid]))
+    for lid, outgoing in outgoing_of.items():
+        s.out_conns[lid] = out = tuple([c.id for c in outgoing])
+        s.in_conns[lid] = tuple(in_conns[lid])
         # the sink flag is derived from connectivity
         link = s.links[lid]
         if link.is_sink != (not out):
             link = s.links[lid] = dataclasses.replace(link, is_sink=not out)
-        # lane groups must be constructible and unambiguous for routing
-        outgoing = [s.connections[c] for c in out]
+        # lane groups must be constructible and unambiguous for routing; a
+        # group's connections can share a target only if the link's do
         groups = tuple(build_lane_groups(link, outgoing, s.sim.dt))
-        for g in groups:
-            targets = [s.connections[c].out_link for c in g.conn_ids]
-            if len(targets) != len(set(targets)):
-                raise ScenarioError(
-                    f"link {lid} lanes {g.lane_lo}-{g.lane_hi}: two road connections "
-                    f"lead to the same downstream link"
-                )
+        targets = successors[lid]
+        if len(targets) < len(outgoing):
+            target_of = {c.id: c.out_link for c in outgoing}
+            for g in groups:
+                if len({target_of[c] for c in g.conn_ids}) != len(g.conn_ids):
+                    raise ScenarioError(
+                        f"link {lid} lanes {g.lane_lo}-{g.lane_hi}: two road connections "
+                        f"lead to the same downstream link"
+                    )
         s.lane_groups[lid] = groups
         if not outgoing:
             s.commodities[lid] = sink_comms
             continue
-        successors = {c.out_link for c in outgoing}
-        comms = [(vt, nxt) for vt in prob_types for nxt in successors]
+        comms = [(vt, nxt) for vt in prob_types for nxt in targets]
         comms.extend(det_comms.get(lid, ()))
         s.commodities[lid] = tuple(sorted(comms))
+    return successors
 
 
 def validate(s: Scenario) -> None:
     """Cross-reference and invariant checks; also builds derived indexes."""
     s.out_conns, s.in_conns, s.lane_groups, s.commodities = {}, {}, {}, {}
-    derive_link_tables(s, s.links)
+    successors = derive_link_tables(s, s.links)
 
     # deterministic paths: connected, loop-free, end at a sink; fragments
     # keep the full global path (checked before partitioning) but carry only
@@ -554,8 +595,7 @@ def validate(s: Scenario) -> None:
             if lid not in s.links:
                 raise ScenarioError(f"vehicle type {vt.id} path references missing link {lid}")
         for a, b in zip(vt.path, vt.path[1:]):
-            hops = {s.connections[c].out_link for c in s.out_conns[a]}
-            if b not in hops:
+            if b not in successors[a]:
                 raise ScenarioError(
                     f"vehicle type {vt.id}: no road connection from link {a} to link {b}"
                 )
@@ -571,18 +611,20 @@ def validate(s: Scenario) -> None:
     for row in s.splits:
         if row.node not in s.nodes:
             raise ScenarioError(f"split references missing node {row.node}")
-        if row.in_link not in s.links:
+        link = s.links.get(row.in_link)
+        if link is None:
             raise ScenarioError(f"split references missing link {row.in_link}")
-        if s.links[row.in_link].end_node != row.node:
+        if link.end_node != row.node:
             raise ScenarioError(
                 f"split row for link {row.in_link} keyed to node {row.node}, but the "
-                f"link ends at node {s.links[row.in_link].end_node}"
+                f"link ends at node {link.end_node}"
             )
-        if row.vtype not in s.vehicle_types:
+        vt = s.vehicle_types.get(row.vtype)
+        if vt is None:
             raise ScenarioError(f"split references missing vehicle type {row.vtype}")
-        if s.vehicle_types[row.vtype].routing != "probabilistic":
+        if vt.routing != "probabilistic":
             raise ScenarioError(f"split row given for deterministic vehicle type {row.vtype}")
-        reachable = set(s.successors(row.in_link))
+        reachable = successors[row.in_link]
         total = 0.0
         for out_link, p in row.ratios:
             if out_link not in reachable:
@@ -596,7 +638,7 @@ def validate(s: Scenario) -> None:
         if not abs(total - 1.0) <= SUM_TOL:
             raise ScenarioError(
                 f"split at node {row.node} in_link {row.in_link}: distribution sums to "
-                f"{_short_float(total)}"
+                f"{total:.12g}"
             )
         split_index.setdefault((row.in_link, row.vtype), []).append(row)
     for key, rows in split_index.items():
@@ -682,11 +724,6 @@ def validate(s: Scenario) -> None:
                 f"subnetwork {meta.index}: neighbor_of_link must map exactly the overlap "
                 f"links, each to another subnetwork"
             )
-
-
-def _short_float(x: float) -> str:
-    text = f"{x:.12g}"
-    return text
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import multiprocessing
 import os
 import re
 import signal
+import socket
+import threading
 import time
 
 import pytest
 
-from ctmdist.comm import HEADER, SocketDuplex, decode, encode
+from ctmdist.comm import HEADER, SocketDuplex, decode, encode, establish
 from ctmdist.engine import Engine
 from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
@@ -25,6 +27,7 @@ from ctmdist.partition import (
     partition_nodes,
 )
 from ctmdist.runner import (
+    _worker_channels,
     benchmark,
     diff_dumps,
     merge_states,
@@ -34,7 +37,7 @@ from ctmdist.runner import (
     run_sequential,
     write_dump,
 )
-from ctmdist.scenario import parse_scenario
+from ctmdist.scenario import load_scenario, parse_scenario, scenario_to_dict, serialize_scenario
 
 from conftest import chain_doc, lanes_grid, load_workloads, merge_diverge_doc
 
@@ -334,10 +337,59 @@ class TestConservationCheck:
                 run_distributed(scenario, 2, transport=mode, steps=6, timeout=30)
 
 
+def _set_up_stage(stage: str):
+    """Build the inputs of one set-up stage and return a call that runs it."""
+    scenario = lanes_grid()
+    if stage == "parse":
+        text = serialize_scenario(scenario)
+        return lambda: parse_scenario(text)
+    if stage == "rejected_parse":
+        doc = scenario_to_dict(scenario)
+        doc["roadconnections"][-1]["in_lanes"] = [1, True]
+        text = json.dumps(doc)
+
+        def rejected():
+            try:
+                parse_scenario(text)
+            except ScenarioError:
+                return
+            pytest.fail("the parse did not reject the document")
+
+        return rejected
+    if stage == "engine":
+        return lambda: Engine(scenario)
+    if stage == "partition":
+        return lambda: build_subnetworks(scenario, partition_nodes(scenario, 2, seed=1))
+    subs = build_subnetworks(scenario, partition_nodes(scenario, 2, seed=1))
+    if stage == "decoder_maps":
+        return lambda: [
+            (build_decoder_map(sub, nb), build_receive_map(sub, nb))
+            for sub in subs
+            for nb in sub.neighbors()
+        ]
+    assert stage == "handshake"
+    ends = socket.socketpair()
+    channels = [
+        _worker_channels(sub, {1 - sub.index: SocketDuplex(end)}, None)
+        for sub, end in zip(subs, ends)
+    ]
+    peer = threading.Thread(target=establish, args=(channels[1], 10.0))
+
+    def handshake():
+        peer.start()
+        establish(channels[0], 10.0)
+        peer.join(30.0)
+        assert not peer.is_alive()
+        for end in ends:
+            end.close()
+
+    return handshake
+
+
 class TestCollectorPause:
-    """The step loop runs with the cyclic collector paused.  That is safe
-    only while a run makes no reference cycles, and polite only while the
-    caller's collector state comes back as it was."""
+    """Set-up and the step loop run with the cyclic collector paused.  That
+    is safe only while they make no reference cycles, and polite only while
+    the caller's collector state comes back as it was."""
 
     @pytest.fixture
     def collector_off(self):
@@ -359,6 +411,16 @@ class TestCollectorPause:
         gc.collect()
         result = run_sequential(scenario)
         assert result.rows
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize(
+        "stage",
+        ["parse", "rejected_parse", "engine", "partition", "decoder_maps", "handshake"],
+    )
+    def test_set_up_makes_no_cycles(self, collector_off, stage):
+        run = _set_up_stage(stage)
+        gc.collect()
+        run()
         assert gc.collect() == 0
 
     def test_encode_decode_round_trip_makes_no_cycles(self, collector_off):
@@ -394,19 +456,33 @@ class TestCollectorPause:
         assert gc.collect() == 0
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("mode", ["sequential", "local", "tcp"])
+    @pytest.mark.parametrize("mode", ["sequential", "local", "tcp", "parse", "load"])
     @pytest.mark.parametrize("fails", [False, True], ids=["completes", "fails"])
-    def test_caller_collector_state_restored(self, monkeypatch, enabled, mode, fails):
-        if fails:
-            _die_at_step_2(monkeypatch)
+    def test_caller_collector_state_restored(
+        self, monkeypatch, tmp_path, enabled, mode, fails
+    ):
         scenario = generate_grid(3, 3)
+        loading = mode in ("parse", "load")
+        text = serialize_scenario(scenario)
+        if fails and loading:
+            doc = scenario_to_dict(scenario)
+            doc["links"][-1]["lanes"] = True
+            text = json.dumps(doc)
+        elif fails:
+            _die_at_step_2(monkeypatch)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
         was_enabled = gc.isenabled()
         frozen = gc.get_freeze_count()
         (gc.enable if enabled else gc.disable)()
         try:
-            expected = (InternalAssertion, ProtocolError)
+            expected = ScenarioError if loading else (InternalAssertion, ProtocolError)
             with pytest.raises(expected) if fails else contextlib.nullcontext():
-                if mode == "sequential":
+                if mode == "parse":
+                    parse_scenario(text)
+                elif mode == "load":
+                    load_scenario(str(path))
+                elif mode == "sequential":
                     run_sequential(scenario, steps=5)
                 else:
                     run_distributed(scenario, 2, transport=mode, steps=5, timeout=30)

@@ -8,6 +8,7 @@ import pytest
 
 from ctmdist.cli import main
 from ctmdist.errors import ScenarioError
+from ctmdist.gridgen import generate_grid
 from ctmdist.scenario import (
     FDParams,
     Link,
@@ -15,6 +16,7 @@ from ctmdist.scenario import (
     build_lane_groups,
     discretize,
     parse_scenario,
+    scenario_to_dict,
     serialize_scenario,
 )
 
@@ -176,6 +178,118 @@ class TestParse:
         again = parse_scenario(text)
         assert again == merge_diverge
         assert serialize_scenario(again) == text
+
+
+# (section, field, bad value, message): the message is formatted with the
+# bad record's own `id`, `node` and `in_link`.  All links of the grid share
+# one fd row, so a late link's fd is one that earlier links passed with.
+BAD_RECORDS = {
+    "link-id-bool": ("links", "id", True, "link id must be a non-negative integer, got True"),
+    "link-id-string": ("links", "id", "7", "link id must be a non-negative integer, got '7'"),
+    "link-start-negative": (
+        "links", "start_node", -1, "link {id} start_node must be a non-negative integer, got -1"
+    ),
+    "link-end-float": (
+        "links", "end_node", 1.0, "link {id} end_node must be a non-negative integer, got 1.0"
+    ),
+    "link-lanes-fraction": ("links", "lanes", 2.5, "link {id} lanes must be an integer, got 2.5"),
+    "link-fd-jam": (
+        "links",
+        "fd.jam_density",
+        0.05,
+        "link {id}: triangular diagram does not fit under jam density (needs 0.1, jam 0.05)",
+    ),
+    "link-fd-speed": (
+        "links", "fd.free_flow_speed", -25.0, "link {id} fd.free_flow_speed must be positive"
+    ),
+    "link-cfl-shared-fd": (
+        "links",
+        "length",
+        50.0,
+        "link {id}: CFL violation, free-flow step 100.0 m exceeds length 50.0 m",
+    ),
+    "conn-id-bool": (
+        "roadconnections", "id", False, "road connection id must be a non-negative integer, got False"
+    ),
+    "conn-in-negative": (
+        "roadconnections", "in_link", -3, "connection {id} in_link must be a non-negative integer, got -3"
+    ),
+    "conn-out-float": (
+        "roadconnections", "out_link", 2.0, "connection {id} out_link must be a non-negative integer, got 2.0"
+    ),
+    "conn-in-string": (
+        "roadconnections", "in_link", "1", "connection {id} in_link must be a non-negative integer, got '1'"
+    ),
+    "conn-missing-link": (
+        "roadconnections", "out_link", 999, "connection {id} references missing link 999"
+    ),
+    "conn-lanes-reversed": (
+        "roadconnections", "in_lanes", [2, 1], "connection {id} in_lanes [2, 1] outside lanes 1..2"
+    ),
+    "conn-lanes-outside": (
+        "roadconnections", "out_lanes", [1, 3], "connection {id} out_lanes [1, 3] outside lanes 1..2"
+    ),
+    "conn-lanes-short": (
+        "roadconnections", "out_lanes", [1], "connection {id} out_lanes must be a [lo, hi] lane pair"
+    ),
+    "conn-lanes-bool": (
+        "roadconnections", "in_lanes", [1, True], "connection {id} in_lanes must be an integer, got True"
+    ),
+    "split-node-bool": ("splits", "node", True, "split node must be a non-negative integer, got True"),
+    "split-in-negative": (
+        "splits", "in_link", -1, "split in_link must be a non-negative integer, got -1"
+    ),
+    "split-vtype-float": ("splits", "vtype", 0.0, "split vtype must be a non-negative integer, got 0.0"),
+    "split-in-string": (
+        "splits", "in_link", "1", "split in_link must be a non-negative integer, got '1'"
+    ),
+    "split-missing-link": ("splits", "in_link", 999, "split references missing link 999"),
+    "split-unreachable": (
+        "splits",
+        "ratios",
+        {"999": 1.0},
+        "split at node {node}: link 999 is not reachable from link {in_link} via a road connection",
+    ),
+}
+
+
+class TestFirstError:
+    """The loader reports the first bad record of a file, with the same
+    text, wherever in the file it is."""
+
+    @pytest.mark.parametrize("where", ["early", "late", "both"])
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_bad_record_reported(self, case, where):
+        section, field, value, message = BAD_RECORDS[case]
+        doc = scenario_to_dict(generate_grid(3, 3))
+        records = doc[section]
+        chosen = {"early": [0], "late": [-1], "both": [0, -1]}[where]
+        reported = dict(records[chosen[0]])
+        for i in chosen:
+            record = records[i]
+            for key in field.split(".")[:-1]:
+                record = record[key]
+            record[field.split(".")[-1]] = value
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == message.format(
+            id=reported.get("id"), node=reported.get("node"), in_link=reported.get("in_link")
+        )
+
+    @pytest.mark.parametrize("where", ["early", "late"])
+    def test_group_with_two_connections_to_one_link(self, where):
+        doc = scenario_to_dict(generate_grid(3, 3))
+        conns = doc["roadconnections"]
+        order = range(len(conns)) if where == "early" else range(len(conns) - 1, -1, -1)
+        first = conns[next(iter(order))]
+        sibling = next(c for c in conns if c["in_link"] == first["in_link"] and c is not first)
+        sibling["out_link"] = first["out_link"]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == (
+            f"link {first['in_link']} lanes 1-2: two road connections lead to the same "
+            f"downstream link"
+        )
 
 
 class TestLaneGroups:
