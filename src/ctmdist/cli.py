@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics")
     p.add_argument("--timing")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--spawn-local", action="store_true", help="tcp: fork workers here")
+    spawn_help = "tcp: not read; without --worker-index, tcp always forks its workers here"
+    p.add_argument("--spawn-local", action="store_true", help=spawn_help)
     p.add_argument("--worker-index", type=int, help="tcp: join as this worker")
     p.add_argument("--roster", help="tcp: worker_index host port lines")
 
@@ -136,9 +137,9 @@ def _fragment_path(out_dir: str, index: int) -> str:
     return os.path.join(out_dir, f"fragment_{index}.json")
 
 
-def _save_decoder(decoder: DecoderMap, path: str) -> None:
+def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(decoder.to_doc(), f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -146,7 +147,7 @@ def _load_decoder(path: str) -> DecoderMap:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return DecoderMap.from_doc(json.load(f))
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, OverflowError) as e:
         raise ScenarioError(f"cannot read decoder map {path}: {e}") from None
     except (KeyError, TypeError) as e:
         raise ScenarioError(f"decoder map {path}: missing or malformed field {e}") from None
@@ -168,27 +169,15 @@ def cmd_partition(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for sub in subs:
         save_scenario(sub.fragment, _fragment_path(args.out_dir, sub.index))
-    with open(
-        os.path.join(args.out_dir, "metagraph.json"), "w", encoding="utf-8", newline="\n"
-    ) as f:
-        json.dump(
-            {
-                "n": metagraph.n,
-                "edges": [
-                    {"a": i, "b": j, "overlap_links": list(links)}
-                    for (i, j), links in sorted(metagraph.edges.items())
-                ],
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    edges = [
+        {"a": i, "b": j, "overlap_links": list(links)}
+        for (i, j), links in sorted(metagraph.edges.items())
+    ]
+    _write_json(os.path.join(args.out_dir, "metagraph.json"), {"n": metagraph.n, "edges": edges})
     for sub in subs:
         for nb in sub.neighbors():
-            _save_decoder(
-                part.build_decoder_map(sub, nb), _decoder_path(args.out_dir, sub.index, nb)
-            )
+            decoder = part.build_decoder_map(sub, nb)
+            _write_json(_decoder_path(args.out_dir, sub.index, nb), decoder.to_doc())
     part.save_partition(node_partition, os.path.join(args.out_dir, "partition.txt"))
     print(
         f"wrote {len(subs)} fragments, metagraph, and decoder maps to {args.out_dir}"
@@ -231,13 +220,9 @@ def _write_run_outputs(args, result) -> None:
     if args.dump:
         runner.write_dump(result.rows, args.dump)
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(result.metrics, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.metrics, result.metrics)
     if args.timing:
-        with open(args.timing, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(result.timing, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.timing, result.timing)
 
 
 def _parse_roster(path: str) -> dict[int, tuple[str, int]]:
@@ -339,9 +324,7 @@ def _run_tcp_join(args, dump_every) -> int:
     base = args.dump or os.path.join(args.fragments_dir, "dump")
     runner.write_dump(rows, f"{base}.worker{sub.index}.csv")
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as f:
-            json.dump({"per_step": per_step, "timing": timing}, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.metrics, {"per_step": per_step, "timing": timing})
     print(f"worker {sub.index} finished; partial dump at {base}.worker{sub.index}.csv")
     return 0
 
@@ -358,9 +341,7 @@ def cmd_bench(args) -> int:
         scenario, n_list, steps=args.steps, transport=args.transport, seed=args.seed
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.out, report)
     header = (
         f"{'n':>4} {'setup':>9} {'comm':>9} {'compute':>9} {'total':>9} {'speedup':>8} "
         f"{'compute speedup':>16} {'ideal rate':>11}"

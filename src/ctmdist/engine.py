@@ -210,10 +210,9 @@ class LinkRuntime:
 
 @dataclass(slots=True)
 class StepPlan:
-    # overlap link -> the removals or deliveries this engine resolved on it,
-    # in the order applied; the neighbor applies them to its replica
-    removals: dict[int, list[EntryRecord]] = field(default_factory=dict)
-    deliveries: dict[int, list[EntryRecord]] = field(default_factory=dict)
+    # overlap link -> what this engine resolved on it, in the order applied,
+    # for the neighbor: removals if it owns the end node, else deliveries
+    boundary: dict[int, list[EntryRecord]] = field(default_factory=dict)
     # deliveries into one-cell links, applied in phase B after every removal
     deferred: list[EntryRecord] = field(default_factory=list)
     # links a connection demands to enter; phase A delivers only into these
@@ -261,7 +260,6 @@ class Engine:
         # cell totals of the active links: left by phase B's pass, taken
         # again by phase A after lane changes on multi-group links
         self._totals: dict[int, list[list[float]]] = {}
-        self._empty_supplies: dict[int, tuple[float, tuple]] = {}
         # entry fractions stay valid while no split row starts: cached per
         # epoch, the number of distinct split start times passed
         self._split_times = sorted({row.start_time for row in scenario.splits})
@@ -518,12 +516,7 @@ class Engine:
     def _supplies(self, link_id: int) -> tuple[float, tuple[tuple[int, float], ...]]:
         """First-cell supply of a link, summed over its lane groups, and each
         group's (index, share of that sum); no shares when the sum is 0."""
-        link_totals = self._totals.get(link_id)
-        if link_totals is None:
-            # inactive, so empty: the supplies are those of an empty link
-            cached = self._empty_supplies.get(link_id)
-            if cached is not None:
-                return cached
+        link_totals = self._totals.get(link_id)  # None: inactive, so empty
         groups = self.links[link_id].groups
         per_group = []
         total = 0.0
@@ -533,14 +526,10 @@ class Engine:
             per_group.append(s)
             total += s
         if total <= 0.0:
-            result = (total, ())
-        elif len(groups) == 1:
-            result = (total, ((0, 1.0),))  # s / s == 1.0
-        else:
-            result = (total, tuple([(g.index, s / total) for g, s in zip(groups, per_group)]))
-        if link_totals is None:
-            self._empty_supplies[link_id] = result
-        return result
+            return total, ()
+        if len(groups) == 1:
+            return total, ((0, 1.0),)  # s / s == 1.0
+        return total, tuple([(g.index, s / total) for g, s in zip(groups, per_group)])
 
     def entry_positions(self, link_id: int, vtype: int, time: float) -> tuple:
         """How flow of `vtype` entering `link_id` divides over the link's
@@ -595,13 +584,12 @@ class Engine:
         tlrt = links[target]
         first = [g.cells[0] for g in tlrt.groups]
         deferred = tlrt.groups[0].cell_count == 1
-        deliveries = None if tlrt.outflow_local else plan.deliveries.setdefault(target, [])
+        boundary = plan.boundary
+        deliveries = None if tlrt.outflow_local else boundary.setdefault(target, [])
         for cid, entries in flows.items():
             in_link = self._in_link_of[cid]
             groups = links[in_link].groups
-            removals = None
-            if not links[in_link].inflow_local:
-                removals = plan.removals.setdefault(in_link, [])
+            removals = None if links[in_link].inflow_local else boundary.setdefault(in_link, [])
             arrived: dict[int, float] = {}
             for (p, _cid, _out_link, gidx, vt), amount in entries:
                 if amount:
@@ -792,6 +780,5 @@ class Engine:
         """All delivery and removal records touching the given overlap links."""
         records: list[EntryRecord] = []
         for lid in sorted(link_ids):
-            records.extend(plan.deliveries.get(lid, ()))
-            records.extend(plan.removals.get(lid, ()))
+            records.extend(plan.boundary.get(lid, ()))
         return records

@@ -7,7 +7,8 @@ EXIT_INTERNAL = 4
 
 
 class CtmError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors.  A worker's error is rebuilt in
+    the parent from its message, so a subclass takes only the message."""
 
     exit_code = 1
 

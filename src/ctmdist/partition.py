@@ -109,8 +109,8 @@ class DecoderMap:
 
     @classmethod
     def from_doc(cls, doc) -> DecoderMap:
-        """Inverse of `to_doc`; KeyError, TypeError or ValueError when `doc`
-        is malformed."""
+        """Inverse of `to_doc`; KeyError, TypeError, ValueError or
+        OverflowError when `doc` is malformed."""
         return cls(
             sender=int(doc["sender"]),
             receiver=int(doc["receiver"]),

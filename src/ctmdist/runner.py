@@ -24,6 +24,14 @@ that is the parse's own return, inside set-up and not after step 0; for a
 sequential run's engine it is after the last step.  Forked workers inherit
 the paused collector and never collect, so they leave the copy-on-write
 pages of the heap they inherit alone.  No process is frozen (`gc.freeze()`).
+
+A worker reports through its result pipe.  It sends a `CtmError` as
+itself, so the caller gets the worker's class, message and exit code, and
+any other exception as a `CtmError` holding the traceback.  The first
+failure read ends the run: the parent terminates the other workers, then
+names the worker whose missing result it read first or, after an error, a
+worker that died by itself (one it did not stop, or whose exit code is not
+its `SIGTERM`), since that death caused its neighbors' errors.
 """
 
 from __future__ import annotations
@@ -297,9 +305,9 @@ def _worker_entry(
             )
         result_conn.send(("ok", *outcome))
     except CtmError as e:
-        result_conn.send(("error", type(e).__name__, str(e), e.exit_code))
+        result_conn.send(("error", e))
     except Exception:
-        result_conn.send(("error", "Exception", traceback.format_exc(), 1))
+        result_conn.send(("error", CtmError(traceback.format_exc())))
     finally:
         result_conn.close()
 
@@ -312,13 +320,6 @@ def _read_result(conn) -> tuple:
     except (EOFError, OSError):
         pass  # none, or cut short
     return DEAD
-
-
-def _raise_worker_error(kind: str, message: str, exit_code: int) -> None:
-    for cls in (ScenarioError, ProtocolError, InternalAssertion):
-        if cls.__name__ == kind:
-            raise cls(message)
-    raise CtmError(message)
 
 
 @collector_paused()
@@ -398,7 +399,7 @@ def run_distributed(
             handle.close()
 
     results: list[tuple | None] = [None] * n
-    failure: tuple | None = None
+    failure: tuple | None = None  # (worker index, outcome) of the first failure read
     owner = {result_pipes[i][0]: i for i in range(n)}
     owner.update({proc.sentinel: i for i, proc in enumerate(procs)})
     # generous backstop only: stalled workers abort themselves via the
@@ -408,34 +409,34 @@ def run_distributed(
         waiting = [h for h, i in owner.items() if results[i] is None]
         ready = wait(waiting, max(0.0, deadline - time.monotonic()))
         if not ready:
-            failure = ("error", "ProtocolError", "workers stalled", 3)
+            failure = (None, ("error", ProtocolError("workers stalled")))
         for i in sorted({owner[h] for h in ready}):
             results[i] = _read_result(result_pipes[i][0])
             if results[i][0] != "ok":
-                failure = failure or results[i]
-    if failure is not None:
-        # stop the workers still running, then read what each one sent
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for i, proc in enumerate(procs):
-            proc.join()
-            if results[i] is None:
-                results[i] = _read_result(result_pipes[i][0])
-        # a worker that died by itself is the cause of the errors its
-        # neighbors saw; one that terminate() stopped is not, and a worker
-        # already exiting keeps its own exit code
-        dead = [
-            i
-            for i, r in enumerate(results)
-            if r == DEAD and procs[i].exitcode != -signal.SIGTERM
-        ]
-        if dead:
-            code = procs[dead[0]].exitcode
-            raise ProtocolError(f"worker {dead[0]} exited with code {code} without a result")
-        _raise_worker_error(*failure[1:])
-    for proc in procs:
+                failure = failure or (i, results[i])
+    # after a failure, stop the workers still running; then join every
+    # worker and read what each one sent
+    stopped = [failure is not None and proc.is_alive() for proc in procs]
+    for proc, alive in zip(procs, stopped):
+        if alive:
+            proc.terminate()
+    for i, proc in enumerate(procs):
         proc.join()
+        if results[i] is None:
+            results[i] = _read_result(result_pipes[i][0])
+    if failure is not None:
+        cause, outcome = failure
+        if outcome != DEAD:
+            dead = [
+                i
+                for i, r in enumerate(results)
+                if r == DEAD and not (stopped[i] and procs[i].exitcode == -signal.SIGTERM)
+            ]
+            cause = dead[0] if dead else None
+        if cause is not None:
+            code = procs[cause].exitcode
+            raise ProtocolError(f"worker {cause} exited with code {code} without a result")
+        raise outcome[1]
 
     rows = merge_states([r[1] for r in results])
     merged_steps = {key: [] for key in ("in_network", "entered_cum", "exited_cum", "queued")}
@@ -531,10 +532,8 @@ def diff_dumps(text_a: str, text_b: str, tol: float | None = None) -> str | None
     if tol is None:
         if text_a == text_b:
             return None
-        rows_a, rows_b = parse_dump(text_a), parse_dump(text_b)
         tol = 0.0
-    else:
-        rows_a, rows_b = parse_dump(text_a), parse_dump(text_b)
+    rows_a, rows_b = parse_dump(text_a), parse_dump(text_b)
     for i in range(min(len(rows_a), len(rows_b))):
         a, b = rows_a[i], rows_b[i]
         if a[:6] != b[:6]:
@@ -556,9 +555,10 @@ def diff_dumps(text_a: str, text_b: str, tol: float | None = None) -> str | None
 # ---------------------------------------------------------------------------
 
 
+@collector_paused()
 def setup_timing(scenario: Scenario, n: int, seed: int = 0) -> float:
-    """Seconds to partition, build fragments and the metagraph, and derive
-    every decoder map: the distribution setup cost for `n` workers."""
+    """Seconds of distribution set-up for `n` workers: partition, fragments,
+    metagraph and every decoder map, with the collector paused as in a run."""
     t0 = time.perf_counter()
     partition = partition_nodes(scenario, n, seed)
     subs = build_subnetworks(scenario, partition)

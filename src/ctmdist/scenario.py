@@ -323,7 +323,7 @@ def parse_scenario(text: str) -> Scenario:
         ) from None
     try:
         return _build_scenario(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ScenarioError(f"missing or malformed field: {e!r}") from None
 
 

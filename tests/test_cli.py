@@ -391,6 +391,15 @@ class TestMalformedRunInputs:
         assert main(argv) == 2
         assert "decoder_0_to_1.json" in capsys.readouterr().err
 
+    def test_decoder_map_infinite_slot(self, parts, capsys):
+        victim = parts / "decoder_0_to_1.json"
+        doc = json.loads(victim.read_text())
+        doc["slots"][0][0] = float("inf")
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        assert "decoder_0_to_1.json" in capsys.readouterr().err
+
     def test_roster_port_not_integer(self, parts, tmp_path, capsys):
         assert self._join(parts, "0 127.0.0.1 5000\n1 127.0.0.1 port\n", tmp_path) == 2
         assert "line 2" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from ctmdist.comm import (
     HEADER,
     NeighborChannel,
     SocketDuplex,
+    _verify_hello,
     decode,
     encode,
     establish,
@@ -207,6 +208,12 @@ class TestEstablish:
         errors = _run_both(lambda: establish([ch_a], 5.0), lambda: establish([ch_b], 5.0))
         assert all(isinstance(e, ProtocolError) for e in errors)
         assert all("slot 2" in str(e) for e in errors)
+
+    def test_handshake_beyond_integer_range_unreadable(self):
+        ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))[1]
+        hello = b'{"receiver":1,"sender":0,"slots":[[Infinity,9,0,0,11]]}'
+        with pytest.raises(ProtocolError, match=r"worker 1: unreadable handshake from 0"):
+            _verify_hello(ch_b, hello)
 
 
 class TestExchange:

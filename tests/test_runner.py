@@ -14,9 +14,10 @@ import time
 
 import pytest
 
+from ctmdist import runner
 from ctmdist.comm import HEADER, SocketDuplex, decode, encode, establish
 from ctmdist.engine import Engine
-from ctmdist.errors import InternalAssertion, ProtocolError, ScenarioError
+from ctmdist.errors import CtmError, InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
     DecoderMap,
@@ -35,6 +36,7 @@ from ctmdist.runner import (
     rows_to_csv,
     run_distributed,
     run_sequential,
+    setup_timing,
     write_dump,
 )
 from ctmdist.scenario import load_scenario, parse_scenario, scenario_to_dict, serialize_scenario
@@ -167,9 +169,9 @@ class TestDistributed:
         assert dist.rows == seq.rows
 
 
-def _die_at_step_2(monkeypatch):
-    """Make worker 1 exit with code 9 at step 2, and a sequential run raise
-    there."""
+def _die_at_step_2(monkeypatch, die=lambda: os._exit(9)):
+    """Make worker 1 call `die()` at step 2, by default exiting with code 9,
+    and a sequential run raise there."""
     phase_a = Engine.phase_a
 
     def dying_phase_a(engine, step):
@@ -178,7 +180,7 @@ def _die_at_step_2(monkeypatch):
             if sub is None:
                 raise InternalAssertion("phase A failed at step 2")
             if sub.index == 1:
-                os._exit(9)
+                die()
         return phase_a(engine, step)
 
     monkeypatch.setattr(Engine, "phase_a", dying_phase_a)
@@ -194,6 +196,40 @@ class TestDeadWorker:
         with pytest.raises(ProtocolError, match=r"worker 1 exited with code 9"):
             run_distributed(generate_grid(3, 3), 2, transport=transport, steps=10, timeout=30)
         assert time.monotonic() - t0 < 5.0
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_worker_killed_from_outside_is_named(self, monkeypatch, transport):
+        # -SIGTERM is also the code terminate() leaves, but worker 1's
+        # missing result is the first failure the parent reads
+        _die_at_step_2(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGTERM))
+        with pytest.raises(ProtocolError, match=rf"worker 1 exited with code {-signal.SIGTERM}"):
+            run_distributed(generate_grid(3, 3), 2, transport=transport, steps=10, timeout=30)
+
+
+class LinkDown(ProtocolError):
+    """An error class that no module of the program names."""
+
+    exit_code = 5
+
+
+def _raise(error):
+    raise error
+
+
+class TestWorkerError:
+    def test_error_reaches_caller_as_itself(self, monkeypatch):
+        _die_at_step_2(monkeypatch, lambda: _raise(LinkDown("link 7 is down")))
+        with pytest.raises(LinkDown) as caught:
+            run_distributed(generate_grid(3, 3), 2, steps=10, timeout=30)
+        assert (str(caught.value), caught.value.exit_code) == ("link 7 is down", 5)
+
+    def test_other_exception_arrives_with_its_traceback(self, monkeypatch):
+        _die_at_step_2(monkeypatch, lambda: _raise(ZeroDivisionError("no lanes")))
+        with pytest.raises(CtmError) as caught:
+            run_distributed(generate_grid(3, 3), 2, steps=10, timeout=30)
+        assert type(caught.value) is CtmError and caught.value.exit_code == 1
+        assert "Traceback" in str(caught.value)
+        assert "ZeroDivisionError: no lanes" in str(caught.value)
 
 
 def _stall_half_frame(monkeypatch):
@@ -454,6 +490,25 @@ class TestCollectorPause:
                 engines[sub.index].phase_b(step, received)
         assert any(any(values) for values in mailbox.values())
         assert gc.collect() == 0
+
+    def test_setup_timing_runs_paused(self, monkeypatch):
+        # it times the set-up a run does, and a run does it paused
+        seen = []
+        partition = runner.partition_nodes
+
+        def partition_nodes(*args):
+            seen.append(gc.isenabled())
+            return partition(*args)
+
+        monkeypatch.setattr(runner, "partition_nodes", partition_nodes)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            assert setup_timing(generate_grid(3, 3), 2) > 0.0
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("mode", ["sequential", "local", "tcp", "parse", "load"])

@@ -154,6 +154,26 @@ class TestParse:
         path.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(path), "--mode", "seq", "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [
+            (lambda doc: doc["simulation"], "steps", float("inf")),
+            (lambda doc: doc["links"][0], "length", int("9" * 400)),
+        ],
+        ids=["infinite_steps", "400_digit_length"],
+    )
+    def test_number_beyond_float_range_rejected(self, tmp_path, record, field, value):
+        # int(inf) and float() of a 400-digit int raise OverflowError, not
+        # ValueError
+        doc = minimal_doc()
+        record(doc)[field] = value
+        text = json.dumps(doc)
+        with pytest.raises(ScenarioError, match=r"missing or malformed field"):
+            parse_scenario(text)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        assert main(["run", "--scenario", str(scenario), "--mode", "seq", "--steps", "1"]) == 2
+
     def test_integral_float_lanes_accepted(self):
         doc = merge_diverge_doc()
         doc["links"][4]["lanes"] = 3.0
