@@ -2,8 +2,8 @@
 
 `--config FILE` supplies flag defaults from a JSON object keyed by flag
 name (dashes or underscores); explicit flags win.  `OTMD_LOG` sets the log
-level.  Exit codes: 0 success, 2 scenario/config error, 3 protocol error,
-4 internal assertion.
+level.  Exit codes: 0 success, 2 scenario/config error or a file that
+cannot be opened, 3 protocol error, 4 internal assertion.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 from . import gridgen, partition as part, runner
 from .comm import DEFAULT_TIMEOUT, tcp_listener
-from .errors import CtmError, ScenarioError
+from .errors import EXIT_SCENARIO, CtmError, ScenarioError
 from .partition import DecoderMap
 from .scenario import load_scenario, save_scenario
 
@@ -93,7 +93,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         try:
             with open(probe.config, "r", encoding="utf-8") as f:
                 overrides = json.load(f)
-        except (OSError, ValueError) as e:
+        except ValueError as e:
             raise ScenarioError(f"cannot read config {probe.config}: {e}") from None
         if not isinstance(overrides, dict):
             raise ScenarioError("config file must hold a JSON object")
@@ -147,7 +147,7 @@ def _load_decoder(path: str) -> DecoderMap:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return DecoderMap.from_doc(json.load(f))
-    except (OSError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         raise ScenarioError(f"cannot read decoder map {path}: {e}") from None
     except (KeyError, TypeError) as e:
         raise ScenarioError(f"decoder map {path}: missing or malformed field {e}") from None
@@ -190,7 +190,7 @@ def _load_fragment(fragments_dir: str, index: int) -> part.Subnetwork:
     path = _fragment_path(fragments_dir, index)
     try:
         sub = part.Subnetwork(load_scenario(path))
-    except (OSError, ScenarioError) as e:
+    except ScenarioError as e:
         raise ScenarioError(f"fragment {path}: {e}") from None
     if sub.index != index:
         raise ScenarioError(f"fragment {path}: subnetwork metadata gives index {sub.index}")
@@ -227,11 +227,8 @@ def _write_run_outputs(args, result) -> None:
 
 def _parse_roster(path: str) -> dict[int, tuple[str, int]]:
     roster = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise ScenarioError(f"cannot read roster {path}: {e}") from None
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.readlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -389,9 +386,9 @@ def main(argv: list[str] | None = None) -> int:
             "diff": cmd_diff,
         }[args.command]
         return handler(args)
-    except CtmError as e:
+    except (CtmError, OSError) as e:  # OSError: a file that cannot be opened or written
         print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
+        return e.exit_code if isinstance(e, CtmError) else EXIT_SCENARIO
 
 
 if __name__ == "__main__":

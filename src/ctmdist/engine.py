@@ -50,9 +50,11 @@ those of a map from commodity to vehicles iterated in sorted order:
 - Products keep their two-step order: an internal flow is
   `(v * scale) * (flow / total)`, never `v * (scale * (flow / total))`, and
   a delivery is `(arrived * (group supply / link supply)) * fraction`.
-  The node model passes entries unscaled when supply covers demand, and a
-  link with one lane group gives it a share of 1.0 without dividing; both
-  are exact, since `x * 1.0 == x` and `s / s == 1.0` for `s > 0`.
+  When supply covers demand the node model returns no factor and the
+  entries pass unscaled, and a link with one lane group gives it a share of
+  1.0 without dividing; both are exact, since `x * 1.0 == x` and
+  `s / s == 1.0` for `s > 0`.  Otherwise each entry is `d * factor`, the
+  one product the factor takes part in.
 - `in_network` adds per-cell totals in ascending link order.  It skips
   inactive links, which only ever hold zeros.
 - The builtin `sum()` never runs over simulation floats: since CPython 3.12
@@ -146,28 +148,20 @@ def compute_supply(
     return supply if supply > 0.0 else 0.0
 
 
-def resolve_node_flows(demand_entries: dict[int, tuple], supply: float) -> dict[int, tuple]:
+def resolve_node_flows(conns: list[tuple[int, list]], supply: float) -> float | None:
     """Proportional-merge node model at one downstream link.
 
-    `demand_entries` maps each road connection into the link, in ascending
-    id order, to (total demand, entries), where entries are (key, demand)
-    pairs.  If the total demand exceeds the link's first-cell `supply`,
-    every connection is scaled by the common factor supply/demand; a single
-    round, no redistribution.  Returns the entries per connection, scaled.
+    `conns` holds each road connection into the link that has demand, in
+    ascending id order, as (id, [total demand, entries]).  If the summed
+    demand exceeds the link's first-cell `supply`, every entry is scaled by
+    the common factor supply/demand, which this returns; a single round, no
+    redistribution.  Otherwise it returns None and the entries pass
+    unscaled.
     """
     total = 0.0
-    for demand, _entries in demand_entries.values():
+    for _cid, (demand, _entries) in conns:
         total += demand
-    if total <= 0.0:
-        return {}
-    if total <= supply:
-        # factor 1.0: d * 1.0 == d, so the entries pass unchanged
-        return {cid: entries for cid, (_d, entries) in demand_entries.items()}
-    factor = supply / total
-    return {
-        cid: tuple([(key, d * factor) for key, d in entries])
-        for cid, (_d, entries) in demand_entries.items()
-    }
+    return supply / total if total > supply else None
 
 
 @dataclass(slots=True)
@@ -380,14 +374,10 @@ class Engine:
 
         in_conns = self.scenario.in_conns
         for target in sorted(plan.targets):
-            entries = {}
-            for cid in in_conns[target]:
-                demand = demand_by_conn.get(cid)
-                if demand is not None:
-                    entries[cid] = demand
+            conns = [(c, demand_by_conn[c]) for c in in_conns[target] if c in demand_by_conn]
             supply_total, shares = self._supplies(target)
-            flows = resolve_node_flows(entries, supply_total)
-            self._apply_node_flows(target, flows, shares, time, plan)
+            factor = resolve_node_flows(conns, supply_total)
+            self._apply_node_flows(target, conns, factor, shares, time, plan)
 
         self._plan = plan
         return plan
@@ -399,7 +389,8 @@ class Engine:
         groups = lrt.groups
         eta = self.eta
         for k in range(groups[0].cell_count):
-            moves: list[tuple[int, int, int, float]] = []
+            # target group -> (source group, position, amount), in the order found
+            moves: dict[int, list[tuple[int, int, float]]] = {}
             for g in groups:
                 cell = g.cells[k]
                 for p in g.lane_stuck:
@@ -411,26 +402,21 @@ class Engine:
                 for p, dst in g.lane_moves:
                     v = cell[p]
                     if v:
-                        moves.append((g.index, dst, p, eta * v))
+                        moves.setdefault(dst, []).append((g.index, p, eta * v))
             if not moves:
                 continue
             # caps from the pre-move state: lateral movements are simultaneous
-            space = {
-                dst: groups[dst].jam_veh - cell_total(groups[dst].cells[k])
-                for dst in sorted({m[1] for m in moves})
-            }
-            for dst in sorted(space):
+            space = {dst: groups[dst].jam_veh - cell_total(groups[dst].cells[k]) for dst in moves}
+            for dst in sorted(moves):
                 wanted = 0.0
-                for src, d, p, amount in moves:
-                    if d == dst:
-                        wanted += amount
-                if wanted <= 0.0 or space[dst] <= 0.0:
+                for _src, _p, amount in moves[dst]:
+                    wanted += amount
+                room = space[dst]
+                if wanted <= 0.0 or room <= 0.0:
                     continue
-                scale = 1.0 if wanted <= space[dst] else space[dst] / wanted
+                scale = 1.0 if wanted <= room else room / wanted
                 dst_cell = groups[dst].cells[k]
-                for src, d, p, amount in moves:
-                    if d != dst:
-                        continue
+                for src, p, amount in moves[dst]:
                     moved = amount * scale
                     src_cell = groups[src].cells[k]
                     src_cell[p] = src_cell[p] - moved
@@ -572,26 +558,28 @@ class Engine:
         return result
 
     def _apply_node_flows(
-        self, target: int, flows: dict[int, tuple], shares: tuple, time: float, plan: StepPlan
+        self, target: int, conns: list, factor: float | None, shares: tuple, time: float,
+        plan: StepPlan,
     ) -> None:
-        """Apply resolved per-connection flows: each one's removals from the
-        last cells of its upstream link, then its deliveries into `target`'s
-        first cells, split over the lane groups by their `shares` of its
-        supply and by assigned next links.  Flows on overlap links are also
-        recorded for the neighbor; deliveries into a one-cell link are left
-        to phase B."""
+        """Apply each connection's demand entries, times the node model's
+        `factor` unless it is None: the removals from the last cells of its
+        upstream link, then its deliveries into `target`'s first cells, split
+        over the lane groups by their `shares` of its supply and by assigned
+        next links.  Flows on overlap links are also recorded for the
+        neighbor; deliveries into a one-cell link are left to phase B."""
         links = self.links
         tlrt = links[target]
         first = [g.cells[0] for g in tlrt.groups]
         deferred = tlrt.groups[0].cell_count == 1
         boundary = plan.boundary
         deliveries = None if tlrt.outflow_local else boundary.setdefault(target, [])
-        for cid, entries in flows.items():
+        for cid, (_demand, entries) in conns:
             in_link = self._in_link_of[cid]
             groups = links[in_link].groups
             removals = None if links[in_link].inflow_local else boundary.setdefault(in_link, [])
             arrived: dict[int, float] = {}
-            for (p, _cid, _out_link, gidx, vt), amount in entries:
+            for (p, _cid, _out_link, gidx, vt), d in entries:
+                amount = d if factor is None else d * factor
                 if amount:
                     cell = groups[gidx].cells[-1]
                     cell[p] = cell[p] - amount

@@ -307,13 +307,12 @@ def parse_partition(text: str, scenario: Scenario) -> NodePartition:
 
     n = max(assignment.values()) + 1
     for node, subset in assignment.items():
-        if subset < 0 or subset >= n:
+        if subset < 0:
             raise ScenarioError(f"node {node} has subset index {subset} outside 0..{n - 1}")
-    sizes = [0] * n
-    for subset in assignment.values():
-        sizes[subset] += 1
-    for i, size in enumerate(sizes):
-        if size == 0:
+    # the distinct indices, ascending: the first that is not its own rank
+    # names an empty subset
+    for i, subset in enumerate(sorted(set(assignment.values()))):
+        if subset != i:
             raise ScenarioError(f"subset {i} is empty")
     return NodePartition(n, assignment)
 

@@ -36,6 +36,7 @@ its `SIGTERM`), since that death caused its neighbors' errors.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import signal
 import socket
@@ -259,6 +260,11 @@ def _worker_body(
     return rows, per_step, report.timing()
 
 
+def _check_timeout(timeout: float) -> None:
+    if not 0.0 < timeout < math.inf:
+        raise ScenarioError(f"timeout must be a positive finite number of seconds, not {timeout}")
+
+
 def run_tcp_worker(
     sub: Subnetwork,
     roster: dict[int, tuple[str, int]],
@@ -271,6 +277,7 @@ def run_tcp_worker(
     """Run one worker of a TCP run: connect to its neighbors through
     `listener`, whose address the roster gives, close it, and simulate."""
     with listener:
+        _check_timeout(timeout)
         duplexes = tcp_connect_channels(
             sub.index, list(sub.neighbors()), roster, listener, timeout
         )
@@ -340,6 +347,7 @@ def run_distributed(
     implementation: "local" socketpairs or "tcp" loopback sockets."""
     if transport not in ("local", "tcp"):
         raise ScenarioError(f"unknown transport {transport!r}")
+    _check_timeout(timeout)
     wall0 = time.perf_counter()
     if subs is None:
         if scenario is None or n is None:
@@ -512,17 +520,10 @@ def parse_dump(text: str) -> list[Row]:
         parts = line.split(",")
         if len(parts) != 7:
             raise ScenarioError(f"dump line {lineno}: expected 7 fields")
-        rows.append(
-            (
-                int(parts[0]),
-                int(parts[1]),
-                int(parts[2]),
-                int(parts[3]),
-                int(parts[4]),
-                int(parts[5]),
-                float(parts[6]),
-            )
-        )
+        try:
+            rows.append((*map(int, parts[:6]), float(parts[6])))
+        except ValueError as e:
+            raise ScenarioError(f"dump line {lineno}: {e}") from None
     return rows
 
 

@@ -6,6 +6,8 @@ import json
 import os
 import random
 import sys
+import threading
+import time
 
 import pytest
 
@@ -124,57 +126,55 @@ def chain_doc(cells_per_link=5, links=1, lanes=1, demand=None, dt=2.0, steps=50)
     return doc
 
 
-def lanes_grid(rows=5, cols=5, steps=120, seed=7):
-    """3-lane grid with lane-restricted turns, mixed routing and a split
-    change at mid-horizon, built like the benchmark's lanes workload: the
-    first and last outgoing connection of each link keep only an outer lane,
-    one deterministic straight-east type per row carries 30% of its west
-    source's demand, and every multi-way split row gets a seeded second row
-    at step steps//2."""
-    base = generate_grid(rows, cols, lanes=3, steps=steps)
-    rng = random.Random(seed)
-
+def restrict_outer_lanes(s):
+    """Keep only an outer lane for the first and last outgoing connection of
+    every link that has several, so such links get several lane groups."""
     by_in_link = {}
-    for conn in base.connections.values():
+    for conn in s.connections.values():
         by_in_link.setdefault(conn.in_link, []).append(conn)
-    connections = dict(base.connections)
+    connections = dict(s.connections)
     for conns in by_in_link.values():
         if len(conns) < 2:
             continue
         conns.sort(key=lambda c: c.id)
+        lanes = s.links[conns[0].in_link].lanes
         connections[conns[0].id] = dataclasses.replace(conns[0], in_lanes=(1, 1))
-        connections[conns[-1].id] = dataclasses.replace(conns[-1], in_lanes=(3, 3))
-    base.connections = connections
+        connections[conns[-1].id] = dataclasses.replace(conns[-1], in_lanes=(lanes, lanes))
+    s.connections = connections
 
+
+def add_straight_types(s, rows, cols, type_rows):
+    """For each grid row in `type_rows`, a deterministic type that drives
+    straight east across it, with 30% of its west source's demand."""
     source_into, sink_out_of, east_link = {}, {}, {}
-    for ln in base.links.values():
+    for ln in s.links.values():
         if ln.is_source:
             source_into[ln.end_node] = ln.id
         elif ln.end_node >= rows * cols:
             sink_out_of[ln.start_node] = ln.id
         elif ln.end_node == ln.start_node + 1 and ln.end_node % cols != 0:
             east_link[ln.start_node] = ln.id
-    demands = list(base.demands)
-    for r in range(rows):
+    demands = list(s.demands)
+    for vtype, r in enumerate(type_rows, 1):
         west = r * cols
         path = [source_into[west]]
         path += [east_link[west + c] for c in range(cols - 1)]
         path.append(sink_out_of[west + cols - 1])
-        vtype = r + 1
-        base.vehicle_types[vtype] = VehicleType(
-            id=vtype, routing="deterministic", path=tuple(path)
-        )
+        s.vehicle_types[vtype] = VehicleType(id=vtype, routing="deterministic", path=tuple(path))
         for i, row in enumerate(demands):
             if row.link == path[0] and row.vtype == 0:
                 ((t, rate),) = row.profile
                 demands[i] = dataclasses.replace(row, profile=((t, rate * 0.7),))
                 demands.append(DemandRow(link=path[0], vtype=vtype, profile=((t, rate * 0.3),)))
                 break
-    base.demands = demands
+    s.demands = demands
 
-    mid = (steps // 2) * base.sim.dt
+
+def add_split_changes(s, rng, start_time):
+    """A second row from `start_time` on, with `rng`-drawn ratios, after
+    every split row with several successors."""
     splits = []
-    for row in base.splits:
+    for row in s.splits:
         splits.append(row)
         if len(row.ratios) < 2:
             continue
@@ -192,11 +192,24 @@ def lanes_grid(rows=5, cols=5, steps=120, seed=7):
                 node=row.node,
                 in_link=row.in_link,
                 vtype=row.vtype,
-                start_time=mid,
+                start_time=start_time,
                 ratios=tuple((out, p) for (out, _), p in zip(row.ratios, ratios)),
             )
         )
-    base.splits = splits
+    s.splits = splits
+
+
+def lanes_grid(rows=5, cols=5, steps=120, seed=7):
+    """3-lane grid with lane-restricted turns, mixed routing and a split
+    change at mid-horizon, built like the benchmark's lanes workload: the
+    first and last outgoing connection of each link keep only an outer lane,
+    one deterministic straight-east type per row carries 30% of its west
+    source's demand, and every multi-way split row gets a seeded second row
+    at step steps//2."""
+    base = generate_grid(rows, cols, lanes=3, steps=steps)
+    restrict_outer_lanes(base)
+    add_straight_types(base, rows, cols, range(rows))
+    add_split_changes(base, random.Random(seed), (steps // 2) * base.sim.dt)
     validate(base)
     return base
 
@@ -204,6 +217,29 @@ def lanes_grid(rows=5, cols=5, steps=120, seed=7):
 @pytest.fixture
 def single_link():
     return parse_scenario(json.dumps(chain_doc(cells_per_link=10, links=1, demand=0.9)))
+
+
+def run_bounded(fns, seconds=30.0):
+    """Run blocking closures concurrently in daemon threads; return their
+    exceptions.  Fails if any still runs after `seconds`."""
+    errors = [None] * len(fns)
+
+    def runner(idx, fn):
+        try:
+            fn()
+        except Exception as e:  # noqa: BLE001 - tests inspect the exception
+            errors[idx] = e
+
+    threads = [
+        threading.Thread(target=runner, args=(i, fn), daemon=True) for i, fn in enumerate(fns)
+    ]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + seconds
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads), f"still blocked after {seconds}s"
+    return errors
 
 
 def load_workloads(monkeypatch):

@@ -464,6 +464,42 @@ class TestMalformedRunInputs:
         assert main(argv) == 2
 
 
+class TestUnopenableFiles:
+    """A file the command cannot open is a config error: exit 2 naming it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--mode", "seq", "--scenario", "{missing}"],
+            ["partition", "--scenario", "{missing}", "--n", "2", "--out-dir", "{tmp}/p"],
+            ["bench", "--scenario", "{missing}"],
+            [
+                "partition", "--scenario", "{scenario}", "--n", "2", "--import", "{missing}",
+                "--out-dir", "{tmp}/p",
+            ],
+            ["diff", "--a", "{missing}", "--b", "{scenario}"],
+            ["run", "--scenario", "{scenario}", "--steps", "2", "--dump", "{missing}/x.csv"],
+            ["run", "--scenario", "{scenario}", "--steps", "2", "--metrics", "{missing}/m.json"],
+        ],
+        ids=["run", "partition", "bench", "import", "diff", "dump", "metrics"],
+    )
+    def test_exit_2_naming_the_path(self, fixture_file, tmp_path, capsys, argv):
+        missing = str(tmp_path / "absent")
+        fill = {"missing": missing, "scenario": fixture_file, "tmp": str(tmp_path)}
+        assert main([arg.format(**fill) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert missing in err
+        assert "Traceback" not in err
+
+
+class TestTimeoutOption:
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+    def test_not_positive_finite_exits_2(self, fixture_file, capsys, value):
+        argv = ["run", "--scenario", fixture_file, "--mode", "local", "--n", "2"]
+        assert main(argv + ["--steps", "2", "--timeout", value]) == 2
+        assert "timeout must be a positive finite number" in capsys.readouterr().err
+
+
 class TestBenchCmd:
     def test_table_and_report(self, fixture_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OTMD_LOG", "INFO")
@@ -507,3 +543,18 @@ class TestDiffCmd:
         other.write_text("\n".join(lines[:3] + [",".join(parts)] + lines[4:]) + "\n")
         assert main(["diff", "--a", str(dump), "--b", str(other)]) == 1
         assert main(["diff", "--a", str(dump), "--b", str(other), "--tol", "1.0"]) == 0
+
+    def test_malformed_dump_exits_2(self, fixture_file, tmp_path, capsys):
+        dump = tmp_path / "d.csv"
+        assert main(
+            ["run", "--scenario", fixture_file, "--steps", "30", "--dump", str(dump)]
+        ) == 0
+        lines = dump.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[5] = "x"
+        other = tmp_path / "e.csv"
+        other.write_text("\n".join(lines[:3] + [",".join(parts)] + lines[4:]) + "\n")
+        assert main(["diff", "--a", str(dump), "--b", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert "dump line 4: " in err
+        assert "Traceback" not in err

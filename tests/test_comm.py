@@ -27,7 +27,7 @@ from ctmdist.errors import ProtocolError
 from ctmdist.partition import DecoderMap, NodePartition, build_decoder_map, build_subnetworks
 from ctmdist.scenario import parse_scenario
 
-from conftest import link
+from conftest import link, run_bounded
 from test_partition import path_scenario
 
 
@@ -159,31 +159,8 @@ class TestChannelTopology:
         assert subs[2].neighbors() == (1,)
 
 
-def _run_bounded(fns, seconds=30.0):
-    """Run blocking closures concurrently in daemon threads; return their
-    exceptions.  Fails if any still runs after `seconds`."""
-    errors = [None] * len(fns)
-
-    def runner(idx, fn):
-        try:
-            fn()
-        except Exception as e:  # noqa: BLE001 - tests inspect the exception
-            errors[idx] = e
-
-    threads = [
-        threading.Thread(target=runner, args=(i, fn), daemon=True) for i, fn in enumerate(fns)
-    ]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + seconds
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
-    assert not any(t.is_alive() for t in threads), f"still blocked after {seconds}s"
-    return errors
-
-
 def _run_both(side_a, side_b):
-    return _run_bounded([side_a, side_b])
+    return run_bounded([side_a, side_b])
 
 
 class TestEstablish:
@@ -354,7 +331,7 @@ def tcp_socket_pair(timeout=10.0):
         with listeners[i]:
             joined[i] = tcp_connect_channels(i, [1 - i], roster, listeners[i], timeout)
 
-    assert _run_bounded([lambda: join(0), lambda: join(1)]) == [None, None]
+    assert run_bounded([lambda: join(0), lambda: join(1)]) == [None, None]
     _opened.extend((joined[0][1].sock, joined[1][0].sock))
     return joined[0][1].sock, joined[1][0].sock
 
@@ -375,7 +352,7 @@ class TestOrderedSwap:
             got[idx] = exchange([ch], {ch.remote: outgoing}, step=4, timeout=10.0)
 
         try:
-            errors = _run_bounded(
+            errors = run_bounded(
                 [lambda: side(0, ch_a, out_a), lambda: side(1, ch_b, out_b)], 20.0
             )
         finally:
@@ -390,7 +367,7 @@ class TestOrderedSwap:
         ch_a = synthetic_channel(0, 1, a)
         t0 = time.monotonic()
         try:
-            errors = _run_bounded(
+            errors = run_bounded(
                 [lambda: exchange([ch_a], {1: [0.0] * BIG}, step=0, timeout=0.5)], 5.0
             )
         finally:

@@ -139,34 +139,46 @@ class TestSupply:
         assert compute_supply(41.0, 5.0, 0.5, 40.0) == 0.0
 
 
+def node_conns(*demands):
+    """Node-model input: connection i with one entry of demand `demands[i]`."""
+    return [(cid, [d, [(("k", cid), d)]]) for cid, d in enumerate(demands)]
+
+
+def applied(conns, factor):
+    """Each entry as `_apply_node_flows` applies it: `d * factor`, or `d`
+    when the node model returns no factor."""
+    return [d if factor is None else d * factor for _c, (_t, es) in conns for _k, d in es]
+
+
 class TestNodeModel:
     def test_unconstrained_passes_demand(self):
-        flows = resolve_node_flows({0: (4.0, ((("k"), 4.0),))}, 10.0)
-        assert flows == {0: ((("k"), 4.0),)}
+        conns = node_conns(4.0)
+        factor = resolve_node_flows(conns, 10.0)
+        assert factor is None
+        assert applied(conns, factor) == [4.0]
 
     def test_proportional_merge(self):
-        flows = resolve_node_flows(
-            {0: (6.0, (("a", 6.0),)), 1: (2.0, (("b", 2.0),))}, 4.0
-        )
-        assert flows[0] == (("a", 3.0),)
-        assert flows[1] == (("b", 1.0),)
+        conns = node_conns(6.0, 2.0)
+        factor = resolve_node_flows(conns, 4.0)
+        assert factor == 0.5
+        assert applied(conns, factor) == [3.0, 1.0]
 
     def test_zero_supply_zero_packets(self):
-        flows = resolve_node_flows({0: (6.0, (("a", 6.0),))}, 0.0)
-        assert flows[0] == (("a", 0.0),)
+        conns = node_conns(6.0)
+        factor = resolve_node_flows(conns, 0.0)
+        assert factor == 0.0
+        assert applied(conns, factor) == [0.0]
 
     def test_feasibility_randomized(self):
         import random
 
         rng = random.Random(3)
         for _ in range(100):
-            conns = {}
-            for cid in range(rng.randint(1, 5)):
-                d = rng.uniform(0.0, 10.0)
-                conns[cid] = (d, ((("x", cid), d),))
+            conns = node_conns(*(rng.uniform(0.0, 10.0) for _ in range(rng.randint(1, 5))))
             supply = rng.uniform(0.0, 12.0)
-            flows = resolve_node_flows(conns, supply)
-            shipped = sum(v for entries in flows.values() for _k, v in entries)
+            shipped = 0.0
+            for amount in applied(conns, resolve_node_flows(conns, supply)):
+                shipped += amount
             assert shipped <= supply + 1e-12
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,20 @@ class TestPartitionFiles:
         s = path_scenario(4)
         with pytest.raises(ScenarioError, match=r"subset 1 is empty"):
             parse_partition("0 0\n1 0\n2 0\n3 2\n", s)
+
+    def test_large_subset_index_costs_no_memory(self):
+        # one node of a 25-node grid in subset 10**7: rejected without a
+        # list sized by the index
+        s = generate_grid(3, 3)
+        text = "".join(f"{node} {10**7 if node == 4 else 0}\n" for node in sorted(s.nodes))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=r"subset 1 is empty"):
+                parse_partition(text, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSubnetworks:

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from ctmdist import runner
-from ctmdist.comm import HEADER, SocketDuplex, decode, encode, establish
+from ctmdist.comm import HEADER, SocketDuplex, decode, encode, establish, tcp_listener
 from ctmdist.engine import Engine
 from ctmdist.errors import CtmError, InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
@@ -41,7 +41,7 @@ from ctmdist.runner import (
 )
 from ctmdist.scenario import load_scenario, parse_scenario, scenario_to_dict, serialize_scenario
 
-from conftest import chain_doc, lanes_grid, load_workloads, merge_diverge_doc
+from conftest import chain_doc, lanes_grid, load_workloads, merge_diverge_doc, run_bounded
 
 
 class TestSequential:
@@ -556,6 +556,34 @@ class TestMergeStates:
         row = (10, 4, 0, 0, 1, 5, 1.25)
         with pytest.raises(InternalAssertion, match=r"ownership conflict"):
             merge_states([[row], [row]])
+
+
+class TestTimeoutCheck:
+    """A timeout that is not a positive finite number of seconds is a config
+    error, raised before any worker starts or any socket connects."""
+
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_run_distributed(self, monkeypatch, transport, timeout):
+        started = InternalAssertion("a worker started")
+        monkeypatch.setattr(runner.Engine, "phase_a", lambda *args: _raise(started))
+        with pytest.raises(ScenarioError, match=r"timeout must be a positive finite"):
+            run_distributed(generate_grid(2, 2), 2, transport=transport, steps=2, timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_run_tcp_worker(self, timeout):
+        s = generate_grid(2, 2)
+        sub = build_subnetworks(s, partition_nodes(s, 2, 0))[0]
+        listener = tcp_listener()
+        roster = {i: listener.getsockname() for i in range(2)}
+        # bounded: without the check, an infinite or NaN timeout waits for
+        # the neighbour forever
+        (error,) = run_bounded(
+            [lambda: runner.run_tcp_worker(sub, roster, listener, None, 2, None, timeout)], 10.0
+        )
+        assert isinstance(error, ScenarioError)
+        assert "timeout must be a positive finite" in str(error)
+        assert listener.fileno() == -1  # closed
 
 
 class TestDumps:
