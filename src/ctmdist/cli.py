@@ -112,8 +112,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
 
 
 def cmd_gen_grid(args) -> int:
-    if args.rows < 1 or args.cols < 1:
-        raise ScenarioError("grid dimensions must be >= 1")
     scenario = gridgen.generate_grid(
         rows=args.rows,
         cols=args.cols,
@@ -251,8 +249,6 @@ def _parse_roster(path: str) -> dict[int, tuple[str, int]]:
 
 
 def cmd_run(args) -> int:
-    if args.steps is not None and args.steps < 1:
-        raise ScenarioError("--steps must be >= 1")
     dump_every = args.dump_every if args.dump_every and args.dump_every > 0 else None
 
     if args.mode == "seq":
@@ -314,7 +310,7 @@ def _run_tcp_join(args, dump_every) -> int:
         roster,
         tcp_listener(*roster[sub.index]),
         decoders,
-        args.steps or sub.fragment.sim.steps,
+        args.steps if args.steps is not None else sub.fragment.sim.steps,
         dump_every,
         args.timeout,
     )

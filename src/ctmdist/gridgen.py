@@ -65,12 +65,9 @@ def generate_grid(
     dt: float = DEFAULT_DT,
     steps: int = DEFAULT_STEPS,
 ) -> Scenario:
-    """Build the tiled grid scenario.  Deterministic: equal inputs yield a
-    byte-identical serialization."""
-    if rows < 1 or cols < 1:
-        raise ScenarioError("grid dimensions must be >= 1")
-    if demand_vph_per_lane < 0:
-        raise ScenarioError("demand must be non-negative")
+    """Build the tiled grid scenario and validate() it.  Deterministic:
+    equal inputs yield a byte-identical serialization."""
+    grid_counts(rows, cols)  # rejects a size below 1
 
     junction = lambda r, c: r * cols + c
     nodes: dict[int, Node] = {}

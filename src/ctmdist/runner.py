@@ -187,8 +187,7 @@ def run_sequential(
     """Whole-network run in one process; the reference for every equivalence
     check."""
     steps = scenario.sim.steps if steps is None else steps
-    if steps < 1:
-        raise ScenarioError("steps must be >= 1")
+    _check_steps(steps)
     wall0 = time.perf_counter()
     report = WorkerReport(index=0, setup_s=0.0, compute_s=0.0)
     t0 = time.perf_counter()
@@ -260,6 +259,11 @@ def _worker_body(
     return rows, per_step, report.timing()
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ScenarioError("steps must be >= 1")
+
+
 def _check_timeout(timeout: float) -> None:
     if not 0.0 < timeout < math.inf:
         raise ScenarioError(f"timeout must be a positive finite number of seconds, not {timeout}")
@@ -277,6 +281,7 @@ def run_tcp_worker(
     """Run one worker of a TCP run: connect to its neighbors through
     `listener`, whose address the roster gives, close it, and simulate."""
     with listener:
+        _check_steps(steps)
         _check_timeout(timeout)
         duplexes = tcp_connect_channels(
             sub.index, list(sub.neighbors()), roster, listener, timeout
@@ -357,8 +362,7 @@ def run_distributed(
     n = len(subs)
     if steps is None:
         steps = subs[0].fragment.sim.steps
-    if steps < 1:
-        raise ScenarioError("steps must be >= 1")
+    _check_steps(steps)
 
     _check_ownership(subs)
     metagraph = build_metagraph(subs)
@@ -530,6 +534,8 @@ def parse_dump(text: str) -> list[Row]:
 def diff_dumps(text_a: str, text_b: str, tol: float | None = None) -> str | None:
     """None when equal; otherwise a description of the first divergence.
     Byte comparison by default, relative tolerance with `tol`."""
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ScenarioError(f"tol must be a non-negative finite number, not {tol}")
     if tol is None:
         if text_a == text_b:
             return None

@@ -202,13 +202,9 @@ def discretize(length: float, free_flow_speed: float, dt: float) -> tuple[int, f
 
     The count is length/(v*dt) rounded half-up with a minimum of one cell,
     which keeps cells near one free-flow step long.  Callers must have
-    checked the CFL-style condition v*dt <= length.
+    checked the CFL-style condition v*dt <= length, as validate() does.
     """
     step_len = free_flow_speed * dt
-    if step_len > length + CFL_TOL:
-        raise ScenarioError(
-            f"CFL violation: free-flow step {step_len} m exceeds link length {length} m"
-        )
     count = max(1, int(math.floor(length / step_len + 0.5)))
     return count, length / count
 
@@ -246,17 +242,7 @@ def build_lane_groups(
     groups = []
     for i, (lo, conns) in enumerate(runs):
         hi = runs[i + 1][0] - 1 if i + 1 < len(runs) else link.lanes
-        groups.append(
-            LaneGroup(
-                link=link.id,
-                index=i,
-                lane_lo=lo,
-                lane_hi=hi,
-                conn_ids=conns,
-                cell_count=cells,
-                cell_length=cell_len,
-            )
-        )
+        groups.append(LaneGroup(link.id, i, lo, hi, conns, cells, cell_len))
     return groups
 
 
@@ -292,9 +278,16 @@ def _lane_range(raw, lanes: int, what: str, *args) -> tuple[int, int]:
     lo, hi = raw
     if type(lo) is not int or type(hi) is not int:
         lo, hi = _as_lane(lo, what, *args), _as_lane(hi, what, *args)
-    if not 1 <= lo <= hi <= lanes:
-        raise ScenarioError(f"{what.format(*args)} [{lo}, {hi}] outside lanes 1..{lanes}")
     return (lo, hi)
+
+
+def _connection_end(links: dict[int, Link], cid: int, lid: int) -> Link:
+    """Link `lid`, which connection `cid` names as one of its ends.  Callers
+    try `links.get(lid)` first, the cheaper lookup: a Link is never false."""
+    link = links.get(lid)
+    if link is None:
+        raise ScenarioError(f"connection {cid} references missing link {lid}")
+    return link
 
 
 @contextlib.contextmanager
@@ -314,7 +307,7 @@ def collector_paused():
 
 @collector_paused()
 def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario JSON document."""
+    """Parse a scenario JSON document and validate() it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -322,17 +315,20 @@ def parse_scenario(text: str) -> Scenario:
             f"syntax error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
     try:
-        return _build_scenario(doc)
+        scenario = _build_scenario(doc)
+        validate(scenario)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ScenarioError(f"missing or malformed field: {e!r}") from None
+    return scenario
 
 
 def _build_scenario(doc) -> Scenario:
-    # every check formats its message only when it fails.  The loops over
-    # links, connections and splits, the most numerous records, accept a
-    # plain non-negative int id inline and hand anything else to `_as_id`,
-    # which returns it or raises; they pass record fields by position, the
-    # cheaper call.
+    """The records of `doc`, checked for shape only: types, ids, duplicates,
+    lane pairs, and the links a connection names (for a lane pair's
+    default); validate() checks the values.  Each check formats its message
+    only when it fails.  The loops over links, connections and splits, the
+    most numerous records, accept a plain non-negative int id inline and
+    hand anything else to `_as_id`; they pass record fields by position."""
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
     for key in ("nodes", "links", "simulation"):
@@ -340,16 +336,8 @@ def _build_scenario(doc) -> Scenario:
             raise ScenarioError(f"missing top-level key '{key}'")
 
     sim_raw = doc["simulation"]
-    dt = float(sim_raw.get("dt", 0.0))
-    steps = int(sim_raw.get("steps", 0))
-    eta = float(sim_raw.get("lane_change_rate", 0.5))
-    if not dt > 0:
-        raise ScenarioError("simulation.dt must be positive")
-    if not steps >= 1:
-        raise ScenarioError("simulation.steps must be >= 1")
-    if not 0.0 < eta <= 1.0:
-        raise ScenarioError("simulation.lane_change_rate must be in (0, 1]")
-    sim = SimParams(dt=dt, steps=steps, lane_change_rate=eta)
+    dt, steps = float(sim_raw.get("dt", 0.0)), int(sim_raw.get("steps", 0))
+    sim = SimParams(dt, steps, float(sim_raw.get("lane_change_rate", 0.5)))
 
     nodes: dict[int, Node] = {}
     for raw in doc["nodes"]:
@@ -359,7 +347,7 @@ def _build_scenario(doc) -> Scenario:
         nodes[nid] = Node(id=nid)
 
     links: dict[int, Link] = {}
-    checked_fds: dict[tuple[float, ...], FDParams] = {}  # fd values that passed
+    fds: dict[tuple[float, ...], FDParams] = {}  # links with equal fd values share one
     for raw in doc["links"]:
         lid = raw["id"]
         if type(lid) is not int or lid < 0:
@@ -372,20 +360,9 @@ def _build_scenario(doc) -> Scenario:
         end = raw["end_node"]
         if type(end) is not int or end < 0:
             end = _as_id(end, "link {} end_node", lid)
-        if start not in nodes:
-            raise ScenarioError(f"link {lid} references missing node {start}")
-        if end not in nodes:
-            raise ScenarioError(f"link {lid} references missing node {end}")
-        if start == end:
-            raise ScenarioError(f"link {lid} start and end node coincide")
-        length = float(raw["length"])
-        if not length > 0:
-            raise ScenarioError(f"link {lid} length must be positive")
         lanes = raw["lanes"]
         if type(lanes) is not int:
             lanes = _as_lane(lanes, "link {} lanes", lid)
-        if not lanes >= 1:
-            raise ScenarioError(f"link {lid} must have at least one lane")
         fd_raw = raw["fd"]
         fd_values = (
             float(fd_raw["capacity"]),
@@ -393,28 +370,10 @@ def _build_scenario(doc) -> Scenario:
             float(fd_raw["congestion_wave_speed"]),
             float(fd_raw["jam_density"]),
         )
-        # the fd checks read the fd alone, so values that passed for an
-        # earlier link pass again; the CFL check below reads the length too
-        fd = checked_fds.get(fd_values)
+        fd = fds.get(fd_values)
         if fd is None:
-            fd = FDParams(*fd_values)
-            for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
-                if not getattr(fd, name) > 0:
-                    raise ScenarioError(f"link {lid} fd.{name} must be positive")
-            if not fd.congestion_wave_speed <= fd.free_flow_speed:
-                raise ScenarioError(f"link {lid}: congestion wave speed exceeds free-flow speed")
-            tri = fd.capacity / fd.free_flow_speed + fd.capacity / fd.congestion_wave_speed
-            if not tri <= fd.jam_density + SUM_TOL:
-                raise ScenarioError(
-                    f"link {lid}: triangular diagram does not fit under jam density "
-                    f"(needs {tri}, jam {fd.jam_density})"
-                )
-            checked_fds[fd_values] = fd
-        if not fd.free_flow_speed * dt <= length + CFL_TOL:
-            raise ScenarioError(
-                f"link {lid}: CFL violation, free-flow step {fd.free_flow_speed * dt} m "
-                f"exceeds length {length} m"
-            )
+            fd = fds[fd_values] = FDParams(*fd_values)
+        length = float(raw["length"])
         links[lid] = Link(lid, start, end, length, lanes, fd, bool(raw.get("is_source", False)))
 
     connections: dict[int, RoadConnection] = {}
@@ -430,17 +389,8 @@ def _build_scenario(doc) -> Scenario:
         out_link = raw["out_link"]
         if type(out_link) is not int or out_link < 0:
             out_link = _as_id(out_link, "connection {} out_link", cid)
-        upstream = links.get(in_link)
-        if upstream is None:
-            raise ScenarioError(f"connection {cid} references missing link {in_link}")
-        downstream = links.get(out_link)
-        if downstream is None:
-            raise ScenarioError(f"connection {cid} references missing link {out_link}")
-        if upstream.end_node != downstream.start_node:
-            raise ScenarioError(
-                f"connection {cid}: in_link {in_link} does not end where "
-                f"out_link {out_link} starts"
-            )
+        upstream = links.get(in_link) or _connection_end(links, cid, in_link)
+        downstream = links.get(out_link) or _connection_end(links, cid, out_link)
         in_lanes = _lane_range(raw.get("in_lanes"), upstream.lanes, "connection {} in_lanes", cid)
         out_lanes = _lane_range(
             raw.get("out_lanes"), downstream.lanes, "connection {} out_lanes", cid
@@ -456,8 +406,6 @@ def _build_scenario(doc) -> Scenario:
         mode = routing.get("type")
         if mode == "deterministic":
             path = tuple(_as_id(x, "vehicle type {} path entry", vid) for x in routing["path"])
-            if not len(path) >= 1:
-                raise ScenarioError(f"vehicle type {vid} has an empty path")
             vehicle_types[vid] = VehicleType(id=vid, routing="deterministic", path=path)
         elif mode == "probabilistic":
             vehicle_types[vid] = VehicleType(id=vid, routing="probabilistic")
@@ -501,7 +449,7 @@ def _build_scenario(doc) -> Scenario:
             ),
         )
 
-    scenario = Scenario(
+    return Scenario(
         nodes=nodes,
         links=links,
         connections=connections,
@@ -511,8 +459,6 @@ def _build_scenario(doc) -> Scenario:
         sim=sim,
         subnetwork=subnetwork,
     )
-    validate(scenario)
-    return scenario
 
 
 def derive_link_tables(s: Scenario, lids) -> dict[int, set[int]]:
@@ -577,17 +523,81 @@ def derive_link_tables(s: Scenario, lids) -> dict[int, set[int]]:
 
 
 def validate(s: Scenario) -> None:
-    """Cross-reference and invariant checks; also builds derived indexes."""
+    """Every rule a scenario must meet, however it was built: parsed,
+    generated, reconstructed or read as a fragment.  Records are checked in
+    order, so a file's first bad value is the one reported.  Also builds the
+    derived indexes."""
+    if not s.sim.dt > 0:
+        raise ScenarioError("simulation.dt must be positive")
+    if not s.sim.steps >= 1:
+        raise ScenarioError("simulation.steps must be >= 1")
+    if not 0.0 < s.sim.lane_change_rate <= 1.0:
+        raise ScenarioError("simulation.lane_change_rate must be in (0, 1]")
+
+    # the fd rules read the fd alone, so an fd record that passed for an
+    # earlier link passes again; the CFL rule reads the length too
+    checked_fds: set[int] = set()  # ids of fd records that passed
+    links, dt = s.links, s.sim.dt
+    for lid, link in links.items():
+        for nid in (link.start_node, link.end_node):
+            if nid not in s.nodes:
+                raise ScenarioError(f"link {lid} references missing node {nid}")
+        if link.start_node == link.end_node:
+            raise ScenarioError(f"link {lid} start and end node coincide")
+        if not link.length > 0:
+            raise ScenarioError(f"link {lid} length must be positive")
+        if link.length == math.inf:
+            raise ScenarioError(f"link {lid} length must be finite")
+        if not link.lanes >= 1:
+            raise ScenarioError(f"link {lid} must have at least one lane")
+        fd = link.fd
+        if id(fd) not in checked_fds:
+            for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
+                if not getattr(fd, name) > 0:
+                    raise ScenarioError(f"link {lid} fd.{name} must be positive")
+            if not fd.congestion_wave_speed <= fd.free_flow_speed:
+                raise ScenarioError(f"link {lid}: congestion wave speed exceeds free-flow speed")
+            tri = fd.capacity / fd.free_flow_speed + fd.capacity / fd.congestion_wave_speed
+            if not tri <= fd.jam_density + SUM_TOL:
+                raise ScenarioError(
+                    f"link {lid}: triangular diagram does not fit under jam density "
+                    f"(needs {tri}, jam {fd.jam_density})"
+                )
+            checked_fds.add(id(fd))
+        if not fd.free_flow_speed * dt <= link.length + CFL_TOL:
+            raise ScenarioError(
+                f"link {lid}: CFL violation, free-flow step {fd.free_flow_speed * dt} m "
+                f"exceeds length {link.length} m"
+            )
+
+    for cid, c in s.connections.items():
+        upstream = links.get(c.in_link) or _connection_end(links, cid, c.in_link)
+        downstream = links.get(c.out_link) or _connection_end(links, cid, c.out_link)
+        if upstream.end_node != downstream.start_node:
+            raise ScenarioError(
+                f"connection {cid}: in_link {c.in_link} does not end where "
+                f"out_link {c.out_link} starts"
+            )
+        for what, (lo, hi), lanes in (
+            ("in_lanes", c.in_lanes, upstream.lanes),
+            ("out_lanes", c.out_lanes, downstream.lanes),
+        ):
+            if not 1 <= lo <= hi <= lanes:
+                raise ScenarioError(f"connection {cid} {what} [{lo}, {hi}] outside lanes 1..{lanes}")
+
     s.out_conns, s.in_conns, s.lane_groups, s.commodities = {}, {}, {}, {}
     successors = derive_link_tables(s, s.links)
 
-    # deterministic paths: connected, loop-free, end at a sink; fragments
-    # keep the full global path (checked before partitioning) but carry only
-    # their own links, so the checks apply to whole scenarios only
+    # deterministic paths: not empty, connected, loop-free, end at a sink;
+    # fragments keep the full global path (checked before partitioning) but
+    # carry only their own links, so all but the first check apply to whole
+    # scenarios only
     for vt in s.vehicle_types.values():
-        if s.subnetwork is not None:
-            break
         if vt.routing != "deterministic":
+            continue
+        if not vt.path:
+            raise ScenarioError(f"vehicle type {vt.id} has an empty path")
+        if s.subnetwork is not None:
             continue
         if len(set(vt.path)) != len(vt.path):
             raise ScenarioError(f"vehicle type {vt.id} path repeats a link")

@@ -14,6 +14,15 @@ import pytest
 from ctmdist.gridgen import generate_grid
 from ctmdist.scenario import DemandRow, SplitRow, VehicleType, parse_scenario, validate
 
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it
+    pass
+else:
+    # every run of the suite draws the same examples, with no time limit
+    settings.register_profile("ctmdist", derandomize=True, database=None, deadline=None)
+    settings.load_profile("ctmdist")
+
 FD = {
     "capacity": 0.5,
     "free_flow_speed": 25.0,

@@ -1,12 +1,17 @@
 """Command-line surface: pipelines, idempotence, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ctmdist import gridgen, runner
 from ctmdist.cli import main
-from ctmdist.scenario import load_scenario, serialize_scenario
+from ctmdist.errors import ScenarioError
+from ctmdist.scenario import load_scenario, parse_scenario, serialize_scenario
 
 from conftest import merge_diverge_doc
 
@@ -46,6 +51,80 @@ class TestGenGrid:
 
     def test_bad_dims_exit_2(self, tmp_path):
         assert main(["gen-grid", "--rows", "0", "--cols", "3", "--out", "x"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--dt", "nan"),
+            ("--dt", "-1"),
+            ("--dt", "inf"),
+            ("--link-length", "nan"),
+            ("--link-length", "inf"),
+            ("--link-length", "-5"),
+            ("--lanes", "0"),
+            ("--steps", "0"),
+            ("--demand-vph-per-lane", "nan"),
+            ("--demand-vph-per-lane", "-1"),
+        ],
+    )
+    def test_bad_value_exits_2_as_the_file_would(self, tmp_path, capsys, monkeypatch, flag, value):
+        out = tmp_path / "grid.json"
+        argv = ["gen-grid", "--rows", "2", "--cols", "2", flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+        # the scenario the flags describe, written out unchecked, is
+        # rejected by the loader with the same message
+        monkeypatch.setattr(gridgen, "validate", lambda s: None)
+        kind = int if flag in ("--lanes", "--steps") else float
+        unchecked = gridgen.generate_grid(2, 2, **{flag[2:].replace("-", "_"): kind(value)})
+        with pytest.raises(ScenarioError) as loaded:
+            parse_scenario(serialize_scenario(unchecked))
+        assert err == f"error: {loaded.value}\n"
+        if (flag, value) == ("--link-length", "inf"):
+            assert err == "error: link 0 length must be finite\n"
+
+    def test_writes_a_loadable_file_or_nothing(self, tmp_path):
+        out = tmp_path / "grid.json"
+        seen = set()
+
+        @given(
+            st.fixed_dictionaries(
+                {
+                    flag: st.sampled_from([valid, "0", "-1", "nan", "inf"])
+                    for flag, valid in [
+                        ("--demand-vph-per-lane", "1000"),
+                        ("--link-length", "150"),
+                        ("--lanes", "2"),
+                        ("--dt", "4"),
+                        ("--steps", "3"),
+                    ]
+                }
+            )
+        )
+        def check(values):
+            argv = ["gen-grid", "--rows", "2", "--cols", "2", "--out", str(out)]
+            for flag, value in values.items():
+                argv += [flag, value]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # argparse: --lanes and --steps take integers
+                    code = e.code
+            if code == 0:
+                load_scenario(str(out))
+                out.unlink()
+                seen.add("written")
+            else:
+                assert code == 2
+                assert "error: " in err.getvalue() and "Traceback" not in err.getvalue()
+                assert not out.exists()
+                seen.add("rejected")
+
+        check()
+        assert seen == {"written", "rejected"}
 
 
 class TestPartitionCmd:
@@ -372,15 +451,26 @@ class TestMalformedRunInputs:
         ) == 0
         return out
 
-    def _join(self, parts, roster_text, tmp_path):
+    def _join(self, parts, roster_text, tmp_path, steps="2"):
         roster = tmp_path / "roster.txt"
         roster.write_text(roster_text)
         return main(
             [
                 "run", "--mode", "tcp", "--worker-index", "0",
-                "--fragments-dir", str(parts), "--roster", str(roster), "--steps", "2",
+                "--fragments-dir", str(parts), "--roster", str(roster), "--steps", steps,
             ]
         )
+
+    def test_zero_steps_rejected_before_connecting(self, parts, tmp_path, capsys, monkeypatch):
+        # --steps 0 is the runner's to reject, not read as "no --steps"
+        def connect(*args):
+            raise AssertionError("connected to a peer")
+
+        monkeypatch.setattr(runner, "tcp_connect_channels", connect)
+        ports = _free_ports(2)
+        roster = f"0 127.0.0.1 {ports[0]}\n1 127.0.0.1 {ports[1]}\n"
+        assert self._join(parts, roster, tmp_path, steps="0") == 2
+        assert "steps must be >= 1" in capsys.readouterr().err
 
     def test_decoder_map_missing_key(self, parts, capsys):
         victim = parts / "decoder_0_to_1.json"
@@ -531,7 +621,9 @@ class TestDiffCmd:
         ) == 0
         assert main(["diff", "--a", str(dump), "--b", str(dump)]) == 0
 
-    def test_perturbed_value_detected(self, fixture_file, tmp_path):
+    @pytest.fixture
+    def perturbed(self, fixture_file, tmp_path):
+        """Paths of a dump and of a copy with one value raised by 0.5."""
         dump = tmp_path / "d.csv"
         assert main(
             ["run", "--scenario", fixture_file, "--steps", "30", "--dump", str(dump)]
@@ -541,8 +633,22 @@ class TestDiffCmd:
         parts[6] = repr(float(parts[6]) + 0.5)
         other = tmp_path / "e.csv"
         other.write_text("\n".join(lines[:3] + [",".join(parts)] + lines[4:]) + "\n")
-        assert main(["diff", "--a", str(dump), "--b", str(other)]) == 1
-        assert main(["diff", "--a", str(dump), "--b", str(other), "--tol", "1.0"]) == 0
+        return str(dump), str(other)
+
+    def test_perturbed_value_detected(self, perturbed):
+        dump, other = perturbed
+        assert main(["diff", "--a", dump, "--b", other]) == 1
+        assert main(["diff", "--a", dump, "--b", other, "--tol", "1.0"]) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_not_non_negative_finite_exits_2(self, perturbed, capsys, tol):
+        # every value comparison with a NaN tolerance is false, so
+        # different dumps compared as equal
+        dump, other = perturbed
+        assert main(["diff", "--a", dump, "--b", other, "--tol", tol]) == 2
+        assert "tol must be a non-negative finite number" in capsys.readouterr().err
+        assert main(["diff", "--a", dump, "--b", other, "--tol", "0"]) == 1
+        assert "differ: step" in capsys.readouterr().out
 
     def test_malformed_dump_exits_2(self, fixture_file, tmp_path, capsys):
         dump = tmp_path / "d.csv"

@@ -6,8 +6,8 @@ of the other modules hold only a few of: lane-restricted turns (several
 lane groups per link), links of one, two and three cells, deterministic
 types beside the probabilistic one, split rows that change during the run,
 and demand high enough to congest junctions.  Hypothesis runs a fixed,
-derandomized set of examples, so every run of the suite checks the same
-scenarios.
+derandomized set of examples (the profile `conftest.py` loads), so every
+run of the suite checks the same scenarios.
 """
 
 import dataclasses
@@ -84,13 +84,7 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
     monkeypatch.setattr(engine.Engine, "apply_lane_changes", counting_lane_changes)
     monkeypatch.setattr(engine.Engine, "entry_positions", counting_entry_positions)
 
-    @settings(
-        max_examples=EXAMPLES,
-        derandomize=True,
-        database=None,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @settings(max_examples=EXAMPLES, suppress_health_check=[HealthCheck.too_slow])
     @given(generated_runs())
     def check(run):
         scenario, steps, dump_every, n, seed = run

@@ -1,6 +1,8 @@
 """Scenario parsing, validation, lane groups, and discretization."""
 
+import dataclasses
 import json
+import math
 import random
 import time
 
@@ -18,6 +20,7 @@ from ctmdist.scenario import (
     parse_scenario,
     scenario_to_dict,
     serialize_scenario,
+    validate,
 )
 
 from conftest import chain_doc, link, merge_diverge_doc
@@ -312,6 +315,102 @@ class TestFirstError:
         )
 
 
+def _sim(**fields):
+    return lambda s: setattr(s, "sim", dataclasses.replace(s.sim, **fields))
+
+
+def _last(table, **fields):
+    """Give the record of `table` with the highest id new `fields`."""
+
+    def apply(s):
+        records = getattr(s, table)
+        key = max(records)
+        records[key] = dataclasses.replace(records[key], **fields)
+
+    return apply
+
+
+def _last_fd(**fields):
+    def apply(s):
+        lid = max(s.links)
+        fd = dataclasses.replace(s.links[lid].fd, **fields)
+        s.links[lid] = dataclasses.replace(s.links[lid], fd=fd)
+
+    return apply
+
+
+# (fault, message) applied to `generate_grid(2, 2)`: the message is
+# formatted with the last link's and the last connection's id
+BUILT_FAULTS = {
+    "sim-dt-nan": (_sim(dt=math.nan), "simulation.dt must be positive"),
+    "sim-dt-negative": (_sim(dt=-1.0), "simulation.dt must be positive"),
+    "sim-steps-zero": (_sim(steps=0), "simulation.steps must be >= 1"),
+    "sim-eta-zero": (_sim(lane_change_rate=0.0), "simulation.lane_change_rate must be in (0, 1]"),
+    "sim-eta-nan": (
+        _sim(lane_change_rate=math.nan), "simulation.lane_change_rate must be in (0, 1]"
+    ),
+    "link-missing-node": (_last("links", end_node=99), "link {link} references missing node 99"),
+    "link-length-nan": (_last("links", length=math.nan), "link {link} length must be positive"),
+    "link-length-inf": (_last("links", length=math.inf), "link {link} length must be finite"),
+    "link-length-negative": (_last("links", length=-5.0), "link {link} length must be positive"),
+    "link-lanes-zero": (_last("links", lanes=0), "link {link} must have at least one lane"),
+    "link-fd-capacity": (_last_fd(capacity=-0.5), "link {link} fd.capacity must be positive"),
+    "link-fd-wave": (
+        _last_fd(congestion_wave_speed=30.0),
+        "link {link}: congestion wave speed exceeds free-flow speed",
+    ),
+    "link-fd-jam": (
+        _last_fd(jam_density=0.05),
+        "link {link}: triangular diagram does not fit under jam density (needs 0.1, jam 0.05)",
+    ),
+    "link-cfl": (
+        _last("links", length=50.0),
+        "link {link}: CFL violation, free-flow step 100.0 m exceeds length 50.0 m",
+    ),
+    "conn-missing-link": (
+        _last("connections", out_link=99), "connection {conn} references missing link 99"
+    ),
+    "conn-in-lanes-reversed": (
+        _last("connections", in_lanes=(2, 1)), "connection {conn} in_lanes [2, 1] outside lanes 1..2"
+    ),
+    "conn-out-lanes-outside": (
+        _last("connections", out_lanes=(1, 3)),
+        "connection {conn} out_lanes [1, 3] outside lanes 1..2",
+    ),
+}
+
+
+class TestBuiltScenarios:
+    """A scenario built in code meets the rules a file meets, with the same
+    message."""
+
+    @pytest.mark.parametrize("case", sorted(BUILT_FAULTS))
+    def test_fault_reported_as_in_a_file(self, case):
+        fault, message = BUILT_FAULTS[case]
+        s = generate_grid(2, 2)
+        fault(s)
+        with pytest.raises(ScenarioError) as built:
+            validate(s)
+        with pytest.raises(ScenarioError) as loaded:
+            parse_scenario(serialize_scenario(s))
+        expected = message.format(link=max(s.links), conn=max(s.connections))
+        assert str(built.value) == str(loaded.value) == expected
+
+    def test_empty_path_rejected_in_a_fragment(self):
+        doc = chain_doc(links=2)
+        doc["vehicletypes"][0]["routing"]["path"] = []
+        doc["subnetwork"] = {
+            "index": 0,
+            "owned_nodes": [0, 1, 2],
+            "interior_links": [0, 1],
+            "relative_sources": [],
+            "relative_sinks": [],
+            "neighbor_of_link": {},
+        }
+        with pytest.raises(ScenarioError, match=r"^vehicle type 0 has an empty path$"):
+            parse_scenario(json.dumps(doc))
+
+
 class TestLaneGroups:
     def test_single_connection_single_group(self):
         lk = make_link(lanes=3)
@@ -390,7 +489,3 @@ class TestDiscretize:
         count, cell_len = discretize(480.0, 25.0, 2.0)
         assert count == 10
         assert cell_len == 48.0
-
-    def test_too_short_link_rejected(self):
-        with pytest.raises(ScenarioError, match=r"CFL"):
-            discretize(30.0, 25.0, 2.0)
