@@ -93,10 +93,12 @@ once:
   its deferred one-cell deliveries.  A received removal on a link whose end
   node this engine owns, or a received delivery on a link whose start node
   it owns, would break this and is rejected.
-- Phase B's pass folds each cell's total after its last update of the
-  step.  Phase A of the next step reuses the totals for single-group
-  links, which no lane change touches; `set_cell_value` drops a link's
-  totals.
+- Cell totals live on the link (`LinkRuntime.totals`).  Phase B's pass
+  folds each cell's total after its last update of the step, for every
+  link it settles; a link that goes inactive keeps its zeros.  Phase A
+  of the next step reuses them for single-group links, which no lane
+  change touches, and recomputes a multi-group link's after its lane
+  changes; `set_cell_value` recomputes its link's.
 
 Removal and delivery records are made for nonzero entries only, and dumps
 skip zero entries.
@@ -194,6 +196,13 @@ class LinkRuntime:
     # positions whose next link no road connection reaches (TERMINAL
     # included) on a non-sink link; they must stay empty
     invalid: tuple[int, ...]
+    # per lane group, the vehicles in each cell; see the module docstring
+    totals: list[list[float]]
+
+    def fold_totals(self) -> list[list[float]]:
+        """Set `totals` from the cells, each a left fold from 0.0."""
+        self.totals = [[reduce(add, cell, 0.0) for cell in g.cells] for g in self.groups]
+        return self.totals
 
     @property
     def authoritative(self) -> bool:
@@ -251,9 +260,6 @@ class Engine:
         )
         self._source_set = frozenset(self.source_links)
         self.active: set[int] = set(self.source_links)
-        # cell totals of the active links: left by phase B's pass, taken
-        # again by phase A after lane changes on multi-group links
-        self._totals: dict[int, list[list[float]]] = {}
         # entry fractions stay valid while no split row starts: cached per
         # epoch, the number of distinct split start times passed
         self._split_times = sorted({row.start_time for row in scenario.splits})
@@ -314,6 +320,7 @@ class Engine:
             comms=comms,
             comm_index=dict(zip(comms, range(len(comms)))),
             invalid=tuple(invalid),
+            totals=[[0.0] * g.cell_count for g in groups],
         )
 
     # ------------------------------------------------------------------
@@ -341,30 +348,21 @@ class Engine:
             lrt = links[lid]
             if len(lrt.groups) > 1:
                 self.apply_lane_changes(lrt)
+                lrt.fold_totals()
 
-        totals = self._totals
         demand_by_conn: dict[int, list] = {}
         exited = 0.0
         for lid in active:
             lrt = links[lid]
-            groups = lrt.groups
-            # phase B's pass left the totals of every active link; lane
-            # changes may have moved vehicles since on multi-group links
-            link_totals = totals.get(lid) if len(groups) == 1 else None
-            if link_totals is None:
-                link_totals = totals[lid] = [
-                    [reduce(add, cell, 0.0) for cell in g.cells] for g in groups
-                ]
             discharge = []
             if lrt.link.is_sink:
-                for g in groups:
-                    n_last = link_totals[g.index][-1]
-                    total, amounts = compute_demand(g.cells[-1], n_last, g.cap_step)
+                for g, cell_totals in zip(lrt.groups, lrt.totals):
+                    total, amounts = compute_demand(g.cells[-1], cell_totals[-1], g.cap_step)
                     if total > 0.0:
                         discharge.append((g, amounts))
             elif lrt.outflow_local:
                 self.compute_connection_demands(lrt, demand_by_conn, plan.targets)
-            self._move_internal(lrt, link_totals)
+            self._move_internal(lrt)
             for g, amounts in discharge:
                 g.cells[-1] = [v - a for v, a in zip(g.cells[-1], amounts)]
                 if lrt.authoritative:
@@ -423,13 +421,12 @@ class Engine:
                     dst_cell[p] = dst_cell[p] + moved
 
     @staticmethod
-    def _move_internal(lrt: LinkRuntime, link_totals: list[list[float]]) -> None:
+    def _move_internal(lrt: LinkRuntime) -> None:
         """Move each cell's flow into the next cell of its lane group, in
         ascending k.  Cell k's outflow is read from its pre-step list, which
         stays untouched until then, and its new list is `(v + inflow) -
         outflow` entry by entry; the last cell only gains."""
-        for g in lrt.groups:
-            totals = link_totals[g.index]
+        for g, totals in zip(lrt.groups, lrt.totals):
             cells = g.cells
             cap = g.cap_step
             inflow = None
@@ -465,9 +462,8 @@ class Engine:
         their current group wait for a lane change and contribute nothing.
         Each connection gets [total demand, entries], entries being
         (outflow, demand) pairs with `outflow` from the group's table."""
-        link_totals = self._totals[lrt.link.id]
-        for g in lrt.groups:
-            n_total = link_totals[g.index][-1]
+        for g, cell_totals in zip(lrt.groups, lrt.totals):
+            n_total = cell_totals[-1]
             if n_total <= 0.0:
                 continue
             cell = g.cells[-1]
@@ -502,13 +498,12 @@ class Engine:
     def _supplies(self, link_id: int) -> tuple[float, tuple[tuple[int, float], ...]]:
         """First-cell supply of a link, summed over its lane groups, and each
         group's (index, share of that sum); no shares when the sum is 0."""
-        link_totals = self._totals.get(link_id)  # None: inactive, so empty
-        groups = self.links[link_id].groups
+        lrt = self.links[link_id]
+        groups = lrt.groups
         per_group = []
         total = 0.0
-        for g in groups:
-            occupied = 0.0 if link_totals is None else link_totals[g.index][0]
-            s = compute_supply(occupied, g.cap_step, g.wv_ratio, g.jam_veh)
+        for g, cell_totals in zip(groups, lrt.totals):
+            s = compute_supply(cell_totals[0], g.cap_step, g.wv_ratio, g.jam_veh)
             per_group.append(s)
             total += s
         if total <= 0.0:
@@ -655,30 +650,23 @@ class Engine:
         # settle each cell, fold its total once, decide activity, count
         # vehicles; phase A reuses the totals
         active = self.active
-        totals = self._totals
         sources = self._source_set
         in_network = 0.0
         for lid in sorted(work):
             lrt = links[lid]
-            link_totals = []
-            busy = False
             for g in lrt.groups:
                 for cell in g.cells:
                     if cell and not min(cell) >= 0.0:
                         self._clamp(lrt, g, cell)
-                cell_totals = [reduce(add, cell, 0.0) for cell in g.cells]
-                link_totals.append(cell_totals)
-                busy = busy or any(cell_totals)
-            if busy or lid in sources:
+            link_totals = lrt.fold_totals()
+            if lid in sources or any(map(any, link_totals)):
                 active.add(lid)
-                totals[lid] = link_totals
                 if lrt.authoritative:
                     for cell_totals in link_totals:
                         for total in cell_totals:
                             in_network += total
             else:
                 active.discard(lid)
-                totals.pop(lid, None)
         stats.in_network = in_network
         for key in sorted(self.queues):
             if links[key[0]].authoritative:
@@ -738,13 +726,14 @@ class Engine:
         self, link_id: int, gidx: int, k: int, comm: Commodity, vehicles: float
     ) -> None:
         """Overwrite one cell entry, e.g. to seed a test state.  The link is
-        not marked active, and its cached cell totals are dropped."""
+        not marked active; its cell totals are recomputed, so the node model
+        sees the seeded occupancy even on an inactive link."""
         lrt = self.links[link_id]
         p = lrt.comm_index.get(comm)
         if p is None:
             raise InternalAssertion(f"commodity {comm} cannot occur on link {link_id}")
         lrt.groups[gidx].cells[k][p] = vehicles
-        self._totals.pop(link_id, None)
+        lrt.fold_totals()
 
     def state_rows(self, step: int) -> list[tuple[int, int, int, int, int, int, float]]:
         """Dump rows (step, link, group, cell, vtype, next, vehicles) for the

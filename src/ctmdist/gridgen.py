@@ -70,26 +70,18 @@ def generate_grid(
     grid_counts(rows, cols)  # rejects a size below 1
 
     junction = lambda r, c: r * cols + c
-    nodes: dict[int, Node] = {}
+    nodes: dict[int, Node] = {nid: Node(id=nid) for nid in range(rows * cols)}
     links: dict[int, Link] = {}
-    next_node = rows * cols
-    next_link = 0
 
-    for nid in range(rows * cols):
-        nodes[nid] = Node(id=nid)
-
-    def add_link(start: int, end: int, nlanes: int, is_source: bool = False) -> int:
-        nonlocal next_link
-        lid = next_link
-        next_link += 1
+    def add_link(start: int, end: int) -> int:
+        lid = len(links)
         links[lid] = Link(
             id=lid,
             start_node=start,
             end_node=end,
             length=link_length,
-            lanes=nlanes,
+            lanes=lanes,
             fd=fd,
-            is_source=is_source,
         )
         return lid
 
@@ -97,31 +89,34 @@ def generate_grid(
     for r in range(rows):
         for c in range(cols - 1):
             a, b = junction(r, c), junction(r, c + 1)
-            add_link(a, b, lanes)
-            add_link(b, a, lanes)
+            add_link(a, b)
+            add_link(b, a)
     # vertical: two-way in even columns, southbound one-way in odd columns
     for r in range(rows - 1):
         for c in range(cols):
             a, b = junction(r, c), junction(r + 1, c)
-            add_link(a, b, lanes)
+            add_link(a, b)
             if c % 2 == 0:
-                add_link(b, a, lanes)
+                add_link(b, a)
 
-    source_links: list[int] = []
+    # a pendant source and sink at every boundary junction; validate() marks
+    # the links with demand as sources
+    rate = demand_vph_per_lane * lanes / 3600.0
+    demands: list[DemandRow] = []
     for r in range(rows):
         for c in range(cols):
             if 0 < r < rows - 1 and 0 < c < cols - 1:
                 continue
             j = junction(r, c)
-            src_node = next_node
-            sink_node = next_node + 1
-            next_node += 2
+            src_node = len(nodes)
             nodes[src_node] = Node(id=src_node)
+            sink_node = len(nodes)
             nodes[sink_node] = Node(id=sink_node)
-            source_links.append(add_link(src_node, j, lanes, is_source=True))
-            add_link(j, sink_node, lanes)
+            source = add_link(src_node, j)
+            demands.append(DemandRow(link=source, vtype=0, profile=((0.0, rate),)))
+            add_link(j, sink_node)
 
-    # all-to-all turning at each junction except U-turns
+    # all-to-all turning at each junction except U-turns, split uniformly
     in_links: dict[int, list[int]] = {nid: [] for nid in nodes}
     out_links: dict[int, list[int]] = {nid: [] for nid in nodes}
     for link in links.values():
@@ -129,50 +124,38 @@ def generate_grid(
         in_links[link.end_node].append(link.id)
 
     connections: dict[int, RoadConnection] = {}
-    next_conn = 0
+    splits: list[SplitRow] = []
     for nid in sorted(nodes):
         for in_id in sorted(in_links[nid]):
             src = links[in_id]
+            outs = []
             for out_id in sorted(out_links[nid]):
                 dst = links[out_id]
                 if dst.end_node == src.start_node:
                     continue  # U-turn
-                connections[next_conn] = RoadConnection(
-                    id=next_conn,
+                cid = len(connections)
+                connections[cid] = RoadConnection(
+                    id=cid,
                     in_link=in_id,
                     out_link=out_id,
                     in_lanes=(1, src.lanes),
                     out_lanes=(1, dst.lanes),
                 )
-                next_conn += 1
+                outs.append(out_id)
+            if outs:
+                p = 1.0 / len(outs)
+                splits.append(
+                    SplitRow(
+                        node=nid,
+                        in_link=in_id,
+                        vtype=0,
+                        start_time=0.0,
+                        ratios=tuple((o, p) for o in outs),
+                    )
+                )
+    splits.sort(key=lambda row: row.in_link)  # listed by in-link
 
     vtypes = {0: VehicleType(id=0, routing="probabilistic")}
-
-    splits: list[SplitRow] = []
-    conns_of = {lid: [] for lid in links}
-    for c in connections.values():
-        conns_of[c.in_link].append(c)
-    for lid in sorted(links):
-        outs = sorted({c.out_link for c in conns_of[lid]})
-        if not outs:
-            continue
-        p = 1.0 / len(outs)
-        ratios = tuple((o, p) for o in outs)
-        splits.append(
-            SplitRow(
-                node=links[lid].end_node,
-                in_link=lid,
-                vtype=0,
-                start_time=0.0,
-                ratios=ratios,
-            )
-        )
-
-    rate = demand_vph_per_lane * lanes / 3600.0
-    demands = [
-        DemandRow(link=lid, vtype=0, profile=((0.0, rate),))
-        for lid in sorted(source_links)
-    ]
 
     scenario = Scenario(
         nodes=nodes,

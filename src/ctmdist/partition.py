@@ -150,16 +150,13 @@ def partition_nodes(scenario: Scenario, n: int, seed: int = 0) -> NodePartition:
     adj = _adjacency(scenario)
     rng = random.Random(seed)
     seeds = [nodes[rng.randrange(count)]]
+    taken = set(seeds)
     while len(seeds) < n:
+        # the node farthest from its nearest seed, the lowest id on ties
         dist = _bfs_distance(adj, seeds)
-        best = None
-        for v in nodes:
-            if v in seeds:
-                continue
-            d = dist.get(v, math.inf)
-            if best is None or d > dist.get(best, math.inf):
-                best = v
+        best = max((v for v in nodes if v not in taken), key=lambda v: dist.get(v, math.inf))
         seeds.append(best)
+        taken.add(best)
 
     target = math.ceil(count / n)
     assignment: dict[int, int] = {}
@@ -210,11 +207,12 @@ def partition_nodes(scenario: Scenario, n: int, seed: int = 0) -> NodePartition:
 
 
 def _bfs_distance(adj, sources) -> dict[int, int]:
+    """Hops from the nearest source; they do not depend on the visit order."""
     dist = {s: 0 for s in sources}
-    frontier = deque(sorted(sources))
+    frontier = deque(sources)
     while frontier:
         v = frontier.popleft()
-        for w in sorted(adj[v]):
+        for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 frontier.append(w)

@@ -8,7 +8,10 @@ per metagraph edge, a socketpair in local mode and a TCP connection in tcp
 mode (see `comm`).  The parent merges their authoritative state rows,
 which must be bitwise identical to a sequential run's dump.  Workers
 derive decoder maps and their engine keys from their own fragments; maps
-read from files are only compared with them.
+read from files are only compared with them.  A forked worker is a function
+that `run_distributed` defines for the run: it closes over the run's
+sockets, listeners, roster, decoder maps and settings, and is handed only
+its fragment and its result pipe.
 
 Set-up and the loop run with the cyclic garbage collector paused
 (`scenario.collector_paused`, which puts back the state it found): parsing
@@ -289,41 +292,6 @@ def run_tcp_worker(
     return _worker_body(sub, duplexes, decoders, steps, dump_every, timeout)
 
 
-def _worker_entry(
-    sub,
-    pair_socks,
-    roster,
-    listener,
-    decoders,
-    steps,
-    dump_every,
-    timeout,
-    result_conn,
-    inherited,
-):
-    # close the copies of other workers' pipes and sockets that came through
-    # fork, so that this worker's death reaches its peers as EOF
-    own = [result_conn, listener, *(pair_socks or {}).values()]
-    for handle in inherited:
-        if handle not in own:
-            handle.close()
-    try:
-        if pair_socks is not None:
-            duplexes = {nb: SocketDuplex(sock) for nb, sock in pair_socks.items()}
-            outcome = _worker_body(sub, duplexes, decoders, steps, dump_every, timeout)
-        else:
-            outcome = run_tcp_worker(
-                sub, roster, listener, decoders, steps, dump_every, timeout
-            )
-        result_conn.send(("ok", *outcome))
-    except CtmError as e:
-        result_conn.send(("error", e))
-    except Exception:
-        result_conn.send(("error", CtmError(traceback.format_exc())))
-    finally:
-        result_conn.close()
-
-
 def _read_result(conn) -> tuple:
     """A worker's result message, or DEAD when it sent none."""
     try:
@@ -385,24 +353,36 @@ def run_distributed(
     inherited = [end for pipe in result_pipes for end in pipe]
     inherited += [sock for socks in pair_socks if socks for sock in socks.values()]
     inherited += listeners.values() if listeners else ()
+
+    def worker(sub: Subnetwork, result_conn) -> None:
+        socks = pair_socks[sub.index]
+        listener = listeners[sub.index] if listeners else None
+        # close the copies of other workers' pipes and sockets that came
+        # through fork, so that this worker's death reaches its peers as EOF
+        own = [result_conn, listener, *(socks or {}).values()]
+        for handle in inherited:
+            if handle not in own:
+                handle.close()
+        own_decoders = decoders.get(sub.index) if decoders else None
+        try:
+            if socks is not None:
+                duplexes = {nb: SocketDuplex(sock) for nb, sock in socks.items()}
+                outcome = _worker_body(sub, duplexes, own_decoders, steps, dump_every, timeout)
+            else:
+                outcome = run_tcp_worker(
+                    sub, roster, listener, own_decoders, steps, dump_every, timeout
+                )
+            result_conn.send(("ok", *outcome))
+        except CtmError as e:
+            result_conn.send(("error", e))
+        except Exception:
+            result_conn.send(("error", CtmError(traceback.format_exc())))
+        finally:
+            result_conn.close()
+
     procs = []
     for sub in subs:
-        worker_decoders = decoders.get(sub.index) if decoders else None
-        proc = ctx.Process(
-            target=_worker_entry,
-            args=(
-                sub,
-                pair_socks[sub.index],
-                roster,
-                listeners[sub.index] if listeners else None,
-                worker_decoders,
-                steps,
-                dump_every,
-                timeout,
-                result_pipes[sub.index][1],
-                inherited,
-            ),
-        )
+        proc = ctx.Process(target=worker, args=(sub, result_pipes[sub.index][1]))
         proc.start()
         procs.append(proc)
     receivers = [recv for recv, _send in result_pipes]

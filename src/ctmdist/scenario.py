@@ -260,8 +260,9 @@ def _as_id(value, what: str, *args) -> int:
 
 
 def _as_lane(value, what: str, *args) -> int:
-    """`value` as a lane number or count: an integer, or a float with an
-    integral value; never a bool or a string.  `what` as in `_as_id`."""
+    """`value` as a lane number or count, or a step count: an integer, or a
+    float with an integral value; never a bool or a string.  `what` as in
+    `_as_id`."""
     if type(value) is int:  # a bool's type is bool
         return value
     if type(value) is float and value.is_integer():
@@ -336,7 +337,8 @@ def _build_scenario(doc) -> Scenario:
             raise ScenarioError(f"missing top-level key '{key}'")
 
     sim_raw = doc["simulation"]
-    dt, steps = float(sim_raw.get("dt", 0.0)), int(sim_raw.get("steps", 0))
+    dt = float(sim_raw.get("dt", 0.0))
+    steps = _as_lane(sim_raw.get("steps", 0), "simulation.steps")
     sim = SimParams(dt, steps, float(sim_raw.get("lane_change_rate", 0.5)))
 
     nodes: dict[int, Node] = {}
@@ -374,7 +376,10 @@ def _build_scenario(doc) -> Scenario:
         if fd is None:
             fd = fds[fd_values] = FDParams(*fd_values)
         length = float(raw["length"])
-        links[lid] = Link(lid, start, end, length, lanes, fd, bool(raw.get("is_source", False)))
+        is_source = raw.get("is_source", False)
+        if type(is_source) is not bool:
+            raise ScenarioError(f"link {lid} is_source must be a boolean, got {is_source!r}")
+        links[lid] = Link(lid, start, end, length, lanes, fd, is_source)
 
     connections: dict[int, RoadConnection] = {}
     for raw in doc.get("roadconnections", []):
@@ -553,8 +558,11 @@ def validate(s: Scenario) -> None:
         fd = link.fd
         if id(fd) not in checked_fds:
             for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
-                if not getattr(fd, name) > 0:
+                value = getattr(fd, name)
+                if not value > 0:
                     raise ScenarioError(f"link {lid} fd.{name} must be positive")
+                if value == math.inf:
+                    raise ScenarioError(f"link {lid} fd.{name} must be finite")
             if not fd.congestion_wave_speed <= fd.free_flow_speed:
                 raise ScenarioError(f"link {lid}: congestion wave speed exceeds free-flow speed")
             tri = fd.capacity / fd.free_flow_speed + fd.capacity / fd.congestion_wave_speed
@@ -682,6 +690,8 @@ def validate(s: Scenario) -> None:
         for start, flow in row.profile:
             if not flow >= 0:
                 raise ScenarioError(f"demand on link {row.link}: negative flow {flow}")
+            if flow == math.inf:
+                raise ScenarioError(f"demand on link {row.link}: flow must be finite")
             if not start > last:
                 raise ScenarioError(
                     f"demand on link {row.link}: breakpoints not strictly increasing"

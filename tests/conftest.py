@@ -179,6 +179,20 @@ def add_straight_types(s, rows, cols, type_rows):
     s.demands = demands
 
 
+def random_ratios(rng, row):
+    """`row`'s out-links with `rng`-drawn ratios that sum to 1."""
+    weights = [rng.uniform(0.5, 1.5) for _ in row.ratios]
+    total = 0.0
+    for w in weights:
+        total += w
+    ratios = [w / total for w in weights[:-1]]
+    last = 1.0
+    for p in ratios:
+        last -= p
+    ratios.append(last)
+    return tuple((out, p) for (out, _), p in zip(row.ratios, ratios))
+
+
 def add_split_changes(s, rng, start_time):
     """A second row from `start_time` on, with `rng`-drawn ratios, after
     every split row with several successors."""
@@ -187,22 +201,13 @@ def add_split_changes(s, rng, start_time):
         splits.append(row)
         if len(row.ratios) < 2:
             continue
-        weights = [rng.uniform(0.5, 1.5) for _ in row.ratios]
-        total = 0.0
-        for w in weights:
-            total += w
-        ratios = [w / total for w in weights[:-1]]
-        last = 1.0
-        for p in ratios:
-            last -= p
-        ratios.append(last)
         splits.append(
             SplitRow(
                 node=row.node,
                 in_link=row.in_link,
                 vtype=row.vtype,
                 start_time=start_time,
-                ratios=tuple((out, p) for (out, _), p in zip(row.ratios, ratios)),
+                ratios=random_ratios(rng, row),
             )
         )
     s.splits = splits

@@ -65,6 +65,7 @@ class TestGenGrid:
             ("--steps", "0"),
             ("--demand-vph-per-lane", "nan"),
             ("--demand-vph-per-lane", "-1"),
+            ("--demand-vph-per-lane", "inf"),
         ],
     )
     def test_bad_value_exits_2_as_the_file_would(self, tmp_path, capsys, monkeypatch, flag, value):
@@ -84,6 +85,8 @@ class TestGenGrid:
         assert err == f"error: {loaded.value}\n"
         if (flag, value) == ("--link-length", "inf"):
             assert err == "error: link 0 length must be finite\n"
+        if (flag, value) == ("--demand-vph-per-lane", "inf"):
+            assert err.endswith(": flow must be finite\n")
 
     def test_writes_a_loadable_file_or_nothing(self, tmp_path):
         out = tmp_path / "grid.json"

@@ -4,10 +4,11 @@ the sequential run's dump, byte for byte.
 The generator starts from `generate_grid` and adds what the fixed scenarios
 of the other modules hold only a few of: lane-restricted turns (several
 lane groups per link), links of one, two and three cells, deterministic
-types beside the probabilistic one, split rows that change during the run,
-and demand high enough to congest junctions.  Hypothesis runs a fixed,
-derandomized set of examples (the profile `conftest.py` loads), so every
-run of the suite checks the same scenarios.
+types beside the probabilistic one, a second probabilistic type with its
+own split rows and demand, split rows and demand that change during the
+run (demand to zero too), and demand high enough to congest junctions.
+Hypothesis runs a fixed, derandomized set of examples (the profile
+`conftest.py` loads), so every run of the suite checks the same scenarios.
 """
 
 import dataclasses
@@ -18,11 +19,38 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ctmdist import engine
 from ctmdist.gridgen import generate_grid
 from ctmdist.runner import rows_to_csv, run_distributed, run_sequential
-from ctmdist.scenario import validate
+from ctmdist.scenario import DemandRow, VehicleType, validate
 
-from conftest import add_split_changes, add_straight_types, restrict_outer_lanes
+from conftest import add_split_changes, add_straight_types, random_ratios, restrict_outer_lanes
 
 EXAMPLES = 100
+
+
+def add_probabilistic_type(s, rng):
+    """A second probabilistic type with its own `rng`-drawn split rows and,
+    at every source of type 0, its own demand."""
+    vtype = max(s.vehicle_types) + 1
+    s.vehicle_types[vtype] = VehicleType(id=vtype, routing="probabilistic")
+    s.splits = s.splits + [
+        dataclasses.replace(row, vtype=vtype, ratios=random_ratios(rng, row))
+        for row in s.splits
+        if row.vtype == 0
+    ]
+    s.demands = s.demands + [
+        DemandRow(link=row.link, vtype=vtype, profile=((0.0, rng.uniform(0.05, 0.3)),))
+        for row in s.demands
+        if row.vtype == 0
+    ]
+
+
+def add_demand_changes(s, rng, start_time):
+    """Every demand row's rate changes at `start_time` to zero, half or
+    twice what it was."""
+    demands = []
+    for row in s.demands:
+        rate = row.profile[-1][1] * rng.choice([0.0, 0.5, 2.0])
+        demands.append(dataclasses.replace(row, profile=row.profile + ((start_time, rate),)))
+    s.demands = demands
 
 
 @st.composite
@@ -46,8 +74,12 @@ def generated_runs(draw):
     restrict_outer_lanes(s)
     type_rows = draw(st.lists(st.integers(0, rows - 1), max_size=3, unique=True))
     add_straight_types(s, rows, cols, type_rows)
-    change_step = draw(st.integers(1, steps - 1))
-    add_split_changes(s, random.Random(draw(st.integers(0, 2**16))), change_step * s.sim.dt)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        add_probabilistic_type(s, rng)
+    add_split_changes(s, rng, draw(st.integers(1, steps - 1)) * s.sim.dt)
+    if draw(st.booleans()):
+        add_demand_changes(s, rng, draw(st.integers(1, steps - 1)) * s.sim.dt)
     s.sim = dataclasses.replace(s.sim, lane_change_rate=draw(st.sampled_from([0.25, 0.5, 1.0])))
     validate(s)
     return s, steps, draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 99))
@@ -80,7 +112,15 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
             seen.add("split change")
         return entry_positions(self, link_id, vtype, time)
 
+    rate_at = engine.rate_at
+
+    def counting_rate_at(profile, time):
+        if len(profile) > 1 and time >= profile[1][0]:
+            seen.add("demand change")
+        return rate_at(profile, time)
+
     monkeypatch.setattr(engine, "resolve_node_flows", counting_node_model)
+    monkeypatch.setattr(engine, "rate_at", counting_rate_at)
     monkeypatch.setattr(engine.Engine, "apply_lane_changes", counting_lane_changes)
     monkeypatch.setattr(engine.Engine, "entry_positions", counting_entry_positions)
 
@@ -93,6 +133,9 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
         cells = {lid: groups[0].cell_count for lid, groups in scenario.lane_groups.items()}
         if any(cells[row[1]] == 1 for row in seq.rows):
             seen.add("one-cell link")
+        types = scenario.vehicle_types
+        if any(row[4] and types[row[4]].routing == "probabilistic" for row in seq.rows):
+            seen.add("two probabilistic types")
         expected = rows_to_csv(seq.rows)
         for transport in ("local", "tcp"):
             dist = run_distributed(
@@ -102,4 +145,11 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
             assert rows_to_csv(dist.rows) == expected, (transport, n, seed)
 
     check()
-    assert seen == {"scaled node", "lane change", "one-cell link", "split change"}
+    assert seen == {
+        "scaled node",
+        "lane change",
+        "one-cell link",
+        "split change",
+        "demand change",
+        "two probabilistic types",
+    }

@@ -413,6 +413,37 @@ class TestUpdate:
         assert eng.cell_value(0, 0, 1, (0, 2)) == 3.0
         assert eng.cell_value(1, 0, 1, (0, 2)) == 1.0
 
+    def test_seeded_inactive_link_caps_what_it_takes(self):
+        # the target is seeded near jam but never activated: its supply
+        # must come from the seeded occupancy, not from an empty link
+        fd_wide = {
+            "capacity": 2.0,
+            "free_flow_speed": 25.0,
+            "congestion_wave_speed": 6.25,
+            "jam_density": 0.5,
+        }
+        doc = {
+            "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+            "links": [link(0, 0, 1, fd=fd_wide), link(1, 1, 2, lanes=1)],
+            "roadconnections": [{"id": 0, "in_link": 0, "out_link": 1}],
+            "vehicletypes": [{"id": 0, "routing": {"type": "probabilistic"}}],
+            "splits": [],
+            "demands": [],
+            "simulation": {"dt": 2.0, "steps": 5},
+        }
+        eng = Engine(parse_scenario(json.dumps(doc)))
+        seed(eng, 0, 0, 1, (0, 1), 6.0)  # demand 6, under C = 8
+        # target: C = 0.5*1*2 = 1, jam 0.125*1*50 = 6.25 veh, so 6 leave a
+        # supply of 0.25*(6.25 - 6) = 0.0625
+        eng.set_cell_value(1, 0, 0, (0, TERMINAL), 6.0)
+        assert 1 not in eng.active
+        eng.phase_a(0)
+        assert 6.0 - eng.cell_value(0, 0, 1, (0, 1)) == 0.0625
+        assert eng.cell_value(1, 0, 0, (0, TERMINAL)) == 6.0625
+        eng.phase_b(0)
+        assert 1 in eng.active
+        assert totals(eng, 1) == [[6.0625, 0.0]]
+
     def test_delivery_apportionment_by_group_supply(self, merge_diverge):
         # empty two-group link: first-cell supplies are 1.0 and 2.0 veh, so
         # arriving flow lands 1:2 across the groups

@@ -158,20 +158,25 @@ class TestParse:
         assert main(["run", "--scenario", str(path), "--mode", "seq", "--steps", "1"]) == 2
 
     @pytest.mark.parametrize(
-        "record, field, value",
+        "record, field, value, message",
         [
-            (lambda doc: doc["simulation"], "steps", float("inf")),
-            (lambda doc: doc["links"][0], "length", int("9" * 400)),
+            (
+                lambda doc: doc["simulation"],
+                "steps",
+                float("inf"),
+                r"^simulation\.steps must be an integer, got inf$",
+            ),
+            (lambda doc: doc["links"][0], "length", int("9" * 400), r"missing or malformed field"),
         ],
         ids=["infinite_steps", "400_digit_length"],
     )
-    def test_number_beyond_float_range_rejected(self, tmp_path, record, field, value):
-        # int(inf) and float() of a 400-digit int raise OverflowError, not
-        # ValueError
+    def test_number_beyond_float_range_rejected(self, tmp_path, record, field, value, message):
+        # float() of a 400-digit int raises OverflowError, not ValueError;
+        # steps must be an integer, which inf is not
         doc = minimal_doc()
         record(doc)[field] = value
         text = json.dumps(doc)
-        with pytest.raises(ScenarioError, match=r"missing or malformed field"):
+        with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(text)
@@ -204,9 +209,30 @@ class TestParse:
 
 
 # (section, field, bad value, message): the message is formatted with the
-# bad record's own `id`, `node` and `in_link`.  All links of the grid share
-# one fd row, so a late link's fd is one that earlier links passed with.
+# bad record's own `id`, `node`, `in_link` and `link`.  All links of the
+# grid share one fd row, so a late link's fd is one that earlier links
+# passed with.  `simulation` is one record, so early and late are the same.
 BAD_RECORDS = {
+    "sim-steps-fraction": (
+        "simulation", "steps", 2.7, "simulation.steps must be an integer, got 2.7"
+    ),
+    "sim-steps-string": (
+        "simulation", "steps", "3", "simulation.steps must be an integer, got '3'"
+    ),
+    "sim-steps-bool": ("simulation", "steps", True, "simulation.steps must be an integer, got True"),
+    "link-source-string": (
+        "links", "is_source", "false", "link {id} is_source must be a boolean, got 'false'"
+    ),
+    "link-source-int": ("links", "is_source", 1, "link {id} is_source must be a boolean, got 1"),
+    "link-fd-infinite": (
+        "links", "fd.jam_density", math.inf, "link {id} fd.jam_density must be finite"
+    ),
+    "demand-flow-infinite": (
+        "demands",
+        "profile",
+        [{"start_time": 0.0, "flow": math.inf}],
+        "demand on link {link}: flow must be finite",
+    ),
     "link-id-bool": ("links", "id", True, "link id must be a non-negative integer, got True"),
     "link-id-string": ("links", "id", "7", "link id must be a non-negative integer, got '7'"),
     "link-start-negative": (
@@ -285,7 +311,7 @@ class TestFirstError:
     def test_bad_record_reported(self, case, where):
         section, field, value, message = BAD_RECORDS[case]
         doc = scenario_to_dict(generate_grid(3, 3))
-        records = doc[section]
+        records = doc[section] if isinstance(doc[section], list) else [doc[section]]
         chosen = {"early": [0], "late": [-1], "both": [0, -1]}[where]
         reported = dict(records[chosen[0]])
         for i in chosen:
@@ -296,7 +322,10 @@ class TestFirstError:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(json.dumps(doc))
         assert str(err.value) == message.format(
-            id=reported.get("id"), node=reported.get("node"), in_link=reported.get("in_link")
+            id=reported.get("id"),
+            node=reported.get("node"),
+            in_link=reported.get("in_link"),
+            link=reported.get("link"),
         )
 
     @pytest.mark.parametrize("where", ["early", "late"])
@@ -339,8 +368,16 @@ def _last_fd(**fields):
     return apply
 
 
+def _last_demand_flow(flow):
+    def apply(s):
+        s.demands[-1] = dataclasses.replace(s.demands[-1], profile=((0.0, flow),))
+
+    return apply
+
+
 # (fault, message) applied to `generate_grid(2, 2)`: the message is
-# formatted with the last link's and the last connection's id
+# formatted with the last link's, the last connection's and the last demand
+# row's link id
 BUILT_FAULTS = {
     "sim-dt-nan": (_sim(dt=math.nan), "simulation.dt must be positive"),
     "sim-dt-negative": (_sim(dt=-1.0), "simulation.dt must be positive"),
@@ -355,6 +392,7 @@ BUILT_FAULTS = {
     "link-length-negative": (_last("links", length=-5.0), "link {link} length must be positive"),
     "link-lanes-zero": (_last("links", lanes=0), "link {link} must have at least one lane"),
     "link-fd-capacity": (_last_fd(capacity=-0.5), "link {link} fd.capacity must be positive"),
+    "link-fd-capacity-inf": (_last_fd(capacity=math.inf), "link {link} fd.capacity must be finite"),
     "link-fd-wave": (
         _last_fd(congestion_wave_speed=30.0),
         "link {link}: congestion wave speed exceeds free-flow speed",
@@ -373,6 +411,7 @@ BUILT_FAULTS = {
     "conn-in-lanes-reversed": (
         _last("connections", in_lanes=(2, 1)), "connection {conn} in_lanes [2, 1] outside lanes 1..2"
     ),
+    "demand-flow-inf": (_last_demand_flow(math.inf), "demand on link {demand}: flow must be finite"),
     "conn-out-lanes-outside": (
         _last("connections", out_lanes=(1, 3)),
         "connection {conn} out_lanes [1, 3] outside lanes 1..2",
@@ -393,7 +432,9 @@ class TestBuiltScenarios:
             validate(s)
         with pytest.raises(ScenarioError) as loaded:
             parse_scenario(serialize_scenario(s))
-        expected = message.format(link=max(s.links), conn=max(s.connections))
+        expected = message.format(
+            link=max(s.links), conn=max(s.connections), demand=s.demands[-1].link
+        )
         assert str(built.value) == str(loaded.value) == expected
 
     def test_empty_path_rejected_in_a_fragment(self):
