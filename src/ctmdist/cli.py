@@ -145,7 +145,7 @@ def _load_decoder(path: str) -> DecoderMap:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return DecoderMap.from_doc(json.load(f))
-    except (ValueError, OverflowError) as e:
+    except ValueError as e:
         raise ScenarioError(f"cannot read decoder map {path}: {e}") from None
     except (KeyError, TypeError) as e:
         raise ScenarioError(f"decoder map {path}: missing or malformed field {e}") from None

@@ -199,7 +199,7 @@ def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:
         return
     try:
         hello = DecoderMap.from_doc(json.loads(payload.decode("ascii")))
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError):
         raise ProtocolError(
             f"worker {channel.local}: unreadable handshake from {channel.remote}"
         ) from None

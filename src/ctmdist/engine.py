@@ -39,9 +39,13 @@ that can occur on it, read from `Scenario.commodities`, the table that
 `validate()` builds and the decoder maps share: on a sink, (vt, TERMINAL)
 for every vehicle type; on other links, the path successor for each
 deterministic type whose path holds the link, and every successor for each
-probabilistic type.  A cell is a list of floats in that order, with
-0.0 for an absent commodity.  The results are the same, bit for bit, as
-those of a map from commodity to vehicles iterated in sorted order:
+probabilistic type.  `validate()` checks every deterministic path on the
+links a scenario simulates, so on a simulated non-sink link every
+commodity's next link is a successor, which some lane group serves, and only
+sinks carry TERMINAL; the engine relies on that and checks it nowhere.  A
+cell is a list of floats in that order, with 0.0 for an absent commodity.
+The results are the same, bit for bit, as those of a map from commodity to
+vehicles iterated in sorted order:
 
 - A dense sum in ascending order equals the sparse sorted sum, because
   `x + 0.0 == x` for every value a cell can hold.  Cell totals, connection
@@ -181,8 +185,6 @@ class GroupRuntime:
     outflows: tuple[tuple[int, int, int, int, int], ...] = ()
     # (position, adjacent group to move toward) per misplaced commodity
     lane_moves: tuple[tuple[int, int], ...] = ()
-    # positions of misplaced commodities that no lane group serves
-    lane_stuck: tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
@@ -193,9 +195,6 @@ class LinkRuntime:
     outflow_local: bool  # end node owned: this engine resolves leaving flows
     comms: tuple[Commodity, ...]  # ascending; the layout of every cell
     comm_index: dict[Commodity, int]
-    # positions whose next link no road connection reaches (TERMINAL
-    # included) on a non-sink link; they must stay empty
-    invalid: tuple[int, ...]
     # per lane group, the vehicles in each cell; see the module docstring
     totals: list[list[float]]
 
@@ -232,13 +231,16 @@ class StepStats:
 
 
 class Engine:
-    """Simulator for the links incident to a set of owned nodes."""
+    """Simulator for the links incident to a set of owned nodes: by default
+    every node of a whole scenario, or a fragment's own `owned_nodes`."""
 
     def __init__(self, scenario: Scenario, owned_nodes: set[int] | None = None):
         self.scenario = scenario
         self.dt = scenario.sim.dt
         self.eta = scenario.sim.lane_change_rate
-        self.owned = set(scenario.nodes) if owned_nodes is None else set(owned_nodes)
+        sub = scenario.subnetwork
+        default = scenario.nodes if sub is None else sub.owned_nodes  # never a fragment's stubs
+        self.owned = set(default if owned_nodes is None else owned_nodes)
         for nid in self.owned:
             if nid not in scenario.nodes:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
@@ -269,7 +271,6 @@ class Engine:
 
     def _build_link(self, link: Link) -> LinkRuntime:
         comms = self.scenario.commodities[link.id]
-        invalid = []  # TERMINAL or a next link no lane group serves
         fd = link.fd
         wv_ratio = fd.congestion_wave_speed / fd.free_flow_speed
         groups = []
@@ -289,29 +290,21 @@ class Engine:
             )
             serving.append({self.scenario.connections[cid].out_link: cid for cid in lg.conn_ids})
         if not link.is_sink:
+            servers: dict[int, list[int]] = {}  # downstream link -> serving groups, ascending
+            for h, conn_by_next in enumerate(serving):
+                for nxt in conn_by_next:
+                    servers.setdefault(nxt, []).append(h)
             for g, conn_by_next in zip(groups, serving):
-                outflows, moves, stuck = [], [], []
+                outflows, moves = [], []
                 for p, (vt, nxt) in enumerate(comms):
                     cid = conn_by_next.get(nxt)
                     if cid is not None:
                         outflows.append((p, cid, nxt, g.index, vt))
                         continue
-                    if nxt == TERMINAL:
-                        if g.index == 0:
-                            invalid.append(p)
-                        continue
-                    best = None  # nearest group serving nxt, lowest on ties
-                    for h, h_serves in zip(groups, serving):
-                        if nxt in h_serves:
-                            if best is None or abs(h.index - g.index) < abs(best - g.index):
-                                best = h.index
-                    if best is None:
-                        stuck.append(p)
-                        if g.index == 0:
-                            invalid.append(p)
-                    else:
-                        moves.append((p, g.index + 1 if best > g.index else g.index - 1))
-                g.outflows, g.lane_moves, g.lane_stuck = tuple(outflows), tuple(moves), tuple(stuck)
+                    # the nearest group serving nxt, the lowest on ties
+                    best = min(servers[nxt], key=lambda h: abs(h - g.index))
+                    moves.append((p, g.index + 1 if best > g.index else g.index - 1))
+                g.outflows, g.lane_moves = tuple(outflows), tuple(moves)
         return LinkRuntime(
             link=link,
             groups=groups,
@@ -319,7 +312,6 @@ class Engine:
             outflow_local=link.end_node in self.owned,
             comms=comms,
             comm_index=dict(zip(comms, range(len(comms)))),
-            invalid=tuple(invalid),
             totals=[[0.0] * g.cell_count for g in groups],
         )
 
@@ -391,12 +383,6 @@ class Engine:
             moves: dict[int, list[tuple[int, int, float]]] = {}
             for g in groups:
                 cell = g.cells[k]
-                for p in g.lane_stuck:
-                    if cell[p]:
-                        raise InternalAssertion(
-                            f"link {lrt.link.id}: commodity {lrt.comms[p]} cannot "
-                            f"reach link {lrt.comms[p][1]} from any lane group"
-                        )
                 for p, dst in g.lane_moves:
                     v = cell[p]
                     if v:
@@ -467,17 +453,6 @@ class Engine:
             if n_total <= 0.0:
                 continue
             cell = g.cells[-1]
-            for p in lrt.invalid:
-                if cell[p]:
-                    nxt = lrt.comms[p][1]
-                    if nxt == TERMINAL:
-                        raise InternalAssertion(
-                            f"terminal commodity on non-sink link {lrt.link.id}"
-                        )
-                    raise InternalAssertion(
-                        f"link {lrt.link.id}: commodity next link {nxt} is "
-                        f"unreachable via any road connection"
-                    )
             cap = g.cap_step
             # compute_demand's scale, for the served positions only
             scale = (cap if cap < n_total else n_total) / n_total

@@ -109,13 +109,15 @@ class DecoderMap:
 
     @classmethod
     def from_doc(cls, doc) -> DecoderMap:
-        """Inverse of `to_doc`; KeyError, TypeError, ValueError or
-        OverflowError when `doc` is malformed."""
-        return cls(
-            sender=int(doc["sender"]),
-            receiver=int(doc["receiver"]),
-            slots=tuple(tuple(int(x) for x in slot) for slot in doc["slots"]),
-        )
+        """Inverse of `to_doc`; KeyError or TypeError when `doc` is
+        malformed, a TypeError for any value that is not an int (a bool is
+        not)."""
+        sender, receiver = doc["sender"], doc["receiver"]
+        slots = tuple(tuple(slot) for slot in doc["slots"])
+        for value in (sender, receiver, *(x for slot in slots for x in slot)):
+            if type(value) is not int:
+                raise TypeError(f"expected an integer, got {value!r}")
+        return cls(sender=sender, receiver=receiver, slots=slots)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +153,10 @@ def partition_nodes(scenario: Scenario, n: int, seed: int = 0) -> NodePartition:
     rng = random.Random(seed)
     seeds = [nodes[rng.randrange(count)]]
     taken = set(seeds)
+    dist: dict[int, int] = {}  # hops from the nearest seed; absent if unreachable
     while len(seeds) < n:
+        _lower_distances(adj, dist, seeds[-1])
         # the node farthest from its nearest seed, the lowest id on ties
-        dist = _bfs_distance(adj, seeds)
         best = max((v for v in nodes if v not in taken), key=lambda v: dist.get(v, math.inf))
         seeds.append(best)
         taken.add(best)
@@ -197,26 +200,26 @@ def partition_nodes(scenario: Scenario, n: int, seed: int = 0) -> NodePartition:
                 assignment[v] = i
                 sizes[i] += 1
                 remaining -= 1
-                for w in sorted(adj[v]):
-                    if w not in assignment:
-                        queues[i].append(w)
 
     cap = balance_cap(count, n)
     _refine(nodes, adj, assignment, sizes, cap)
     return NodePartition(n, assignment)
 
 
-def _bfs_distance(adj, sources) -> dict[int, int]:
-    """Hops from the nearest source; they do not depend on the visit order."""
-    dist = {s: 0 for s in sources}
-    frontier = deque(sources)
+def _lower_distances(adj, dist: dict[int, int], seed: int) -> None:
+    """Lower `dist`, hops from the nearest earlier seed, to hops from the
+    nearest seed once `seed` is one too: a BFS from `seed` that stops at
+    every node it does not bring closer, since no node beyond one is
+    closer through it either."""
+    dist[seed] = 0
+    frontier = deque([seed])
     while frontier:
         v = frontier.popleft()
+        d = dist[v] + 1
         for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
+            if d < dist.get(w, math.inf):
+                dist[w] = d
                 frontier.append(w)
-    return dist
 
 
 def _refine(nodes, adj, assignment, sizes, cap) -> None:
@@ -345,9 +348,11 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
     simulated links and may become a sink, so `derive_link_tables` derives
     its entries as validate() does.  Every check validate() makes holds by
     construction: the rows and lane groups of simulated links passed it in
-    `scenario`, a stub's lane groups serve a subset of its connections, and
-    link roles and `neighbor_of_link` follow from `partition`.  Fragments
-    read from files are validated in full.
+    `scenario`, a stub's lane groups serve a subset of its connections, the
+    paths are the parent's and a fragment checks them only on its simulated
+    links, whose successors are the parent's, and link roles and
+    `neighbor_of_link` follow from `partition`.  Fragments read from files
+    are validated in full, deterministic paths included.
     """
     assign = partition.assignment
     subs = []

@@ -252,7 +252,7 @@ def _worker_body(
 ) -> tuple[list[Row], dict, dict]:
     report = WorkerReport(index=sub.index, setup_s=0.0, compute_s=0.0)
     t0 = time.perf_counter()
-    engine = Engine(sub.fragment, set(sub.owned_nodes))
+    engine = Engine(sub.fragment)
     channels = _worker_channels(sub, duplexes, decoders)
     establish(channels, timeout)
     report.setup_s = time.perf_counter() - t0

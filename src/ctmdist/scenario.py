@@ -42,6 +42,9 @@ class FDParams:
     jam_density: float  # veh/m per lane
 
 
+FD_FIELDS = ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density")
+
+
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -270,6 +273,14 @@ def _as_lane(value, what: str, *args) -> int:
     raise ScenarioError(f"{what.format(*args)} must be an integer, got {value!r}")
 
 
+def _as_number(value, what: str, *args) -> float:
+    """`value` as a float: a JSON number, never a bool or a string.  `what`
+    as in `_as_id`."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise ScenarioError(f"{what.format(*args)} must be a number, got {value!r}")
+
+
 def _lane_range(raw, lanes: int, what: str, *args) -> tuple[int, int]:
     """An inclusive lane pair, (1, lanes) when absent; `what` as in `_as_id`."""
     if raw is None:
@@ -327,9 +338,11 @@ def _build_scenario(doc) -> Scenario:
     """The records of `doc`, checked for shape only: types, ids, duplicates,
     lane pairs, and the links a connection names (for a lane pair's
     default); validate() checks the values.  Each check formats its message
-    only when it fails.  The loops over links, connections and splits, the
-    most numerous records, accept a plain non-negative int id inline and
-    hand anything else to `_as_id`; they pass record fields by position."""
+    only when it fails.  A number is never read from a string or a boolean.
+    The loops over links, connections and splits, the most numerous
+    records, accept a plain non-negative int id and a float inline and hand
+    anything else to `_as_id` or `_as_number`; they pass record fields by
+    position."""
     if not isinstance(doc, dict):
         raise ScenarioError("top level must be a JSON object")
     for key in ("nodes", "links", "simulation"):
@@ -337,9 +350,10 @@ def _build_scenario(doc) -> Scenario:
             raise ScenarioError(f"missing top-level key '{key}'")
 
     sim_raw = doc["simulation"]
-    dt = float(sim_raw.get("dt", 0.0))
+    dt = _as_number(sim_raw.get("dt", 0.0), "simulation.dt")
     steps = _as_lane(sim_raw.get("steps", 0), "simulation.steps")
-    sim = SimParams(dt, steps, float(sim_raw.get("lane_change_rate", 0.5)))
+    rate = _as_number(sim_raw.get("lane_change_rate", 0.5), "simulation.lane_change_rate")
+    sim = SimParams(dt, steps, rate)
 
     nodes: dict[int, Node] = {}
     for raw in doc["nodes"]:
@@ -366,16 +380,22 @@ def _build_scenario(doc) -> Scenario:
         if type(lanes) is not int:
             lanes = _as_lane(lanes, "link {} lanes", lid)
         fd_raw = raw["fd"]
-        fd_values = (
-            float(fd_raw["capacity"]),
-            float(fd_raw["free_flow_speed"]),
-            float(fd_raw["congestion_wave_speed"]),
-            float(fd_raw["jam_density"]),
+        fd_values = cap, ffs, cws, jam = (
+            fd_raw["capacity"],
+            fd_raw["free_flow_speed"],
+            fd_raw["congestion_wave_speed"],
+            fd_raw["jam_density"],
         )
+        if not (type(cap) is type(ffs) is type(cws) is type(jam) is float):
+            fd_values = tuple(
+                [_as_number(v, "link {} fd.{}", lid, name) for v, name in zip(fd_values, FD_FIELDS)]
+            )
         fd = fds.get(fd_values)
         if fd is None:
             fd = fds[fd_values] = FDParams(*fd_values)
-        length = float(raw["length"])
+        length = raw["length"]
+        if type(length) is not float:
+            length = _as_number(length, "link {} length", lid)
         is_source = raw.get("is_source", False)
         if type(is_source) is not bool:
             raise ScenarioError(f"link {lid} is_source must be a boolean, got {is_source!r}")
@@ -428,30 +448,42 @@ def _build_scenario(doc) -> Scenario:
         vtype = raw["vtype"]
         if type(vtype) is not int or vtype < 0:
             vtype = _as_id(vtype, "split vtype")
-        start_time = float(raw.get("start_time", 0.0))
-        ratios_raw = raw["ratios"]
-        ratios = tuple(sorted([(int(k), float(v)) for k, v in ratios_raw.items()]))
+        start_time = raw.get("start_time", 0.0)
+        if type(start_time) is not float:
+            start_time = _as_number(start_time, "split at node {} start_time", node)
+        ratios = []
+        for out_link, p in raw["ratios"].items():
+            if type(p) is not float:
+                p = _as_number(p, "split at node {} ratio for link {}", node, out_link)
+            ratios.append((int(out_link), p))
+        ratios = tuple(sorted(ratios))
         splits.append(SplitRow(node, in_link, vtype, start_time, ratios))
 
     demands: list[DemandRow] = []
     for raw in doc.get("demands", []):
         link = _as_id(raw["link"], "demand link")
         vtype = _as_id(raw["vtype"], "demand vtype")
-        profile = tuple((float(p["start_time"]), float(p["flow"])) for p in raw["profile"])
+        profile = tuple(
+            tuple(_as_number(p[k], "demand on link {} {}", link, k) for k in ("start_time", "flow"))
+            for p in raw["profile"]
+        )
         demands.append(DemandRow(link=link, vtype=vtype, profile=profile))
 
     subnetwork = None
     if "subnetwork" in doc:
         sn = doc["subnetwork"]
+        ids = {
+            key: tuple(sorted(_as_id(x, "subnetwork {} entry", key) for x in sn[key]))
+            for key in ("owned_nodes", "interior_links", "relative_sources", "relative_sinks")
+        }
+        neighbors = [
+            (int(lid), _as_id(nb, "subnetwork neighbor of link {}", lid))
+            for lid, nb in sn["neighbor_of_link"].items()
+        ]
         subnetwork = SubnetworkMeta(
-            index=int(sn["index"]),
-            owned_nodes=tuple(sorted(int(x) for x in sn["owned_nodes"])),
-            interior_links=tuple(sorted(int(x) for x in sn["interior_links"])),
-            relative_sources=tuple(sorted(int(x) for x in sn["relative_sources"])),
-            relative_sinks=tuple(sorted(int(x) for x in sn["relative_sinks"])),
-            neighbor_of_link=tuple(
-                sorted((int(k), int(v)) for k, v in sn["neighbor_of_link"].items())
-            ),
+            index=_as_id(sn["index"], "subnetwork index"),
+            neighbor_of_link=tuple(sorted(neighbors)),
+            **ids,
         )
 
     return Scenario(
@@ -486,13 +518,13 @@ def derive_link_tables(s: Scenario, lids) -> dict[int, set[int]]:
 
     # commodities per link: (vt, TERMINAL) for every type on a sink;
     # elsewhere the path successor of each deterministic type whose path
-    # holds the link, and every successor for each probabilistic type
+    # holds the link before its end, and every successor for each
+    # probabilistic type
     det_comms: dict[int, set[Commodity]] = {}
     for vt in s.vehicle_types.values():
         if vt.routing == "deterministic":
-            for pos, lid in enumerate(vt.path):
-                nxt = vt.path[pos + 1] if pos + 1 < len(vt.path) else TERMINAL
-                det_comms.setdefault(lid, set()).add((vt.id, nxt))
+            for a, b in zip(vt.path, vt.path[1:]):
+                det_comms.setdefault(a, set()).add((vt.id, b))
     prob_types = sorted(
         vt.id for vt in s.vehicle_types.values() if vt.routing != "deterministic"
     )
@@ -557,7 +589,7 @@ def validate(s: Scenario) -> None:
             raise ScenarioError(f"link {lid} must have at least one lane")
         fd = link.fd
         if id(fd) not in checked_fds:
-            for name in ("capacity", "free_flow_speed", "congestion_wave_speed", "jam_density"):
+            for name in FD_FIELDS:
                 value = getattr(fd, name)
                 if not value > 0:
                     raise ScenarioError(f"link {lid} fd.{name} must be positive")
@@ -596,33 +628,37 @@ def validate(s: Scenario) -> None:
     s.out_conns, s.in_conns, s.lane_groups, s.commodities = {}, {}, {}, {}
     successors = derive_link_tables(s, s.links)
 
-    # deterministic paths: not empty, connected, loop-free, end at a sink;
-    # fragments keep the full global path (checked before partitioning) but
-    # carry only their own links, so all but the first check apply to whole
-    # scenarios only
+    # deterministic paths: not empty, loop-free, and on every link the
+    # scenario simulates, followed by a successor or, at the path's end, a
+    # sink.  A fragment carries the full path but simulates only the links
+    # with an owned end, which keep all their connections; the fragments
+    # owning the other links check them
+    owned = s.nodes if s.subnetwork is None else set(s.subnetwork.owned_nodes)
     for vt in s.vehicle_types.values():
         if vt.routing != "deterministic":
             continue
         if not vt.path:
             raise ScenarioError(f"vehicle type {vt.id} has an empty path")
-        if s.subnetwork is not None:
-            continue
         if len(set(vt.path)) != len(vt.path):
             raise ScenarioError(f"vehicle type {vt.id} path repeats a link")
-        for lid in vt.path:
-            if lid not in s.links:
-                raise ScenarioError(f"vehicle type {vt.id} path references missing link {lid}")
-        for a, b in zip(vt.path, vt.path[1:]):
-            if b not in successors[a]:
+        if s.subnetwork is None:
+            for lid in vt.path:
+                if lid not in s.links:
+                    raise ScenarioError(f"vehicle type {vt.id} path references missing link {lid}")
+        for a, b in zip(vt.path, (*vt.path[1:], TERMINAL)):
+            link = links.get(a)
+            if link is None or not (link.start_node in owned or link.end_node in owned):
+                continue
+            if b == TERMINAL:
+                if s.out_conns[a]:
+                    raise ScenarioError(
+                        f"vehicle type {vt.id} path must end at a sink link, link {a} has "
+                        f"outgoing connections"
+                    )
+            elif b not in successors[a]:
                 raise ScenarioError(
                     f"vehicle type {vt.id}: no road connection from link {a} to link {b}"
                 )
-        last = vt.path[-1]
-        if s.out_conns[last]:
-            raise ScenarioError(
-                f"vehicle type {vt.id} path must end at a sink link, link {last} has "
-                f"outgoing connections"
-            )
 
     # split rows: structural checks plus distribution sums
     split_index: dict[tuple[int, int], list[SplitRow]] = {}

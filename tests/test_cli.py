@@ -549,6 +549,54 @@ class TestMalformedRunInputs:
         assert main(argv) == 2
         assert "link 0 claimed by subnetworks 0 and 1" in capsys.readouterr().err
 
+    def test_fragment_path_without_road_connection(self, fixture_file, tmp_path, capsys):
+        # the merge fixture has no road connection from link 1 to link 5;
+        # the fragment that simulates link 1 is rejected as it loads
+        out = tmp_path / "parts"
+        argv = ["partition", "--scenario", fixture_file, "--n", "2", "--out-dir", str(out)]
+        assert main(argv) == 0
+        for i in range(2):
+            victim = out / f"fragment_{i}.json"
+            doc = json.loads(victim.read_text())
+            doc["vehicletypes"][0]["routing"]["path"] = [0, 1, 5, 7]
+            victim.write_text(json.dumps(doc))
+        for name in ("decoder_0_to_1.json", "decoder_1_to_0.json"):
+            (out / name).unlink()
+        argv = ["run", "--fragments-dir", str(out), "--mode", "local", "--steps", "200"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "fragment_1.json: vehicle type 0: no road connection from link 1 to link 5" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("index", False), ("index", 1.9), ("owned_nodes", 0.4), ("neighbor_of_link", 0.0)],
+    )
+    def test_fragment_metadata_not_integer(self, parts, capsys, key, value):
+        victim = parts / "fragment_1.json"
+        doc = json.loads(victim.read_text())
+        meta = doc["subnetwork"]
+        if key == "owned_nodes":
+            meta[key] = [nid + value for nid in meta[key]]
+        elif key == "neighbor_of_link":
+            meta[key] = {lid: value for lid in meta[key]}
+        else:
+            meta[key] = value
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "fragment_1.json" in err and "must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_decoder_map_value_not_integer(self, parts, capsys, value):
+        victim = parts / "decoder_0_to_1.json"
+        doc = json.loads(victim.read_text())
+        doc["receiver"] = value
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        assert "decoder_0_to_1.json" in capsys.readouterr().err
+
     def test_roster_file_missing(self, parts, tmp_path):
         argv = [
             "run", "--mode", "tcp", "--worker-index", "0", "--fragments-dir", str(parts),

@@ -192,6 +192,13 @@ class TestEstablish:
         with pytest.raises(ProtocolError, match=r"worker 1: unreadable handshake from 0"):
             _verify_hello(ch_b, hello)
 
+    @pytest.mark.parametrize("value", [b"true", b"11.0", b'"11"'])
+    def test_handshake_value_not_integer_unreadable(self, value):
+        ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))[1]
+        hello = b'{"receiver":1,"sender":0,"slots":[[1,9,0,0,' + value + b"]]}"
+        with pytest.raises(ProtocolError, match=r"worker 1: unreadable handshake from 0"):
+            _verify_hello(ch_b, hello)
+
 
 class TestExchange:
     def test_two_workers_swap_intact(self):

@@ -7,19 +7,30 @@ lane groups per link), links of one, two and three cells, deterministic
 types beside the probabilistic one, a second probabilistic type with its
 own split rows and demand, split rows and demand that change during the
 run (demand to zero too), and demand high enough to congest junctions.
+The examples whose partition seed is a multiple of 4 also run from their
+fragment and decoder files, each read back from its text, as `run
+--fragments-dir` reads them.
 Hypothesis runs a fixed, derandomized set of examples (the profile
 `conftest.py` loads), so every run of the suite checks the same scenarios.
 """
 
 import dataclasses
+import json
 import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ctmdist import engine
 from ctmdist.gridgen import generate_grid
+from ctmdist.partition import (
+    DecoderMap,
+    Subnetwork,
+    build_decoder_map,
+    build_subnetworks,
+    partition_nodes,
+)
 from ctmdist.runner import rows_to_csv, run_distributed, run_sequential
-from ctmdist.scenario import DemandRow, VehicleType, validate
+from ctmdist.scenario import DemandRow, VehicleType, parse_scenario, serialize_scenario, validate
 
 from conftest import add_split_changes, add_straight_types, random_ratios, restrict_outer_lanes
 
@@ -51,6 +62,24 @@ def add_demand_changes(s, rng, start_time):
         rate = row.profile[-1][1] * rng.choice([0.0, 0.5, 2.0])
         demands.append(dataclasses.replace(row, profile=row.profile + ((start_time, rate),)))
     s.demands = demands
+
+
+def read_back_files(scenario, n, seed):
+    """The fragments and decoder maps of `scenario` cut into `n` with
+    `seed`, each parsed from the text of its file: (subnetworks, decoders
+    by worker and neighbor, as `run_distributed` takes them)."""
+    subs = build_subnetworks(scenario, partition_nodes(scenario, n, seed))
+    texts = {  # (sender, receiver) -> its decoder file's text
+        (sub.index, nb): json.dumps(build_decoder_map(sub, nb).to_doc())
+        for sub in subs
+        for nb in sub.neighbors()
+    }
+    maps = {ends: DecoderMap.from_doc(json.loads(text)) for ends, text in texts.items()}
+    decoders = {
+        sub.index: {nb: (maps[sub.index, nb], maps[nb, sub.index]) for nb in sub.neighbors()}
+        for sub in subs
+    }
+    return [Subnetwork(parse_scenario(serialize_scenario(sub.fragment))) for sub in subs], decoders
 
 
 @st.composite
@@ -143,6 +172,11 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
             )
             assert dist.metrics["conservation_max_abs_error"] <= 1e-9
             assert rows_to_csv(dist.rows) == expected, (transport, n, seed)
+        if seed % 4 == 0:
+            subs, decoders = read_back_files(scenario, n, seed)
+            dist = run_distributed(subs=subs, decoders=decoders, steps=steps, dump_every=dump_every)
+            assert rows_to_csv(dist.rows) == expected, ("fragment files", n, seed)
+            seen.add("fragment files")
 
     check()
     assert seen == {
@@ -152,4 +186,5 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
         "split change",
         "demand change",
         "two probabilistic types",
+        "fragment files",
     }

@@ -39,12 +39,12 @@ def cut_engine(merge_diverge, index):
     return Engine(sub.fragment, set(sub.owned_nodes))
 
 
-def fragment_with_path(scenario, path):
-    """`scenario` as its one fragment, with vehicle type 0 on `path` and the
-    fragment validated again.  A fragment skips the path checks, so an
-    inconsistent path gets through to the commodity table."""
-    whole = NodePartition(1, {nid: 0 for nid in scenario.nodes})
-    fragment = build_subnetworks(scenario, whole)[0].fragment
+def fragment_with_path(scenario, path, cut=None, index=0):
+    """Fragment `index` of `scenario` cut by `cut` (by default the one
+    fragment of the whole), with vehicle type 0 on `path` and the fragment
+    validated again."""
+    cut = cut or NodePartition(1, {nid: 0 for nid in scenario.nodes})
+    fragment = build_subnetworks(scenario, cut)[index].fragment
     fragment.vehicle_types[0] = VehicleType(0, "deterministic", path)
     validate(fragment)
     return fragment
@@ -512,23 +512,46 @@ class TestChecks:
             Engine(merge_diverge).entry_positions(6, 0, 0.0)
 
     def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
-        # a path ending short of a sink passes only unvalidated fragments
-        eng = Engine(fragment_with_path(merge_diverge, (0, 1, 4)))
-        seed(eng, 4, 1, 2, (0, TERMINAL), 1.0)
-        with pytest.raises(InternalAssertion, match=r"terminal commodity"):
-            eng.phase_a(0)
+        # a fragment's path, like a whole scenario's, must end at a sink
+        with pytest.raises(
+            ScenarioError,
+            match=r"^vehicle type 0 path must end at a sink link, link 4 has outgoing connections$",
+        ):
+            fragment_with_path(merge_diverge, (0, 1, 4))
 
     def test_unreachable_next_link(self, merge_diverge):
-        eng = Engine(fragment_with_path(merge_diverge, (0, 1, 5, 7)))
-        seed(eng, 1, 0, 1, (0, 5), 1.0)  # link 1 only reaches link 4
-        with pytest.raises(InternalAssertion, match=r"unreachable"):
-            eng.phase_a(0)
+        # link 1 only reaches link 4
+        with pytest.raises(
+            ScenarioError, match=r"^vehicle type 0: no road connection from link 1 to link 5$"
+        ):
+            fragment_with_path(merge_diverge, (0, 1, 5, 7))
 
     def test_unreachable_next_link_in_lane_changes(self, merge_diverge):
-        eng = Engine(fragment_with_path(merge_diverge, (0, 1, 4, 7)))
-        seed(eng, 4, 0, 0, (0, 7), 1.0)  # no lane group of link 4 reaches 7
-        with pytest.raises(InternalAssertion, match=r"cannot reach"):
-            eng.phase_a(0)
+        # no lane group of link 4 reaches link 7
+        with pytest.raises(
+            ScenarioError, match=r"^vehicle type 0: no road connection from link 4 to link 7$"
+        ):
+            fragment_with_path(merge_diverge, (0, 1, 4, 7))
+
+    def test_path_repeating_a_link_in_a_fragment(self, merge_diverge):
+        with pytest.raises(ScenarioError, match=r"^vehicle type 0 path repeats a link$"):
+            fragment_with_path(merge_diverge, (0, 1, 4, 1))
+
+    def test_path_checked_on_simulated_links_only(self, merge_diverge):
+        # link 6 leads to link 8, not 7; fragment 0 (nodes 0-4) carries link
+        # 6 only as a stub, so it loads and runs, and fragment 1 is rejected
+        cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
+        path = (0, 1, 4, 6, 7)
+        eng = Engine(fragment_with_path(merge_diverge, path, cut, 0))
+        assert sorted(eng.links) == [0, 1, 2, 3, 4]  # its owned nodes' links, no stub
+        for step in range(20):
+            eng.phase_a(step)
+            eng.phase_b(step)
+        assert eng.cell_value(4, 1, 0, (0, 6)) > 0.0
+        with pytest.raises(
+            ScenarioError, match=r"^vehicle type 0: no road connection from link 6 to link 7$"
+        ):
+            fragment_with_path(merge_diverge, path, cut, 1)
 
 
 class TestOrder:

@@ -220,6 +220,55 @@ BAD_RECORDS = {
         "simulation", "steps", "3", "simulation.steps must be an integer, got '3'"
     ),
     "sim-steps-bool": ("simulation", "steps", True, "simulation.steps must be an integer, got True"),
+    "sim-dt-string": ("simulation", "dt", "4.0", "simulation.dt must be a number, got '4.0'"),
+    "sim-rate-string": (
+        "simulation",
+        "lane_change_rate",
+        "0.5",
+        "simulation.lane_change_rate must be a number, got '0.5'",
+    ),
+    "link-length-string": (
+        "links", "length", "200", "link {id} length must be a number, got '200'"
+    ),
+    "link-fd-capacity-string": (
+        "links", "fd.capacity", "0.5", "link {id} fd.capacity must be a number, got '0.5'"
+    ),
+    "link-fd-speed-bool": (
+        "links",
+        "fd.free_flow_speed",
+        True,
+        "link {id} fd.free_flow_speed must be a number, got True",
+    ),
+    "link-fd-wave-string": (
+        "links",
+        "fd.congestion_wave_speed",
+        "6.25",
+        "link {id} fd.congestion_wave_speed must be a number, got '6.25'",
+    ),
+    "link-fd-jam-null": (
+        "links", "fd.jam_density", None, "link {id} fd.jam_density must be a number, got None"
+    ),
+    "split-start-string": (
+        "splits", "start_time", "0", "split at node {node} start_time must be a number, got '0'"
+    ),
+    "split-ratio-string": (
+        "splits",
+        "ratios",
+        {"999": "1.0"},
+        "split at node {node} ratio for link 999 must be a number, got '1.0'",
+    ),
+    "demand-start-string": (
+        "demands",
+        "profile",
+        [{"start_time": "0", "flow": 0.5}],
+        "demand on link {link} start_time must be a number, got '0'",
+    ),
+    "demand-flow-string": (
+        "demands",
+        "profile",
+        [{"start_time": 0.0, "flow": "0.5"}],
+        "demand on link {link} flow must be a number, got '0.5'",
+    ),
     "link-source-string": (
         "links", "is_source", "false", "link {id} is_source must be a boolean, got 'false'"
     ),
