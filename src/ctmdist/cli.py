@@ -258,8 +258,6 @@ def cmd_run(args) -> int:
         result = runner.run_sequential(scenario, steps=args.steps, dump_every=dump_every)
     elif args.mode == "tcp" and args.worker_index is not None:
         return _run_tcp_join(args, dump_every)
-    elif args.mode not in ("local", "tcp"):
-        raise ScenarioError(f"unknown mode {args.mode}")
     elif args.fragments_dir:
         subs = _load_fragments_dir(args.fragments_dir)
         decoders = {sub.index: _load_decoders(args.fragments_dir, sub) for sub in subs}

@@ -142,25 +142,17 @@ class NeighborChannel:
 
 def encode(table: dict[SlotEntry, int], records: list[EntryRecord]) -> list[float]:
     """Fill the fixed message layout of a channel's send table (see
-    `DecoderMap.positions`); slots without flow stay 0.0."""
+    `DecoderMap.positions`); slots without flow stay 0.0.  Every boundary
+    record phase A makes has a slot (see the `engine` docstring)."""
     values = [0.0] * len(table)
     for lid, cid, gidx, p, amount in records:
-        pos = table.get((lid, cid, gidx, p))
-        if pos is None:
-            raise ProtocolError(
-                f"record {(lid, cid, gidx, p)} has no slot in this channel's message"
-            )
-        values[pos] = amount
+        values[table[(lid, cid, gidx, p)]] = amount
     return values
 
 
 def decode(table: dict[SlotEntry, int], values: list[float]) -> list[EntryRecord]:
     """Inverse of encode for a channel's receive table; zero slots produce
-    no records."""
-    if len(values) != len(table):
-        raise ProtocolError(
-            f"message length {len(values)} does not match slot count {len(table)}"
-        )
+    no records.  `exchange` has checked the length of `values`."""
     records: list[EntryRecord] = []
     for entry, value in zip(table, values):
         if value != 0.0:
@@ -260,16 +252,12 @@ def exchange(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> dict[int, list[float]]:
     """Synchronous per-step swap: one message each way on every channel,
-    carrying the same step index."""
+    carrying the same step index.  The one check of a received message's
+    length; `encode` builds every outgoing one to its map's length."""
     incoming: dict[int, list[float]] = {}
     for ch in sorted(channels, key=lambda c: c.remote):
-        values = outgoing[ch.remote]
-        if len(values) != ch.send_map.message_length:
-            raise ProtocolError(
-                f"worker {ch.local}: outgoing message for {ch.remote} has "
-                f"{len(values)} values, decoder expects {ch.send_map.message_length}"
-            )
-        values, _payload = _swap(ch, pack_frame(step, ch.local, ch.remote, values), step, timeout)
+        frame = pack_frame(step, ch.local, ch.remote, outgoing[ch.remote])
+        values, _payload = _swap(ch, frame, step, timeout)
         if len(values) != ch.recv_map.message_length:
             raise ProtocolError(
                 f"worker {ch.local}: message from {ch.remote} has {len(values)} "

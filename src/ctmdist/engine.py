@@ -24,15 +24,18 @@ connection, lane group, commodity position, vehicles).  All accumulation
 loops iterate in ascending (link, lane group, connection, commodity) order
 so that a partitioned run reproduces the sequential run bit for bit.
 
-`partition` derives each decoder-map slot with its key from the fragment the
-engine is built from, so the key fits by construction: its link is an overlap
-link, which `validate()` checks has one owned end, so the engine simulates
-it; its connection is in the link's `in_conns` (delivery) or a lane group's
-`conn_ids` (removal); its group and position index `Scenario.lane_groups`
-and `Scenario.commodities`, the engine's own tables; and no key repeats, as
-a link's slots in one direction are all deliveries or all removals.  A
-decoder file must equal the derived map, and the handshake compares the
-maps both fragments of a channel derive; both abort with a protocol error.
+`partition._message_map` derives each decoder-map slot with its key from the
+fragment the engine is built from, so the key fits by construction: its link
+is an overlap link, which `validate()` checks has one owned end, so the
+engine simulates it; its connection is in the link's `in_conns` (delivery)
+or a lane group's `conn_ids` (removal); its group and position index
+`Scenario.lane_groups` and `Scenario.commodities`, the engine's own tables;
+and no key repeats, as a link's slots in one direction are all deliveries or
+all removals.  A decoder file must equal the derived map, and the handshake
+compares the maps both fragments of a channel derive; both abort with a
+protocol error.  Every record phase A makes for a neighbor has a slot, and
+`decode` yields only the receive map's keys, so neither `encode` nor phase B
+checks one.
 
 Cells are dense.  Each link has a fixed, ascending tuple of the commodities
 that can occur on it, read from `Scenario.commodities`, the table that
@@ -42,7 +45,10 @@ deterministic type whose path holds the link, and every successor for each
 probabilistic type.  `validate()` checks every deterministic path on the
 links a scenario simulates, so on a simulated non-sink link every
 commodity's next link is a successor, which some lane group serves, and only
-sinks carry TERMINAL; the engine relies on that and checks it nowhere.  A
+sinks carry TERMINAL; the engine relies on that and checks it nowhere.
+Every commodity that enters a link has a position there, as
+`derive_link_tables` builds the table and `validate()` checks that split
+rows name successors: `entry_positions` looks positions up unchecked.  A
 cell is a list of floats in that order, with 0.0 for an absent commodity.
 The results are the same, bit for bit, as those of a map from commodity to
 vehicles iterated in sorted order:
@@ -94,9 +100,9 @@ once:
 - Both replicas of an overlap link keep the order: the side owning the end
   node applies removals in phase A and received deliveries in phase B; the
   side owning the start node applies received removals in phase B, before
-  its deferred one-cell deliveries.  A received removal on a link whose end
-  node this engine owns, or a received delivery on a link whose start node
-  it owns, would break this and is rejected.
+  its deferred one-cell deliveries.  No record reaches the wrong side:
+  `partition._message_map` gives a receiver delivery slots only on its
+  relative sources and removal slots only on its relative sinks.
 - Cell totals live on the link (`LinkRuntime.totals`).  Phase B's pass
   folds each cell's total after its last update of the step, for every
   link it settles; a link that goes inactive keeps its zeros.  Phase A
@@ -113,6 +119,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 
 from .errors import InternalAssertion, ScenarioError
@@ -491,7 +498,8 @@ class Engine:
         """How flow of `vtype` entering `link_id` divides over the link's
         commodities, as (position, fraction) pairs: the unique path successor
         for deterministic types, the split row for probabilistic ones,
-        TERMINAL on sinks."""
+        TERMINAL on sinks.  `derive_link_tables` gives each of them a
+        position; a missing split row is the one error left."""
         key = (link_id, vtype)
         cached = self._position_cache.get(key)
         if cached is not None:
@@ -501,12 +509,7 @@ class Engine:
             fractions = ((TERMINAL, 1.0),)
         elif self.scenario.vehicle_types[vtype].routing == "deterministic":
             # the link's one commodity of this type holds its path successor
-            nexts = [nxt for vt, nxt in lrt.comms if vt == vtype]
-            if not nexts:
-                raise InternalAssertion(
-                    f"deterministic vehicle type {vtype} entered off-path link {link_id}"
-                )
-            fractions = ((nexts[0], 1.0),)
+            fractions = [(nxt, 1.0) for vt, nxt in lrt.comms if vt == vtype]
         else:
             fractions = self.scenario.split_row_at(link_id, vtype, time)
             if fractions is None:
@@ -514,16 +517,8 @@ class Engine:
                     f"no split row for vehicle type {vtype} entering link "
                     f"{link_id} (time {time})"
                 )
-        positions = []
-        for nxt, frac in fractions:
-            p = lrt.comm_index.get((vtype, nxt))
-            if p is None:
-                raise InternalAssertion(
-                    f"link {link_id}: entering commodity {(vtype, nxt)} is not "
-                    f"among the link's commodities"
-                )
-            positions.append((p, frac))
-        result = tuple(positions)
+        comm_index = lrt.comm_index
+        result = tuple([(comm_index[(vtype, nxt)], frac) for nxt, frac in fractions])
         self._position_cache[key] = result
         return result
 
@@ -580,13 +575,12 @@ class Engine:
     # ------------------------------------------------------------------
 
     def phase_b(self, step: int, received: list[EntryRecord] | None = None) -> StepStats:
-        """Apply the records received from neighbors and the deliveries
+        """Apply the records received from neighbors, then the deliveries
         phase A deferred, inject demand, then settle every active or touched
         link in one ascending pass; returns step statistics over this
-        engine's authoritative links.  A neighbor resolves the far end of an
-        overlap link, so a received record is a removal from a link whose
-        start node this engine owns, or a delivery into a link whose end
-        node it owns."""
+        engine's authoritative links.  A record whose connection leaves its
+        link is a removal from the last cell, any other a delivery into the
+        first cell."""
         if self._plan is None:
             raise InternalAssertion("phase_b called before phase_a")
         plan = self._plan
@@ -595,28 +589,16 @@ class Engine:
         links = self.links
 
         work = self.active | plan.targets
-        for lid, cid, gidx, p, amount in received or ():
-            lrt = links[lid]
-            if self._in_link_of[cid] == lid:
-                if lrt.outflow_local:
-                    raise InternalAssertion(
-                        f"received removal on link {lid}, whose end node this engine "
-                        f"owns: local and received removals conflict"
-                    )
-                cell = lrt.groups[gidx].cells[-1]
+        in_link_of = self._in_link_of
+        for lid, cid, gidx, p, amount in chain(received or (), plan.deferred):
+            groups = links[lid].groups
+            if in_link_of[cid] == lid:
+                cell = groups[gidx].cells[-1]
                 cell[p] = cell[p] - amount
             else:
-                if lrt.inflow_local:
-                    raise InternalAssertion(
-                        f"received delivery on link {lid}, whose start node this engine "
-                        f"owns: local and received deliveries conflict"
-                    )
-                cell = lrt.groups[gidx].cells[0]
+                cell = groups[gidx].cells[0]
                 cell[p] = cell[p] + amount
             work.add(lid)
-        for lid, _cid, gidx, p, amount in plan.deferred:
-            cell = links[lid].groups[gidx].cells[0]
-            cell[p] = cell[p] + amount
 
         stats = StepStats(exited=plan.exited)
         for lid in self.source_links:

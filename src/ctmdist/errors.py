@@ -1,6 +1,5 @@
 """Exception hierarchy and process exit codes."""
 
-EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_PROTOCOL = 3
 EXIT_INTERNAL = 4

@@ -262,6 +262,15 @@ def _as_id(value, what: str, *args) -> int:
     return value
 
 
+def _key_id(key: str, what: str, *args) -> int:
+    """A JSON object key as an id: only the decimal form `scenario_to_dict`
+    writes, so that no two keys name one id.  `what` as in `_as_id`."""
+    value = int(key) if key.isdecimal() else -1
+    if value < 0 or str(value) != key:
+        raise ScenarioError(f"{what.format(*args)} must be a canonical decimal id, got {key!r}")
+    return value
+
+
 def _as_lane(value, what: str, *args) -> int:
     """`value` as a lane number or count, or a step count: an integer, or a
     float with an integral value; never a bool or a string.  `what` as in
@@ -452,10 +461,11 @@ def _build_scenario(doc) -> Scenario:
         if type(start_time) is not float:
             start_time = _as_number(start_time, "split at node {} start_time", node)
         ratios = []
-        for out_link, p in raw["ratios"].items():
+        for key, p in raw["ratios"].items():
+            out_link = _key_id(key, "split at node {} ratio key", node)
             if type(p) is not float:
                 p = _as_number(p, "split at node {} ratio for link {}", node, out_link)
-            ratios.append((int(out_link), p))
+            ratios.append((out_link, p))
         ratios = tuple(sorted(ratios))
         splits.append(SplitRow(node, in_link, vtype, start_time, ratios))
 
@@ -477,7 +487,7 @@ def _build_scenario(doc) -> Scenario:
             for key in ("owned_nodes", "interior_links", "relative_sources", "relative_sinks")
         }
         neighbors = [
-            (int(lid), _as_id(nb, "subnetwork neighbor of link {}", lid))
+            (_key_id(lid, "subnetwork link key"), _as_id(nb, "subnetwork neighbor of link {}", lid))
             for lid, nb in sn["neighbor_of_link"].items()
         ]
         subnetwork = SubnetworkMeta(
@@ -678,6 +688,10 @@ def validate(s: Scenario) -> None:
             raise ScenarioError(f"split references missing vehicle type {row.vtype}")
         if vt.routing != "probabilistic":
             raise ScenarioError(f"split row given for deterministic vehicle type {row.vtype}")
+        if len(dict(row.ratios)) != len(row.ratios):
+            raise ScenarioError(
+                f"split at node {row.node} in_link {row.in_link}: a link is named twice"
+            )
         reachable = successors[row.in_link]
         total = 0.0
         for out_link, p in row.ratios:

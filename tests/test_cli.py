@@ -288,6 +288,13 @@ class TestRunCmd:
         ) == 0
         assert json.loads(metrics.read_text())["steps"] == 25
 
+    def test_config_file_with_unknown_mode_rejected(self, fixture_file, tmp_path, capsys):
+        # argparse checks --mode on the command line, not a config default
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mode": "bogus"}))
+        assert main(["--config", str(config), "run", "--scenario", fixture_file]) == 2
+        assert "unknown transport 'bogus'" in capsys.readouterr().err
+
 
 def _cli_child(argv):
     import sys

@@ -126,15 +126,6 @@ class TestEncodeDecode:
         table = four_slot_table()
         assert decode(table, [0.0, 0.0, 0.0, 0.0]) == []
 
-    def test_unknown_record_rejected(self):
-        table = four_slot_table()
-        with pytest.raises(ProtocolError, match=r"no slot"):
-            encode(table, [(9, 7, 0, 0, 1.0)])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ProtocolError, match=r"length"):
-            decode(four_slot_table(), [0.0, 0.0])
-
 
 class TestChannelTopology:
     def test_isolated_subnetwork_has_no_neighbors(self):
@@ -238,6 +229,15 @@ class TestExchange:
         ch_b.duplex.send_frame(pack_frame(0, 1, 0, [1.0, 2.0]))
         with pytest.raises(ProtocolError, match=r"2 values"):
             exchange([ch_a], {1: [0.0] * 4}, step=0, timeout=5.0)
+
+    def test_wrong_length_names_both_workers(self):
+        # the one check of a received message's length; `decode` trusts it
+        ch_a, ch_b = pipe_channel_pair(four_slot_map(2, 5), four_slot_map(5, 2))
+        ch_b.duplex.send_frame(pack_frame(0, 5, 2, [1.0, 2.0, 3.0, 4.0, 5.0]))
+        with pytest.raises(
+            ProtocolError, match=r"^worker 2: message from 5 has 5 values, decoder expects 4$"
+        ):
+            exchange([ch_a], {5: [0.0] * 4}, step=0, timeout=5.0)
 
     def test_timeout_names_duration(self):
         ch_a, _ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))

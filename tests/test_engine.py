@@ -485,32 +485,6 @@ class TestChecks:
         with pytest.raises(InternalAssertion, match=r"negative occupancy"):
             eng.phase_b(0, [entry(eng, 4, 4, 0, (1, 5), 1.0)])
 
-    def test_local_and_received_removals_conflict(self):
-        eng = Engine(parse_scenario(json.dumps(diverge_doc())))
-        seed(eng, 0, 0, 1, (0, 1), 4.0)
-        eng.phase_a(0)
-        with pytest.raises(InternalAssertion, match=r"local and received removals"):
-            eng.phase_b(0, [entry(eng, 0, 0, 0, (0, 1), 1.0)])
-
-    def test_received_removal_conflicts_without_local_removals(self):
-        # link 0's end node is owned here, whether or not it has a local
-        # removal this step
-        eng = Engine(parse_scenario(json.dumps(diverge_doc())))
-        eng.phase_a(0)
-        with pytest.raises(InternalAssertion, match=r"local and received removals"):
-            eng.phase_b(0, [entry(eng, 0, 0, 0, (0, 1), 1.0)])
-
-    def test_received_delivery_where_start_node_is_owned(self, merge_diverge):
-        # fragment 0 resolves the flows into link 4 itself
-        eng = cut_engine(merge_diverge, 0)
-        eng.phase_a(0)
-        with pytest.raises(InternalAssertion, match=r"local and received deliveries"):
-            eng.phase_b(0, [entry(eng, 4, 2, 0, (0, 5), 1.0)])
-
-    def test_deterministic_type_off_path(self, merge_diverge):
-        with pytest.raises(InternalAssertion, match=r"off-path"):
-            Engine(merge_diverge).entry_positions(6, 0, 0.0)
-
     def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
         # a fragment's path, like a whole scenario's, must end at a sink
         with pytest.raises(

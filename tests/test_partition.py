@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from ctmdist.comm import decode, encode
 from ctmdist.engine import Engine
 from ctmdist.errors import ScenarioError
 from ctmdist.gridgen import generate_grid
@@ -26,6 +27,7 @@ from ctmdist.partition import (
 from ctmdist.scenario import Scenario, parse_scenario, serialize_scenario, validate
 
 from conftest import lanes_grid, link, load_workloads, merge_diverge_doc
+from test_golden import GOLDEN, _scenario
 
 
 def path_scenario(n_nodes=4):
@@ -46,6 +48,68 @@ def path_scenario(n_nodes=4):
         "simulation": {"dt": 2.0, "steps": 10},
     }
     return parse_scenario(json.dumps(doc))
+
+
+def assert_receive_keys_fit(sub):
+    """Every key of `sub`'s receive maps is a delivery into one of its
+    relative sources or a removal from one of its relative sinks, on a link
+    it shares with the sender: the only records phase B can apply."""
+    frag = sub.fragment
+    sources, sinks = set(sub.relative_sources), set(sub.relative_sinks)
+    for nb in sub.neighbors():
+        shared = set(sub.links_with(nb))
+        for lid, cid, _gidx, _p in build_receive_map(sub, nb).positions:
+            assert lid in shared
+            if lid in sources:
+                assert cid in frag.in_conns[lid], ("removal on a relative source", lid, cid)
+            else:
+                assert lid in sinks
+                assert cid in frag.out_conns[lid], ("delivery on a relative sink", lid, cid)
+
+
+def records_without_slots(subs, steps):
+    """Run the fragments' engines in lockstep in one process, passing the
+    boundary records through `encode` and `decode` as a run does.  Returns
+    (how many records phase A made for a neighbor, those whose key is not in
+    the channel's send map)."""
+    engines = [Engine(sub.fragment) for sub in subs]
+    send, recv = (
+        {(sub.index, nb): build(sub, nb).positions for sub in subs for nb in sub.neighbors()}
+        for build in (build_decoder_map, build_receive_map)
+    )
+    made, missing = 0, []
+    for step in range(steps):
+        plans = [eng.phase_a(step) for eng in engines]
+        inbox = {sub.index: [] for sub in subs}
+        for sub, eng, plan in zip(subs, engines, plans):
+            for nb in sub.neighbors():
+                table = send[sub.index, nb]
+                records = eng.boundary_records(plan, sub.links_with(nb))
+                made += len(records)
+                missing.extend(r for r in records if r[:4] not in table)
+                records = [r for r in records if r[:4] in table]
+                inbox[nb].extend(decode(recv[nb, sub.index], encode(table, records)))
+        if missing:
+            break  # the replicas no longer agree
+        for sub, eng in zip(subs, engines):
+            eng.phase_b(step, inbox[sub.index])
+    return made, missing
+
+
+def golden_cut(name, n):
+    """The fragments of a golden scenario cut into `n` by `partition_nodes`,
+    or for n=None into 3 by a seeded random assignment read through
+    `parse_partition`."""
+    scenario, _steps = _scenario(name)
+    if n is not None:
+        return build_subnetworks(scenario, partition_nodes(scenario, n, seed=0))
+    nodes = sorted(scenario.nodes)
+    random.Random(5).shuffle(nodes)
+    text = "".join(f"{node} {i % 3}\n" for i, node in enumerate(nodes))
+    return build_subnetworks(scenario, parse_partition(text, scenario))
+
+
+GOLDEN_CUTS = [(name, n) for name in sorted(GOLDEN) for n in (2, 3, 4)] + [("lanes5x5", None)]
 
 
 def random_scenario(rng):
@@ -408,6 +472,24 @@ class TestDecoderMaps:
                         assert s.lane_groups[lid][gidx].index == gidx
                         assert lid in (s.connections[cid].in_link, s.connections[cid].out_link)
                         assert key == (lid, cid, gidx, engine.links[lid].comm_index[(vtype, nxt)])
+
+    @pytest.mark.parametrize("name, n", GOLDEN_CUTS)
+    def test_received_records_apply_on_the_far_side(self, name, n):
+        # phase B files a received record by its connection alone, so each
+        # receive-map key must be a delivery into a relative source or a
+        # removal from a relative sink
+        subs = golden_cut(name, n)
+        assert len(subs) == (n or 3)
+        for sub in subs:
+            assert_receive_keys_fit(sub)
+
+    @pytest.mark.parametrize("name, n", GOLDEN_CUTS)
+    def test_every_boundary_record_has_a_slot(self, name, n):
+        # `encode` looks each record's key up unchecked
+        subs = golden_cut(name, n)
+        made, missing = records_without_slots(subs, steps=25)
+        assert made > 0
+        assert missing == []
 
     @pytest.mark.parametrize(
         "make, n",

@@ -11,6 +11,7 @@ import pytest
 from ctmdist.cli import main
 from ctmdist.errors import ScenarioError
 from ctmdist.gridgen import generate_grid
+from ctmdist.partition import build_subnetworks, partition_nodes
 from ctmdist.scenario import (
     FDParams,
     Link,
@@ -348,6 +349,25 @@ BAD_RECORDS = {
         {"999": 1.0},
         "split at node {node}: link 999 is not reachable from link {in_link} via a road connection",
     ),
+    # a ratio key is read only in the decimal form scenario_to_dict writes,
+    # so no two keys name one link
+    **{
+        f"split-key-{name}": (
+            "splits",
+            "ratios",
+            {"999": 0.5, key: 0.5},
+            f"split at node {{node}} ratio key must be a canonical decimal id, got {key!r}",
+        )
+        for name, key in (
+            ("space", " 999"),
+            ("plus", "+999"),
+            ("underscore", "9_99"),
+            ("leading-zero", "0999"),
+            ("negative", "-1"),
+            ("empty", ""),
+            ("arabic-indic", "\u0669\u0669\u0669"),
+        )
+    },
 }
 
 
@@ -485,6 +505,38 @@ class TestBuiltScenarios:
             link=max(s.links), conn=max(s.connections), demand=s.demands[-1].link
         )
         assert str(built.value) == str(loaded.value) == expected
+
+    def test_split_row_naming_a_link_twice(self):
+        # a file cannot name a key twice: JSON keeps the last, and a second
+        # spelling of the id is rejected as it loads
+        s = generate_grid(2, 2)
+        row = s.splits[-1]
+        out_link = row.ratios[0][0]
+        s.splits[-1] = dataclasses.replace(row, ratios=((out_link, 0.5), (out_link, 0.5)))
+        with pytest.raises(
+            ScenarioError,
+            match=rf"^split at node {row.node} in_link {row.in_link}: a link is named twice$",
+        ):
+            validate(s)
+
+    @pytest.mark.parametrize("form", ["space", "plus", "underscore", "leading-zero"])
+    def test_neighbor_key_only_in_decimal(self, form):
+        s = generate_grid(3, 3)
+        sub = build_subnetworks(s, partition_nodes(s, 2, seed=0))[0]
+        doc = scenario_to_dict(sub.fragment)
+        neighbors = doc["subnetwork"]["neighbor_of_link"]
+        lid = max(neighbors, key=int)
+        assert len(lid) > 1
+        key = {
+            "space": f" {lid}",
+            "plus": f"+{lid}",
+            "underscore": f"{lid[0]}_{lid[1:]}",
+            "leading-zero": f"0{lid}",
+        }[form]
+        neighbors[key] = neighbors.pop(lid)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert str(err.value) == f"subnetwork link key must be a canonical decimal id, got {key!r}"
 
     def test_empty_path_rejected_in_a_fragment(self):
         doc = chain_doc(links=2)
