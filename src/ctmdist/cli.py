@@ -1,7 +1,9 @@
 """Command-line entry points: gen-grid, partition, run, bench, diff.
 
 `--config FILE` supplies flag defaults from a JSON object keyed by flag
-name (dashes or underscores); explicit flags win.  `OTMD_LOG` sets the log
+name (dashes or underscores); explicit flags win.  Each value goes through
+its flag's conversion, so one the flag would reject exits 2; keys that name
+no flag of the command are ignored.  `OTMD_LOG` sets the log
 level.  Exit codes: 0 success, 2 scenario/config error or a file that
 cannot be opened, 3 protocol error, 4 internal assertion.
 """
@@ -18,7 +20,7 @@ from . import gridgen, partition as part, runner
 from .comm import DEFAULT_TIMEOUT, tcp_listener
 from .errors import EXIT_SCENARIO, CtmError, ScenarioError
 from .partition import DecoderMap
-from .scenario import load_scenario, save_scenario
+from .scenario import decimal_int, load_scenario, save_scenario
 
 
 def _setup_logging() -> None:
@@ -87,6 +89,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """A config file's `value` for `action`'s flag, converted as the command
+    line converts the flag's text: a switch takes only true or false, any
+    other flag a JSON string or number, which its `type` must accept."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ScenarioError(f"config value for {flag}: {json.dumps(value)} is not true or false")
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return (action.type or str)(str(value))
+        except ValueError:
+            pass
+    kind = getattr(action.type, "__name__", "string")
+    raise ScenarioError(f"config value for {flag}: invalid {kind} value {json.dumps(value)}")
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     probe, _ = parser.parse_known_args(argv)
     if probe.config:
@@ -98,11 +118,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         if not isinstance(overrides, dict):
             raise ScenarioError("config file must hold a JSON object")
         defaults = {key.replace("-", "_"): value for key, value in overrides.items()}
-        parser.set_defaults(**defaults)
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for subparser in action.choices.values():
-                    subparser.set_defaults(**defaults)
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        command = commands.choices[probe.command]
+        command.set_defaults(
+            **{
+                a.dest: _config_value(a, defaults[a.dest])
+                for a in command._actions
+                if a.option_strings and a.dest in defaults
+            }
+        )
     return parser.parse_args(argv)
 
 
@@ -234,12 +258,8 @@ def _parse_roster(path: str) -> dict[int, tuple[str, int]]:
         parts = line.split()
         if len(parts) != 3:
             raise ScenarioError(f"roster {path} line {lineno}: expected 'index host port'")
-        try:
-            index, port = int(parts[0]), int(parts[2])
-        except ValueError:
-            raise ScenarioError(
-                f"roster {path} line {lineno}: index and port must be integers"
-            ) from None
+        index = decimal_int(parts[0], "roster {} line {}: worker index", path, lineno)
+        port = decimal_int(parts[2], "roster {} line {}: port", path, lineno)
         if not 0 < port < 65536:
             raise ScenarioError(f"roster {path} line {lineno}: port {port} outside 1..65535")
         if index in roster:
@@ -322,10 +342,8 @@ def _run_tcp_join(args, dump_every) -> int:
 
 def cmd_bench(args) -> int:
     scenario = load_scenario(args.scenario)
-    try:
-        n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
-    except ValueError:
-        raise ScenarioError(f"bad --n-list {args.n_list!r}") from None
+    entries = [x.strip() for x in args.n_list.split(",")]
+    n_list = [decimal_int(x, "--n-list entry") for x in entries if x]
     if not n_list or any(n < 1 for n in n_list):
         raise ScenarioError("--n-list entries must be >= 1")
     report = runner.benchmark(
@@ -354,11 +372,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    with open(args.a, "r", encoding="utf-8") as f:
-        text_a = f.read()
-    with open(args.b, "r", encoding="utf-8") as f:
-        text_b = f.read()
-    divergence = runner.diff_dumps(text_a, text_b, tol=args.tol)
+    texts = []
+    for path in (args.a, args.b):
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            texts.append(data.decode("utf-8"))  # line endings kept as they are
+        except UnicodeDecodeError as e:
+            raise ScenarioError(f"dump {path} is not UTF-8: {e}") from None
+    divergence = runner.diff_dumps(*texts, tol=args.tol)
     if divergence is None:
         print("equal")
         return 0

@@ -12,7 +12,9 @@ Little-endian throughout; values pass bit-exactly, which the
 distributed-equals-sequential guarantee relies on.  `establish` performs a
 decoder-map handshake on every channel and aborts on any mismatch;
 `exchange` is the per-step synchronous swap.  Both go through `_swap`,
-which checks each received frame's step index and addressing.
+which checks each received frame's step index and addressing and returns
+its payload as bytes; `exchange` alone checks a message's value count and
+unpacks its doubles.
 
 Exchange order.  A worker walks its channels in ascending neighbor index.
 On each channel the lower-indexed worker sends its frame and then
@@ -100,18 +102,15 @@ class SocketDuplex:
             got += len(chunk)
         return b"".join(chunks)
 
-    def recv_frame(self, timeout: float):
-        """(step, sender, receiver, values, raw payload) of the next frame,
-        read within `timeout` seconds."""
+    def recv_frame(self, timeout: float) -> tuple[int, int, int, bytes]:
+        """(step, sender, receiver, payload) of the next frame, read within
+        `timeout` seconds.  The payload stays bytes: `exchange` unpacks it."""
         deadline = time.monotonic() + timeout
         header = self._recv_exact(HEADER.size, deadline)
         step, sender, receiver, count = HEADER.unpack(header)
-        if step == HANDSHAKE_STEP:
-            # handshake frames carry raw bytes; count is the byte length
-            payload = self._recv_exact(count, deadline)
-            return step, sender, receiver, [], payload
-        payload = self._recv_exact(8 * count, deadline)
-        return step, sender, receiver, list(struct.unpack(f"<{count}d", payload)), payload
+        # a handshake frame's count is its byte length, any other's its doubles
+        size = count if step == HANDSHAKE_STEP else 8 * count
+        return step, sender, receiver, self._recv_exact(size, deadline)
 
     def close(self) -> None:
         try:
@@ -131,7 +130,6 @@ class NeighborChannel:
     remote: int
     send_map: DecoderMap
     recv_map: DecoderMap
-    overlap_links: tuple[int, ...]
     duplex: SocketDuplex
 
 
@@ -206,10 +204,10 @@ def _step_label(step: int) -> str:
     return "handshake" if step == HANDSHAKE_STEP else f"step {step}"
 
 
-def _swap(ch: NeighborChannel, frame: bytes, step: int, timeout: float):
+def _swap(ch: NeighborChannel, frame: bytes, step: int, timeout: float) -> bytes:
     """Send `frame` on `ch` and receive the neighbor's frame for `step`,
     the lower-indexed worker sending first (see the module docstring).
-    Returns the received (values, raw payload)."""
+    Returns the received payload."""
     try:
         if ch.local < ch.remote:
             ch.duplex.send_frame(frame, timeout)
@@ -222,7 +220,7 @@ def _swap(ch: NeighborChannel, frame: bytes, step: int, timeout: float):
             f"worker {ch.local}: exchange with neighbor {ch.remote} failed at "
             f"{_step_label(step)}: {e}"
         ) from None
-    got_step, sender, receiver, values, payload = got
+    got_step, sender, receiver, payload = got
     if got_step != step:
         raise ProtocolError(
             f"worker {ch.local}: step-index mismatch with {ch.remote}: "
@@ -233,7 +231,7 @@ def _swap(ch: NeighborChannel, frame: bytes, step: int, timeout: float):
             f"worker {ch.local}: frame addressed {sender}->{receiver} arrived "
             f"on channel {ch.remote}->{ch.local}"
         )
-    return values, payload
+    return payload
 
 
 def establish(channels: list[NeighborChannel], timeout: float = DEFAULT_TIMEOUT) -> None:
@@ -242,7 +240,7 @@ def establish(channels: list[NeighborChannel], timeout: float = DEFAULT_TIMEOUT)
     for ch in sorted(channels, key=lambda c: c.remote):
         hello = _slot_fingerprint(ch.send_map)
         frame = HEADER.pack(HANDSHAKE_STEP, ch.local, ch.remote, len(hello)) + hello
-        _verify_hello(ch, _swap(ch, frame, HANDSHAKE_STEP, timeout)[1])
+        _verify_hello(ch, _swap(ch, frame, HANDSHAKE_STEP, timeout))
 
 
 def exchange(
@@ -252,18 +250,20 @@ def exchange(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> dict[int, list[float]]:
     """Synchronous per-step swap: one message each way on every channel,
-    carrying the same step index.  The one check of a received message's
-    length; `encode` builds every outgoing one to its map's length."""
+    carrying the same step index.  The one place that checks a received
+    message's value count and unpacks its doubles; `encode` builds every
+    outgoing message to its map's length."""
     incoming: dict[int, list[float]] = {}
     for ch in sorted(channels, key=lambda c: c.remote):
         frame = pack_frame(step, ch.local, ch.remote, outgoing[ch.remote])
-        values, _payload = _swap(ch, frame, step, timeout)
-        if len(values) != ch.recv_map.message_length:
+        payload = _swap(ch, frame, step, timeout)
+        count = len(payload) // 8
+        if count != ch.recv_map.message_length:
             raise ProtocolError(
-                f"worker {ch.local}: message from {ch.remote} has {len(values)} "
+                f"worker {ch.local}: message from {ch.remote} has {count} "
                 f"values, decoder expects {ch.recv_map.message_length}"
             )
-        incoming[ch.remote] = values
+        incoming[ch.remote] = list(struct.unpack(f"<{count}d", payload))
     return incoming
 
 

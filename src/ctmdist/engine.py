@@ -20,9 +20,15 @@ owned and nothing to exchange.  Records exist only for flows through the
 road connections of overlap links, which the neighbor applies to its
 replica, and for deliveries into one-cell links, which phase B applies.  A
 record has one shape from phase A through the wire to phase B: (link,
-connection, lane group, commodity position, vehicles).  All accumulation
-loops iterate in ascending (link, lane group, connection, commodity) order
-so that a partitioned run reproduces the sequential run bit for bit.
+connection, lane group, commodity position, vehicles).  Phase A files each
+boundary record under the neighbor that shares its link
+(`LinkRuntime.neighbor`), in the order it applies them, in the `StepPlan`
+it returns, and phase B takes that plan.  No record key repeats in one
+direction in one step (each connection's entries and each delivery's
+positions are distinct), so the filing order does not change what `encode`
+writes.  All accumulation loops iterate in ascending (link, lane group,
+connection, commodity) order so that a partitioned run reproduces the
+sequential run bit for bit.
 
 `partition._message_map` derives each decoder-map slot with its key from the
 fragment the engine is built from, so the key fits by construction: its link
@@ -60,11 +66,10 @@ vehicles iterated in sorted order:
 - Products keep their two-step order: an internal flow is
   `(v * scale) * (flow / total)`, never `v * (scale * (flow / total))`, and
   a delivery is `(arrived * (group supply / link supply)) * fraction`.
-  When supply covers demand the node model returns no factor and the
-  entries pass unscaled, and a link with one lane group gives it a share of
-  1.0 without dividing; both are exact, since `x * 1.0 == x` and
-  `s / s == 1.0` for `s > 0`.  Otherwise each entry is `d * factor`, the
-  one product the factor takes part in.
+  Each node-flow entry is `d * factor`, the one product the node model's
+  factor takes part in.  The factor is 1.0 when supply covers demand, and
+  a link with one lane group gets a share of 1.0 without dividing; both
+  are exact, since `x * 1.0 == x` and `s / s == 1.0` for `s > 0`.
 - `in_network` adds per-cell totals in ascending link order.  It skips
   inactive links, which only ever hold zeros.
 - The builtin `sum()` never runs over simulation floats: since CPython 3.12
@@ -117,6 +122,7 @@ skip zero entries.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -161,20 +167,19 @@ def compute_supply(
     return supply if supply > 0.0 else 0.0
 
 
-def resolve_node_flows(conns: list[tuple[int, list]], supply: float) -> float | None:
+def resolve_node_flows(conns: list[tuple[int, list]], supply: float) -> float:
     """Proportional-merge node model at one downstream link.
 
     `conns` holds each road connection into the link that has demand, in
-    ascending id order, as (id, [total demand, entries]).  If the summed
-    demand exceeds the link's first-cell `supply`, every entry is scaled by
-    the common factor supply/demand, which this returns; a single round, no
-    redistribution.  Otherwise it returns None and the entries pass
-    unscaled.
+    ascending id order, as (id, [total demand, entries]).  Returns the
+    factor that scales every entry: supply/demand if the summed demand
+    exceeds the link's first-cell `supply`, in a single round with no
+    redistribution, else 1.0.
     """
     total = 0.0
     for _cid, (demand, _entries) in conns:
         total += demand
-    return supply / total if total > supply else None
+    return supply / total if total > supply else 1.0
 
 
 @dataclass(slots=True)
@@ -200,6 +205,7 @@ class LinkRuntime:
     groups: list[GroupRuntime]
     inflow_local: bool  # start node owned: this engine resolves entering flows
     outflow_local: bool  # end node owned: this engine resolves leaving flows
+    neighbor: int | None  # the subnetwork sharing an overlap link, else None
     comms: tuple[Commodity, ...]  # ascending; the layout of every cell
     comm_index: dict[Commodity, int]
     # per lane group, the vehicles in each cell; see the module docstring
@@ -219,8 +225,10 @@ class LinkRuntime:
 
 @dataclass(slots=True)
 class StepPlan:
-    # overlap link -> what this engine resolved on it, in the order applied,
-    # for the neighbor: removals if it owns the end node, else deliveries
+    time: float  # the step's start, in seconds
+    # neighbor -> the flows this engine resolved on the overlap links it
+    # shares with that neighbor, in the order applied: removals from links
+    # whose end node this engine owns, deliveries into the others
     boundary: dict[int, list[EntryRecord]] = field(default_factory=dict)
     # deliveries into one-cell links, applied in phase B after every removal
     deferred: list[EntryRecord] = field(default_factory=list)
@@ -253,13 +261,14 @@ class Engine:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
 
         self._in_link_of = {cid: c.in_link for cid, c in scenario.connections.items()}
+        neighbor_of = {} if sub is None else dict(sub.neighbor_of_link)
 
         self.links: dict[int, LinkRuntime] = {}
         for lid in sorted(scenario.links):
             link = scenario.links[lid]
             if link.start_node not in self.owned and link.end_node not in self.owned:
                 continue  # context-only stub link carried for referential integrity
-            self.links[lid] = self._build_link(link)
+            self.links[lid] = self._build_link(link, neighbor_of.get(lid))
 
         self.queues: dict[tuple[int, int], float] = {}
         self.source_links = tuple(
@@ -274,9 +283,8 @@ class Engine:
         self._split_times = sorted({row.start_time for row in scenario.splits})
         self._epoch: int | None = None
         self._position_cache: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-        self._plan: StepPlan | None = None
 
-    def _build_link(self, link: Link) -> LinkRuntime:
+    def _build_link(self, link: Link, neighbor: int | None) -> LinkRuntime:
         comms = self.scenario.commodities[link.id]
         fd = link.fd
         wv_ratio = fd.congestion_wave_speed / fd.free_flow_speed
@@ -317,6 +325,7 @@ class Engine:
             groups=groups,
             inflow_local=link.start_node in self.owned,
             outflow_local=link.end_node in self.owned,
+            neighbor=neighbor,
             comms=comms,
             comm_index=dict(zip(comms, range(len(comms)))),
             totals=[[0.0] * g.cell_count for g in groups],
@@ -331,11 +340,11 @@ class Engine:
         the flows this engine resolves, applied to the cells as they are
         computed (see the module docstring for the order).
 
-        Returns the step plan; records for overlap links must be shipped to
-        the neighboring subnetwork before phase B.
+        Returns the step plan, which phase B takes; the records it files
+        by neighbor must be shipped to that neighbor before phase B.
         """
         time = step * self.dt
-        plan = StepPlan()
+        plan = StepPlan(time)
         epoch = bisect_right(self._split_times, time)
         if epoch != self._epoch:
             self._epoch = epoch
@@ -374,9 +383,7 @@ class Engine:
             conns = [(c, demand_by_conn[c]) for c in in_conns[target] if c in demand_by_conn]
             supply_total, shares = self._supplies(target)
             factor = resolve_node_flows(conns, supply_total)
-            self._apply_node_flows(target, conns, factor, shares, time, plan)
-
-        self._plan = plan
+            self._apply_node_flows(target, conns, factor, shares, plan)
         return plan
 
     def apply_lane_changes(self, lrt: LinkRuntime) -> None:
@@ -523,28 +530,28 @@ class Engine:
         return result
 
     def _apply_node_flows(
-        self, target: int, conns: list, factor: float | None, shares: tuple, time: float,
-        plan: StepPlan,
+        self, target: int, conns: list, factor: float, shares: tuple, plan: StepPlan
     ) -> None:
         """Apply each connection's demand entries, times the node model's
-        `factor` unless it is None: the removals from the last cells of its
-        upstream link, then its deliveries into `target`'s first cells, split
-        over the lane groups by their `shares` of its supply and by assigned
-        next links.  Flows on overlap links are also recorded for the
-        neighbor; deliveries into a one-cell link are left to phase B."""
+        `factor`: the removals from the last cells of its upstream link,
+        then its deliveries into `target`'s first cells, split over the lane
+        groups by their `shares` of its supply and by assigned next links.
+        Flows on overlap links are also filed for the neighbor; deliveries
+        into a one-cell link are left to phase B."""
         links = self.links
         tlrt = links[target]
         first = [g.cells[0] for g in tlrt.groups]
         deferred = tlrt.groups[0].cell_count == 1
         boundary = plan.boundary
-        deliveries = None if tlrt.outflow_local else boundary.setdefault(target, [])
+        deliveries = None if tlrt.outflow_local else boundary.setdefault(tlrt.neighbor, [])
         for cid, (_demand, entries) in conns:
             in_link = self._in_link_of[cid]
-            groups = links[in_link].groups
-            removals = None if links[in_link].inflow_local else boundary.setdefault(in_link, [])
+            upstream = links[in_link]
+            groups = upstream.groups
+            removals = None if upstream.inflow_local else boundary.setdefault(upstream.neighbor, [])
             arrived: dict[int, float] = {}
             for (p, _cid, _out_link, gidx, vt), d in entries:
-                amount = d if factor is None else d * factor
+                amount = d * factor
                 if amount:
                     cell = groups[gidx].cells[-1]
                     cell[p] = cell[p] - amount
@@ -555,7 +562,7 @@ class Engine:
                 total = arrived[vt]
                 if total <= 0.0:
                     continue
-                positions = self.entry_positions(target, vt, time)
+                positions = self.entry_positions(target, vt, plan.time)
                 for gidx, share in shares:
                     # share = group supply / summed supply, divided first
                     base = total * share
@@ -574,23 +581,19 @@ class Engine:
     # phase B
     # ------------------------------------------------------------------
 
-    def phase_b(self, step: int, received: list[EntryRecord] | None = None) -> StepStats:
-        """Apply the records received from neighbors, then the deliveries
-        phase A deferred, inject demand, then settle every active or touched
-        link in one ascending pass; returns step statistics over this
-        engine's authoritative links.  A record whose connection leaves its
-        link is a removal from the last cell, any other a delivery into the
-        first cell."""
-        if self._plan is None:
-            raise InternalAssertion("phase_b called before phase_a")
-        plan = self._plan
-        self._plan = None
-        time = step * self.dt
+    def phase_b(self, plan: StepPlan, received: Iterable[EntryRecord] = ()) -> StepStats:
+        """Finish the step `plan` that phase A made: apply the records
+        received from neighbors, then the deliveries phase A deferred,
+        inject demand, then settle every active or touched link in one
+        ascending pass; returns step statistics over this engine's
+        authoritative links.  A record whose connection leaves its link is
+        a removal from the last cell, any other a delivery into the first
+        cell."""
         links = self.links
 
         work = self.active | plan.targets
         in_link_of = self._in_link_of
-        for lid, cid, gidx, p, amount in chain(received or (), plan.deferred):
+        for lid, cid, gidx, p, amount in chain(received, plan.deferred):
             groups = links[lid].groups
             if in_link_of[cid] == lid:
                 cell = groups[gidx].cells[-1]
@@ -602,7 +605,7 @@ class Engine:
 
         stats = StepStats(exited=plan.exited)
         for lid in self.source_links:
-            stats.entered += self._inject(links[lid], time)
+            stats.entered += self._inject(links[lid], plan.time)
 
         # settle each cell, fold its total once, decide activity, count
         # vehicles; phase A reuses the totals
@@ -710,9 +713,6 @@ class Engine:
                             rows.append((step, lid, g.index, k, vt, nxt, v))
         return rows
 
-    def boundary_records(self, plan: StepPlan, link_ids) -> list[EntryRecord]:
-        """All delivery and removal records touching the given overlap links."""
-        records: list[EntryRecord] = []
-        for lid in sorted(link_ids):
-            records.extend(plan.boundary.get(lid, ()))
-        return records
+    def boundary_records(self, plan: StepPlan, neighbor: int) -> list[EntryRecord]:
+        """The delivery and removal records `plan` filed for `neighbor`."""
+        return plan.boundary.get(neighbor, [])

@@ -61,7 +61,6 @@ def generate_grid(
     demand_vph_per_lane: float = DEFAULT_DEMAND_VPH_PER_LANE,
     link_length: float = DEFAULT_LINK_LENGTH,
     lanes: int = DEFAULT_LANES,
-    fd: FDParams = DEFAULT_FD,
     dt: float = DEFAULT_DT,
     steps: int = DEFAULT_STEPS,
 ) -> Scenario:
@@ -81,7 +80,7 @@ def generate_grid(
             end_node=end,
             length=link_length,
             lanes=lanes,
-            fd=fd,
+            fd=DEFAULT_FD,
         )
         return lid
 

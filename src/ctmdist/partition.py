@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import ScenarioError
-from .scenario import Scenario, SubnetworkMeta, derive_link_tables, validate
+from .scenario import Scenario, SubnetworkMeta, decimal_int, derive_link_tables
 
 BALANCE_FACTOR = 1.1
 REFINE_PASSES = 10
@@ -42,12 +42,6 @@ SlotEntry = tuple[int, int, int, int]
 class NodePartition:
     n: int
     assignment: dict[int, int]
-
-    def subset_sizes(self) -> list[int]:
-        sizes = [0] * self.n
-        for subset in self.assignment.values():
-            sizes[subset] += 1
-        return sizes
 
 
 def _meta_field(name: str) -> property:
@@ -274,14 +268,12 @@ def parse_partition(text: str, scenario: Scenario) -> NodePartition:
         if not line:
             continue
         tokens = line.split()
-        try:
-            values = [int(t) for t in tokens]
-        except ValueError:
-            raise ScenarioError(f"partition file line {lineno}: not integers: {raw!r}")
-        if len(values) == 1:
-            single.append(values[0])
-        elif len(values) == 2:
-            pairs.append((values[0], values[1]))
+        what = "partition file line {}: {}"
+        if len(tokens) == 1:
+            single.append(decimal_int(tokens[0], what, lineno, "subset"))
+        elif len(tokens) == 2:
+            node = decimal_int(tokens[0], what, lineno, "node")
+            pairs.append((node, decimal_int(tokens[1], what, lineno, "subset")))
         else:
             raise ScenarioError(f"partition file line {lineno}: expected 1 or 2 fields")
     if pairs and single:
@@ -426,52 +418,6 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
         derive_link_tables(fragment, sorted(frag_link_ids - sim_set))
         subs.append(Subnetwork(fragment))
     return subs
-
-
-def reconstruct_scenario(scenario_template: Scenario, subs: list[Subnetwork]) -> Scenario:
-    """Union of fragments (overlap links deduplicated) for the
-    reconstruction invariant; `scenario_template` supplies only sim params."""
-    nodes = {}
-    links = {}
-    connections = {}
-    splits = []
-    demands = []
-    seen_splits = set()
-    seen_demands = set()
-    for sub in subs:
-        frag = sub.fragment
-        for nid in sub.owned_nodes:
-            nodes[nid] = frag.nodes[nid]
-        carried = set(sub.interior_links) | set(sub.relative_sources) | set(
-            sub.relative_sinks
-        )
-        for lid in sorted(carried):
-            links[lid] = frag.links[lid]
-        for cid in sorted(frag.connections):
-            conn = frag.connections[cid]
-            if conn.in_link in carried and conn.out_link in carried:
-                connections[cid] = conn
-        for row in frag.splits:
-            key = (row.node, row.in_link, row.vtype, row.start_time)
-            if key not in seen_splits:
-                seen_splits.add(key)
-                splits.append(row)
-        for row in frag.demands:
-            key = (row.link, row.vtype)
-            if key not in seen_demands:
-                seen_demands.add(key)
-                demands.append(row)
-    merged = Scenario(
-        nodes=nodes,
-        links=links,
-        connections=connections,
-        vehicle_types=dict(subs[0].fragment.vehicle_types) if subs else {},
-        splits=sorted(splits, key=lambda r: (r.node, r.in_link, r.vtype, r.start_time)),
-        demands=sorted(demands, key=lambda r: (r.link, r.vtype)),
-        sim=scenario_template.sim,
-    )
-    validate(merged)
-    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ import socket
 import time
 import traceback
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from multiprocessing.connection import wait
 
 from .comm import (
@@ -121,22 +122,22 @@ def _simulate(
     report: WorkerReport,
 ) -> tuple[list[Row], dict]:
     """The per-step loop shared by every execution mode; its callers run it
-    inside their collector pause."""
+    inside their collector pause.  `channels` come in ascending neighbor
+    order, as `_worker_channels` builds them."""
     rows: list[Row] = []
     per_step = {"in_network": [], "entered_cum": [], "exited_cum": [], "queued": []}
     entered_cum = 0.0
     exited_cum = 0.0
-    ordered = sorted(channels, key=lambda c: c.remote)
     for step in range(steps):
         t0 = time.perf_counter()
         plan = engine.phase_a(step)
         outbox = {}
-        for ch in ordered:
-            records = engine.boundary_records(plan, ch.overlap_links)
+        for ch in channels:
+            records = engine.boundary_records(plan, ch.remote)
             outbox[ch.remote] = encode(ch.send_map.positions, records)
         t1 = time.perf_counter()
         report.compute_s += t1 - t0
-        if ordered:
+        if channels:
             inbox = exchange(channels, outbox, step, timeout)
             t2 = time.perf_counter()
             report.comm_times.append(t2 - t1)
@@ -144,9 +145,9 @@ def _simulate(
             inbox = {}
             t2 = t1
         received = []
-        for ch in ordered:
+        for ch in channels:
             received.extend(decode(ch.recv_map.positions, inbox[ch.remote]))
-        stats = engine.phase_b(step, received)
+        stats = engine.phase_b(plan, received)
         report.compute_s += time.perf_counter() - t2
 
         entered_cum += stats.entered
@@ -216,7 +217,8 @@ def _worker_channels(
     duplexes: dict[int, object],
     decoders: dict[int, tuple[DecoderMap | None, DecoderMap | None]] | None,
 ) -> list[NeighborChannel]:
-    """Channels with maps derived from `sub`'s fragment; `decoders` must equal them."""
+    """Channels in ascending neighbor order, with maps derived from `sub`'s
+    fragment; `decoders` must equal them."""
     channels = []
     for nb in sub.neighbors():
         send_map = build_decoder_map(sub, nb)
@@ -234,7 +236,6 @@ def _worker_channels(
                 remote=nb,
                 send_map=send_map,
                 recv_map=recv_map,
-                overlap_links=sub.links_with(nb),
                 duplex=duplexes[nb],
             )
         )
@@ -265,6 +266,11 @@ def _worker_body(
 def _check_steps(steps: int) -> None:
     if steps < 1:
         raise ScenarioError("steps must be >= 1")
+
+
+def _check_transport(transport: str) -> None:
+    if transport not in ("local", "tcp"):
+        raise ScenarioError(f"unknown transport {transport!r}")
 
 
 def _check_timeout(timeout: float) -> None:
@@ -318,8 +324,7 @@ def run_distributed(
     """Partition (unless fragments are supplied), fork one worker per
     subnetwork, run in lockstep, and merge.  `transport` picks the channel
     implementation: "local" socketpairs or "tcp" loopback sockets."""
-    if transport not in ("local", "tcp"):
-        raise ScenarioError(f"unknown transport {transport!r}")
+    _check_transport(transport)
     _check_timeout(timeout)
     wall0 = time.perf_counter()
     if subs is None:
@@ -513,14 +518,16 @@ def parse_dump(text: str) -> list[Row]:
 
 def diff_dumps(text_a: str, text_b: str, tol: float | None = None) -> str | None:
     """None when equal; otherwise a description of the first divergence.
-    Byte comparison by default, relative tolerance with `tol`."""
+    Without `tol` the texts must be equal byte for byte, and the first line
+    that differs is named; with `tol`, rows are compared by key and by value
+    within relative tolerance `tol`.  Texts that differ must both parse."""
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ScenarioError(f"tol must be a non-negative finite number, not {tol}")
-    if tol is None:
-        if text_a == text_b:
-            return None
-        tol = 0.0
+    if tol is None and text_a == text_b:
+        return None
     rows_a, rows_b = parse_dump(text_a), parse_dump(text_b)
+    if tol is None:
+        return _first_line_difference(text_a, text_b)
     for i in range(min(len(rows_a), len(rows_b))):
         a, b = rows_a[i], rows_b[i]
         if a[:6] != b[:6]:
@@ -537,24 +544,22 @@ def diff_dumps(text_a: str, text_b: str, tol: float | None = None) -> str | None
     return None
 
 
+def _first_line_difference(text_a: str, text_b: str) -> str:
+    """The first line, newline included, where two different texts part, by
+    number, with the row key it holds in `a` (else `b`) and both texts."""
+    pairs = zip_longest(text_a.splitlines(True), text_b.splitlines(True))
+    lineno, (a, b) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+    where = f"line {lineno}"
+    fields = (a or b).rstrip("\r\n").split(",")
+    if lineno > 1 and len(fields) == 7:
+        where += " (step {} link {} group {} cell {} vtype {} next {})".format(*fields)
+    shown = ("end of file" if line is None else repr(line) for line in (a, b))
+    return "{}: {} vs {}".format(where, *shown)
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
-
-
-@collector_paused()
-def setup_timing(scenario: Scenario, n: int, seed: int = 0) -> float:
-    """Seconds of distribution set-up for `n` workers: partition, fragments,
-    metagraph and every decoder map, with the collector paused as in a run."""
-    t0 = time.perf_counter()
-    partition = partition_nodes(scenario, n, seed)
-    subs = build_subnetworks(scenario, partition)
-    build_metagraph(subs)
-    for sub in subs:
-        for nb in sub.neighbors():
-            build_decoder_map(sub, nb)
-            build_receive_map(sub, nb)
-    return time.perf_counter() - t0
 
 
 def benchmark(
@@ -563,7 +568,6 @@ def benchmark(
     steps: int | None = None,
     transport: str = "local",
     seed: int = 0,
-    timeout: float = DEFAULT_TIMEOUT,
 ) -> dict:
     """Run the scenario at each worker count and report the timing columns:
     setup, communication, computation, total, speed-up, and the ideal rate
@@ -574,6 +578,7 @@ def benchmark(
     n=1 row (`run_sequential`) does not do.  `compute_speedup` divides the
     n=1 row's largest worker compute time by this row's, and, like
     `ideal_rate`, is None unless the first row is n=1."""
+    _check_transport(transport)
     rows = []
     base_total = None
     serial_rate = None
@@ -589,7 +594,6 @@ def benchmark(
                 seed=seed,
                 steps=steps,
                 dump_every=None,
-                timeout=timeout,
             )
         workers = result.timing["workers"]
         total = result.timing["wall_s"]

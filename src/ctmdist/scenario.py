@@ -262,12 +262,17 @@ def _as_id(value, what: str, *args) -> int:
     return value
 
 
-def _key_id(key: str, what: str, *args) -> int:
-    """A JSON object key as an id: only the decimal form `scenario_to_dict`
-    writes, so that no two keys name one id.  `what` as in `_as_id`."""
-    value = int(key) if key.isdecimal() else -1
-    if value < 0 or str(value) != key:
-        raise ScenarioError(f"{what.format(*args)} must be a canonical decimal id, got {key!r}")
+def decimal_int(text: str, what: str, *args, kind: str = "integer") -> int:
+    """`text` as a non-negative integer in canonical decimal, the form that
+    `str()` writes: ASCII digits with no sign, space, underscore or leading
+    zero, so that no two texts name one number.  It reads JSON object keys
+    and the integers of partition files, rosters and `--n-list`.  `what`
+    as in `_as_id`; `kind` names the value in the message."""
+    value = int(text) if text.isdecimal() else -1
+    if value < 0 or str(value) != text:
+        raise ScenarioError(
+            f"{what.format(*args)} must be a canonical decimal {kind}, got {text!r}"
+        )
     return value
 
 
@@ -462,7 +467,7 @@ def _build_scenario(doc) -> Scenario:
             start_time = _as_number(start_time, "split at node {} start_time", node)
         ratios = []
         for key, p in raw["ratios"].items():
-            out_link = _key_id(key, "split at node {} ratio key", node)
+            out_link = decimal_int(key, "split at node {} ratio key", node, kind="id")
             if type(p) is not float:
                 p = _as_number(p, "split at node {} ratio for link {}", node, out_link)
             ratios.append((out_link, p))
@@ -487,7 +492,10 @@ def _build_scenario(doc) -> Scenario:
             for key in ("owned_nodes", "interior_links", "relative_sources", "relative_sinks")
         }
         neighbors = [
-            (_key_id(lid, "subnetwork link key"), _as_id(nb, "subnetwork neighbor of link {}", lid))
+            (
+                decimal_int(lid, "subnetwork link key", kind="id"),
+                _as_id(nb, "subnetwork neighbor of link {}", lid),
+            )
             for lid, nb in sn["neighbor_of_link"].items()
         ]
         subnetwork = SubnetworkMeta(

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from ctmdist.comm import decode, encode
 from ctmdist.engine import Engine, compute_supply
 from ctmdist.errors import ProtocolError
 from ctmdist.gridgen import generate_grid
@@ -23,17 +22,16 @@ from ctmdist.partition import (
     build_receive_map,
     build_subnetworks,
     partition_nodes,
-    reconstruct_scenario,
 )
 from ctmdist.runner import (
     run_distributed,
     run_sequential,
     rows_to_csv,
-    setup_timing,
 )
 from ctmdist.scenario import TERMINAL, parse_scenario, serialize_scenario
 
-from conftest import chain_doc, lanes_grid, merge_diverge_doc
+from conftest import chain_doc, lanes_grid, lockstep, merge_diverge_doc
+from support import reconstruct_scenario, setup_timing, subset_sizes
 from test_partition import random_scenario
 
 BITWISE_STEPS = 200
@@ -107,7 +105,7 @@ def test_criterion_3_partition_validity():
         n = rng.randint(2, min(6, len(s.nodes)))
         p = partition_nodes(s, n, seed=trial)
         assert sorted(p.assignment) == sorted(s.nodes)
-        sizes = p.subset_sizes()
+        sizes = subset_sizes(p)
         assert all(size >= 1 for size in sizes)
         assert max(sizes) <= balance_cap(len(s.nodes), n)
         subs = build_subnetworks(s, p)
@@ -133,36 +131,25 @@ def test_criterion_4_fixed_message_size(merge_fixture):
     metagraph = build_metagraph(subs)
     engines = {sub.index: Engine(sub.fragment, set(sub.owned_nodes)) for sub in subs}
     send_maps = {}
-    send_tables = {}
-    recv_tables = {}
+    tables = {}
     for sub in subs:
         for nb in sub.neighbors():
             send_maps[(sub.index, nb)] = build_decoder_map(sub, nb)
             assert send_maps[(sub.index, nb)].slots == build_receive_map(
                 [x for x in subs if x.index == nb][0], sub.index
             ).slots
-            send_tables[(sub.index, nb)] = send_maps[(sub.index, nb)].positions
-            recv_tables[(sub.index, nb)] = build_receive_map(sub, nb).positions
+            tables[(sub.index, nb)] = (
+                send_maps[(sub.index, nb)].positions,
+                build_receive_map(sub, nb).positions,
+            )
     observed: dict[tuple[int, int], set[int]] = {}
     steps = 150
-    for step in range(steps):
-        plans = {i: engines[i].phase_a(step) for i in sorted(engines)}
-        mailbox = {}
-        for sub in subs:
-            for nb in sub.neighbors():
-                records = engines[sub.index].boundary_records(
-                    plans[sub.index], sub.links_with(nb)
-                )
-                message = encode(send_tables[(sub.index, nb)], records)
-                observed.setdefault((sub.index, nb), set()).add(len(message))
-                mailbox[(sub.index, nb)] = message
-        for sub in subs:
-            received = []
-            for nb in sub.neighbors():
-                received.extend(
-                    decode(recv_tables[(sub.index, nb)], mailbox[(nb, sub.index)])
-                )
-            engines[sub.index].phase_b(step, received)
+
+    def note(step, messages):
+        for key, message in messages.items():
+            observed.setdefault(key, set()).add(len(message))
+
+    lockstep(engines, tables, steps, on_messages=note)
     for (i, j), lengths in observed.items():
         assert lengths == {send_maps[(i, j)].message_length}, (i, j, lengths)
     assert len(observed) == 2 * len(metagraph.edges)
@@ -190,8 +177,7 @@ def test_criterion_5_ctm_unit_behavior():
     eng.set_cell_value(0, 0, 0, (0, TERMINAL), 0.75)
     eng.active.add(0)
     for step in range(9):
-        eng.phase_a(step)
-        eng.phase_b(step)
+        eng.phase_b(eng.phase_a(step))
         cells = eng.links[0].groups[0].cells
         occupied = [k for k, cell in enumerate(cells) if any(cell)]
         assert occupied == [step + 1]

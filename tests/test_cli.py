@@ -206,6 +206,17 @@ class TestPartitionCmd:
         frag0 = load_scenario(str(out / "fragment_0.json"))
         assert frag0.subnetwork.owned_nodes == (0, 1, 2, 3, 4)
 
+    def test_import_rejects_a_non_canonical_node_id(self, fixture_file, tmp_path, capsys):
+        # `int()` reads "1_0" as node 10
+        part_file = tmp_path / "metis.txt"
+        lines = [f"{node} {0 if node <= 4 else 1}" for node in range(10)]
+        lines[9] = "1_0 1"
+        part_file.write_text("\n".join(lines) + "\n")
+        argv = ["partition", "--scenario", fixture_file, "--n", "2", "--import", str(part_file)]
+        assert main(argv + ["--out-dir", str(tmp_path / "parts")]) == 2
+        err = capsys.readouterr().err
+        assert "partition file line 10: node must be a canonical decimal integer, got '1_0'" in err
+
 
 class TestRunCmd:
     def test_seq_vs_local_dumps_byte_identical(self, grid_file, tmp_path):
@@ -294,6 +305,34 @@ class TestRunCmd:
         config.write_text(json.dumps({"mode": "bogus"}))
         assert main(["--config", str(config), "run", "--scenario", fixture_file]) == 2
         assert "unknown transport 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"steps": 5.5}, "--steps: invalid int value 5.5"),
+            ({"steps": True}, "--steps: invalid int value true"),
+            ({"steps": None}, "--steps: invalid int value null"),
+            ({"dump_every": 2.5}, "--dump-every: invalid int value 2.5"),
+            ({"dump-every": "2x"}, '--dump-every: invalid int value "2x"'),
+            ({"timeout": [5]}, "--timeout: invalid float value [5]"),
+            ({"spawn_local": 1}, "--spawn-local: 1 is not true or false"),
+        ],
+    )
+    def test_config_value_its_flag_rejects_exits_2(
+        self, fixture_file, tmp_path, capsys, doc, message
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert main(["--config", str(config), "run", "--scenario", fixture_file]) == 2
+        assert f"config value for {message}" in capsys.readouterr().err
+
+    def test_config_values_converted_as_on_the_command_line(self, fixture_file, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"steps": "7", "timeout": 5, "dump-every": 3}))
+        metrics = tmp_path / "metrics.json"
+        argv = ["--config", str(config), "run", "--scenario", fixture_file, "--mode", "local"]
+        assert main(argv + ["--metrics", str(metrics)]) == 0
+        assert json.loads(metrics.read_text())["steps"] == 7
 
 
 def _cli_child(argv):
@@ -504,6 +543,22 @@ class TestMalformedRunInputs:
         assert self._join(parts, "0 127.0.0.1 5000\n1 127.0.0.1 port\n", tmp_path) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field, token",
+        [
+            ("+1 127.0.0.1 5001", "worker index", "+1"),
+            ("01 127.0.0.1 5001", "worker index", "01"),
+            ("1 127.0.0.1 5_001", "port", "5_001"),
+            ("1 127.0.0.1 \u0665001", "port", "\u0665001"),
+        ],
+    )
+    def test_roster_integers_are_canonical_decimal(
+        self, parts, tmp_path, capsys, line, field, token
+    ):
+        assert self._join(parts, f"0 127.0.0.1 5000\n{line}\n", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"line 2: {field} must be a canonical decimal integer, got {token!r}" in err
+
     def test_roster_port_out_of_range(self, parts, tmp_path, capsys):
         assert self._join(parts, "0 127.0.0.1 70000\n1 127.0.0.1 5001\n", tmp_path) == 2
         assert "line 1" in capsys.readouterr().err
@@ -670,6 +725,12 @@ class TestBenchCmd:
     def test_bad_n_list_exit_2(self, fixture_file):
         assert main(["bench", "--scenario", fixture_file, "--n-list", "1,zero"]) == 2
 
+    @pytest.mark.parametrize("entry", ["+2", "0_2", "02", "\u0662"])
+    def test_n_list_entries_are_canonical_decimal(self, fixture_file, capsys, entry):
+        assert main(["bench", "--scenario", fixture_file, "--n-list", f"1,{entry}"]) == 2
+        err = capsys.readouterr().err
+        assert f"--n-list entry must be a canonical decimal integer, got {entry!r}" in err
+
 
 class TestDiffCmd:
     def test_file_vs_itself_equal(self, fixture_file, tmp_path):
@@ -698,6 +759,55 @@ class TestDiffCmd:
         assert main(["diff", "--a", dump, "--b", other]) == 1
         assert main(["diff", "--a", dump, "--b", other, "--tol", "1.0"]) == 0
 
+    @pytest.fixture
+    def dump(self, fixture_file, tmp_path):
+        path = tmp_path / "d.csv"
+        assert main(
+            ["run", "--scenario", fixture_file, "--steps", "30", "--dump", str(path)]
+        ) == 0
+        return path
+
+    def _diff_rewritten(self, dump, tmp_path, capsys, rewrite, *tol):
+        """`diff` of `dump` against its text passed through `rewrite`."""
+        other = tmp_path / "e.csv"
+        other.write_bytes(rewrite(dump.read_text()).encode())
+        capsys.readouterr()
+        code = main(["diff", "--a", str(dump), "--b", str(other), *tol])
+        return code, capsys.readouterr().out
+
+    def test_values_written_differently_differ(self, dump, tmp_path, capsys):
+        # each vehicle value with a 0 appended parses to the same float
+        def pad(text):
+            header, *rows = text.splitlines()
+            return "\n".join([header] + [row + "0" for row in rows]) + "\n"
+
+        code, out = self._diff_rewritten(dump, tmp_path, capsys, pad)
+        row = dump.read_text().splitlines(True)[1]
+        step, link = row.split(",")[:2]
+        padded = row[:-1] + "0\n"
+        assert code == 1
+        assert out.startswith(f"differ: line 2 (step {step} link {link} group ")
+        assert out.endswith(f": {row!r} vs {padded!r}\n")
+        assert self._diff_rewritten(dump, tmp_path, capsys, pad, "--tol", "0") == (0, "equal\n")
+
+    def test_key_written_with_a_sign_differs(self, dump, tmp_path, capsys):
+        def sign(text):
+            return text.replace("\n", "\n+", 1)
+
+        code, out = self._diff_rewritten(dump, tmp_path, capsys, sign)
+        row = dump.read_text().splitlines(True)[1]
+        assert code == 1
+        assert out.startswith("differ: line 2 (step ")
+        assert out.endswith(f": {row!r} vs {'+' + row!r}\n")
+        assert self._diff_rewritten(dump, tmp_path, capsys, sign, "--tol", "0") == (0, "equal\n")
+
+    def test_missing_final_newline_differs(self, dump, tmp_path, capsys):
+        lines = dump.read_text().splitlines(True)
+        code, out = self._diff_rewritten(dump, tmp_path, capsys, lambda text: text[:-1])
+        assert code == 1
+        assert out.startswith(f"differ: line {len(lines)} (step ")
+        assert out.endswith(f": {lines[-1]!r} vs {lines[-1][:-1]!r}\n")
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tol_not_non_negative_finite_exits_2(self, perturbed, capsys, tol):
         # every value comparison with a NaN tolerance is false, so
@@ -707,6 +817,14 @@ class TestDiffCmd:
         assert "tol must be a non-negative finite number" in capsys.readouterr().err
         assert main(["diff", "--a", dump, "--b", other, "--tol", "0"]) == 1
         assert "differ: step" in capsys.readouterr().out
+
+    def test_dump_not_utf8_exits_2(self, dump, tmp_path, capsys):
+        other = tmp_path / "e.csv"
+        other.write_bytes(dump.read_bytes() + b"\xff\n")
+        assert main(["diff", "--a", str(dump), "--b", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert f"dump {other} is not UTF-8" in err
+        assert "Traceback" not in err
 
     def test_malformed_dump_exits_2(self, fixture_file, tmp_path, capsys):
         dump = tmp_path / "d.csv"

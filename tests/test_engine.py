@@ -1,10 +1,12 @@
 """Engine unit behavior: demand/supply, node model, lane changes, routing
 assignment, and the conservation update, against hand-computed values."""
 
+import ast
 import json
 
 import pytest
 
+from ctmdist import engine as engine_module
 from ctmdist.engine import (
     Engine,
     cell_total,
@@ -145,16 +147,15 @@ def node_conns(*demands):
 
 
 def applied(conns, factor):
-    """Each entry as `_apply_node_flows` applies it: `d * factor`, or `d`
-    when the node model returns no factor."""
-    return [d if factor is None else d * factor for _c, (_t, es) in conns for _k, d in es]
+    """Each entry as `_apply_node_flows` applies it: `d * factor`."""
+    return [d * factor for _c, (_t, es) in conns for _k, d in es]
 
 
 class TestNodeModel:
     def test_unconstrained_passes_demand(self):
         conns = node_conns(4.0)
         factor = resolve_node_flows(conns, 10.0)
-        assert factor is None
+        assert factor == 1.0
         assert applied(conns, factor) == [4.0]
 
     def test_proportional_merge(self):
@@ -211,9 +212,9 @@ class TestConnectionDemands:
         s = parse_scenario(json.dumps(diverge_doc()))
         eng = Engine(s)
         seed(eng, 1, 0, 1, (0, TERMINAL), 2.5)  # branch 1 is a sink
-        eng.phase_a(0)
+        plan = eng.phase_a(0)
         assert eng.cell_value(1, 0, 1, (0, TERMINAL)) == 0.0
-        assert eng.phase_b(0).exited == 2.5
+        assert eng.phase_b(plan).exited == 2.5
 
 
 class TestLaneChanges:
@@ -308,8 +309,8 @@ class TestUpdate:
         doc = merge_diverge_doc()
         doc["demands"] = []
         eng = Engine(parse_scenario(json.dumps(doc)))
-        eng.phase_a(0)
-        stats = eng.phase_b(0)
+        plan = eng.phase_a(0)
+        stats = eng.phase_b(plan)
         assert stats.in_network == 0.0
         assert all(
             not any(cell) for l in eng.links.values() for g in l.groups for cell in g.cells
@@ -332,10 +333,10 @@ class TestUpdate:
         s = parse_scenario(json.dumps(doc))
         eng = Engine(s)
         seed(eng, 0, 0, 0, (0, TERMINAL), 5.0)
-        eng.phase_a(0)
+        plan = eng.phase_a(0)
         # phase A discharges C = 0.5*2*2 and phase B injects
         assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 3.0
-        stats = eng.phase_b(0)
+        stats = eng.phase_b(plan)
         assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 5.0
         assert stats.entered == 2.0
         assert stats.exited == 2.0
@@ -362,8 +363,8 @@ class TestUpdate:
         s = parse_scenario(json.dumps(doc))
         eng = Engine(s)
         seed(eng, 0, 0, 0, (0, TERMINAL), 4.0)
-        eng.phase_a(0)
-        eng.phase_b(0)
+        plan = eng.phase_a(0)
+        eng.phase_b(plan)
         assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 1.0
         assert eng.cell_value(0, 0, 1, (0, TERMINAL)) == 3.0
 
@@ -403,12 +404,12 @@ class TestUpdate:
         # narrow link: C = 2*1*2 = 4, supply = min(4, 0.25*0.4*1*50=5) = 4
         seed(eng, 0, 0, 1, (0, 2), 6.0)
         seed(eng, 1, 0, 1, (0, 2), 2.0)
-        eng.phase_a(0)
+        plan = eng.phase_a(0)
         assert 6.0 - eng.cell_value(0, 0, 1, (0, 2)) == 3.0
         assert 2.0 - eng.cell_value(1, 0, 1, (0, 2)) == 1.0
         delivered = cell_total(eng.links[2].groups[0].cells[0])
         assert delivered == pytest.approx(4.0, abs=1e-12)
-        eng.phase_b(0)
+        eng.phase_b(plan)
         assert cell_total(eng.links[2].groups[0].cells[0]) == pytest.approx(4.0, abs=1e-12)
         assert eng.cell_value(0, 0, 1, (0, 2)) == 3.0
         assert eng.cell_value(1, 0, 1, (0, 2)) == 1.0
@@ -437,10 +438,10 @@ class TestUpdate:
         # supply of 0.25*(6.25 - 6) = 0.0625
         eng.set_cell_value(1, 0, 0, (0, TERMINAL), 6.0)
         assert 1 not in eng.active
-        eng.phase_a(0)
+        plan = eng.phase_a(0)
         assert 6.0 - eng.cell_value(0, 0, 1, (0, 1)) == 0.0625
         assert eng.cell_value(1, 0, 0, (0, TERMINAL)) == 6.0625
-        eng.phase_b(0)
+        eng.phase_b(plan)
         assert 1 in eng.active
         assert totals(eng, 1) == [[6.0625, 0.0]]
 
@@ -464,10 +465,6 @@ class TestChecks:
     """Inconsistent states and records fail loudly; the merge fixture's
     link 4 carries commodities (0, 5), (1, 5) and (1, 6)."""
 
-    def test_phase_b_before_phase_a(self, merge_diverge):
-        with pytest.raises(InternalAssertion, match=r"before phase_a"):
-            Engine(merge_diverge).phase_b(0)
-
     def test_slot_entries_by_position(self, merge_diverge):
         # owning nodes 0-4, fragment 0 delivers into link 4; a slot's engine
         # key names its commodity's position on link 4
@@ -481,9 +478,9 @@ class TestChecks:
         # the neighbor resolving link 4's outflow sends a removal of
         # vehicles the empty cell does not hold
         eng = cut_engine(merge_diverge, 0)
-        eng.phase_a(0)
+        plan = eng.phase_a(0)
         with pytest.raises(InternalAssertion, match=r"negative occupancy"):
-            eng.phase_b(0, [entry(eng, 4, 4, 0, (1, 5), 1.0)])
+            eng.phase_b(plan, [entry(eng, 4, 4, 0, (1, 5), 1.0)])
 
     def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
         # a fragment's path, like a whole scenario's, must end at a sink
@@ -519,8 +516,7 @@ class TestChecks:
         eng = Engine(fragment_with_path(merge_diverge, path, cut, 0))
         assert sorted(eng.links) == [0, 1, 2, 3, 4]  # its owned nodes' links, no stub
         for step in range(20):
-            eng.phase_a(step)
-            eng.phase_b(step)
+            eng.phase_b(eng.phase_a(step))
         assert eng.cell_value(4, 1, 0, (0, 6)) > 0.0
         with pytest.raises(
             ScenarioError, match=r"^vehicle type 0: no road connection from link 6 to link 7$"
@@ -544,10 +540,10 @@ class TestOrder:
         assert ascending == 0.8999999999999999
         assert ascending != (0.3 - outflow) + inflow  # descending k gives 0.9
         assert ascending != 0.3 + (inflow - outflow)  # a pre-summed delta
-        eng.phase_a(0)
+        plan = eng.phase_a(0)
         assert eng.cell_value(0, 0, 1, (0, TERMINAL)) == ascending
         assert eng.cell_value(0, 0, 2, (0, TERMINAL)) == outflow
-        eng.phase_b(0)
+        eng.phase_b(plan)
         assert eng.cell_value(0, 0, 0, (0, TERMINAL)) == 0.0
         assert eng.cell_value(0, 0, 1, (0, TERMINAL)) == ascending
 
@@ -572,8 +568,7 @@ class TestInvariants:
         eng = Engine(quiet)
         seed(eng, 0, 0, 0, (0, TERMINAL), 0.75)
         for step in range(9):
-            eng.phase_a(step)
-            eng.phase_b(step)
+            eng.phase_b(eng.phase_a(step))
             cells = eng.links[0].groups[0].cells
             occupied = [k for k, cell in enumerate(cells) if any(cell)]
             assert occupied == [step + 1]
@@ -590,8 +585,7 @@ class TestInvariants:
     def test_jam_never_exceeded(self, merge_diverge):
         eng = Engine(merge_diverge)
         for step in range(150):
-            eng.phase_a(step)
-            eng.phase_b(step)
+            eng.phase_b(eng.phase_a(step))
             for l in eng.links.values():
                 for g in l.groups:
                     for cell in g.cells:
@@ -605,3 +599,66 @@ class TestInvariants:
         b = run_sequential(merge_diverge, steps=80)
         assert a.rows == b.rows
         assert a.metrics["per_step"] == b.metrics["per_step"]
+
+
+# Names whose calls may add floats in another order than a left fold from
+# 0.0: the builtin `sum` (compensated since CPython 3.12), `math.fsum`, the
+# `statistics` module, and numpy's reductions.
+REDUCTIONS = {"sum", "fsum", "statistics", "cumsum", "dot", "einsum"}
+
+
+def unordered_sums(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every use in `source` of a reduction that does not
+    add in a fixed left-to-right order: a name or attribute in `REDUCTIONS`,
+    an import of one, `add.reduce`, and the `@` operator."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in REDUCTIONS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in REDUCTIONS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Attribute) and node.attr == "reduce":
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "add":
+                found.append((node.lineno, "add.reduce"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None)] + [alias.name for alias in node.names]
+            found.extend((node.lineno, name) for name in names if name in REDUCTIONS)
+    return found
+
+
+class TestFoldOrder:
+    """The engine's bits rest on every fold over simulation floats being a
+    left fold from 0.0 in a fixed order (module docstring)."""
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [
+            ("total = sum(cell)", "sum"),
+            ("totals = list(map(sum, cells))", "sum"),
+            ("total = math.fsum(cell)", "fsum"),
+            ("from math import fsum", "fsum"),
+            ("import statistics", "statistics"),
+            ("from statistics import fmean", "statistics"),
+            ("total = np.sum(cells, axis=1)", "sum"),
+            ("total = cells.sum()", "sum"),
+            ("total = np.add.reduce(cells)", "add.reduce"),
+            ("running = cells.cumsum(axis=1)", "cumsum"),
+            ("flow = np.dot(demand, share)", "dot"),
+            ("flow = np.einsum('ij->i', cells)", "einsum"),
+            ("flow = demand @ share", "@"),
+            ("flow @= share", "@"),
+        ],
+    )
+    def test_each_reduction_is_found(self, source, name):
+        assert [found for _line, found in unordered_sums(source)] == [name]
+
+    def test_left_folds_pass(self):
+        source = "total = reduce(add, cell, 0.0)\nfor v in cell:\n    total += v\n"
+        assert unordered_sums(source) == []
+
+    def test_engine_folds_in_order(self):
+        with open(engine_module.__file__, encoding="utf-8") as f:
+            assert unordered_sums(f.read()) == []

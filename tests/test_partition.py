@@ -6,7 +6,6 @@ import tracemalloc
 
 import pytest
 
-from ctmdist.comm import decode, encode
 from ctmdist.engine import Engine
 from ctmdist.errors import ScenarioError
 from ctmdist.gridgen import generate_grid
@@ -18,7 +17,6 @@ from ctmdist.partition import (
     build_subnetworks,
     parse_partition,
     partition_nodes,
-    reconstruct_scenario,
     save_partition,
     load_partition,
     NodePartition,
@@ -26,7 +24,8 @@ from ctmdist.partition import (
 )
 from ctmdist.scenario import Scenario, parse_scenario, serialize_scenario, validate
 
-from conftest import lanes_grid, link, load_workloads, merge_diverge_doc
+from conftest import lanes_grid, link, load_workloads, lockstep, merge_diverge_doc
+from support import reconstruct_scenario, subset_sizes
 from test_golden import GOLDEN, _scenario
 
 
@@ -72,27 +71,25 @@ def records_without_slots(subs, steps):
     boundary records through `encode` and `decode` as a run does.  Returns
     (how many records phase A made for a neighbor, those whose key is not in
     the channel's send map)."""
-    engines = [Engine(sub.fragment) for sub in subs]
-    send, recv = (
-        {(sub.index, nb): build(sub, nb).positions for sub in subs for nb in sub.neighbors()}
-        for build in (build_decoder_map, build_receive_map)
-    )
+    engines = {sub.index: Engine(sub.fragment) for sub in subs}
+    tables = {
+        (sub.index, nb): (
+            build_decoder_map(sub, nb).positions,
+            build_receive_map(sub, nb).positions,
+        )
+        for sub in subs
+        for nb in sub.neighbors()
+    }
     made, missing = 0, []
-    for step in range(steps):
-        plans = [eng.phase_a(step) for eng in engines]
-        inbox = {sub.index: [] for sub in subs}
-        for sub, eng, plan in zip(subs, engines, plans):
-            for nb in sub.neighbors():
-                table = send[sub.index, nb]
-                records = eng.boundary_records(plan, sub.links_with(nb))
-                made += len(records)
-                missing.extend(r for r in records if r[:4] not in table)
-                records = [r for r in records if r[:4] in table]
-                inbox[nb].extend(decode(recv[nb, sub.index], encode(table, records)))
-        if missing:
-            break  # the replicas no longer agree
-        for sub, eng in zip(subs, engines):
-            eng.phase_b(step, inbox[sub.index])
+
+    def check(step, records):
+        nonlocal made
+        for key, recs in records.items():
+            made += len(recs)
+            missing.extend(r for r in recs if r[:4] not in tables[key][0])
+        return bool(missing)  # the replicas no longer agree
+
+    lockstep(engines, tables, steps, on_records=check)
     return made, missing
 
 
@@ -145,7 +142,7 @@ class TestPartitionNodes:
         s = path_scenario(4)
         for seed in range(5):
             p = partition_nodes(s, 2, seed=seed)
-            assert sorted(p.subset_sizes()) == [2, 2]
+            assert sorted(subset_sizes(p)) == [2, 2]
             edges = build_metagraph(build_subnetworks(s, p)).edges
             assert [len(cut) for cut in edges.values()] == [1]
             groups = {}
@@ -167,7 +164,7 @@ class TestPartitionNodes:
         count = len(s.nodes)
         for n in (2, 4, 8):
             p = partition_nodes(s, n, seed=1)
-            sizes = p.subset_sizes()
+            sizes = subset_sizes(p)
             assert sum(sizes) == count
             assert sum(sizes) / n == pytest.approx(count / n)
             assert max(sizes) <= balance_cap(count, n)
@@ -186,7 +183,7 @@ class TestPartitionNodes:
             n = rng.randint(2, min(6, len(s.nodes)))
             p = partition_nodes(s, n, seed=trial)
             assert sorted(p.assignment) == sorted(s.nodes)  # total
-            sizes = p.subset_sizes()
+            sizes = subset_sizes(p)
             assert all(size >= 1 for size in sizes)
             assert max(sizes) <= balance_cap(len(s.nodes), n)
 
@@ -214,6 +211,38 @@ class TestPartitionFiles:
         s = path_scenario(4)
         with pytest.raises(ScenarioError, match=r"subset 1 is empty"):
             parse_partition("0 0\n1 0\n2 0\n3 2\n", s)
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("+1 1", "node"),
+            ("1_1 1", "node"),
+            ("01 1", "node"),
+            ("1 +1", "subset"),
+            ("1 \u0661", "subset"),
+            ("1 -1", "subset"),
+        ],
+    )
+    def test_pair_line_integers_are_canonical_decimal(self, line, field):
+        # `int()` would read each of these, "1_1" as node 11
+        s = generate_grid(2, 2)
+        lines = [f"{node} {node % 2}" for node in sorted(s.nodes)]
+        lines[1] = line
+        with pytest.raises(ScenarioError) as err:
+            parse_partition("\n".join(lines) + "\n", s)
+        token = line.split()[0 if field == "node" else 1]
+        assert str(err.value) == (
+            f"partition file line 2: {field} must be a canonical decimal integer, got {token!r}"
+        )
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "1.0"])
+    def test_single_column_subsets_are_canonical_decimal(self, token):
+        s = path_scenario(4)
+        with pytest.raises(ScenarioError) as err:
+            parse_partition(f"0\n0\n{token}\n1\n", s)
+        assert str(err.value) == (
+            f"partition file line 3: subset must be a canonical decimal integer, got {token!r}"
+        )
 
     def test_large_subset_index_costs_no_memory(self):
         # one node of a 25-node grid in subset 10**7: rejected without a

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from ctmdist import runner
-from ctmdist.comm import HEADER, SocketDuplex, decode, encode, establish, tcp_listener
+from ctmdist.comm import HEADER, SocketDuplex, establish, tcp_listener
 from ctmdist.engine import Engine
 from ctmdist.errors import CtmError, InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
@@ -36,12 +36,19 @@ from ctmdist.runner import (
     rows_to_csv,
     run_distributed,
     run_sequential,
-    setup_timing,
     write_dump,
 )
 from ctmdist.scenario import load_scenario, parse_scenario, scenario_to_dict, serialize_scenario
 
-from conftest import chain_doc, lanes_grid, load_workloads, merge_diverge_doc, run_bounded
+from conftest import (
+    chain_doc,
+    lanes_grid,
+    load_workloads,
+    lockstep,
+    merge_diverge_doc,
+    run_bounded,
+)
+from support import setup_timing
 
 
 class TestSequential:
@@ -358,9 +365,9 @@ class TestConservationCheck:
     def test_violation_names_its_step(self, monkeypatch, mode):
         phase_b = Engine.phase_b
 
-        def leaky_phase_b(engine, step, received=None):
-            stats = phase_b(engine, step, received)
-            if step == 3:
+        def leaky_phase_b(engine, plan, received=()):
+            stats = phase_b(engine, plan, received)
+            if plan.time == 3 * engine.dt:
                 stats.in_network += 1.0
             return stats
 
@@ -462,7 +469,7 @@ class TestCollectorPause:
     def test_encode_decode_round_trip_makes_no_cycles(self, collector_off):
         scenario = lanes_grid()
         subs = build_subnetworks(scenario, partition_nodes(scenario, 2, seed=1))
-        engines = [Engine(sub.fragment, set(sub.owned_nodes)) for sub in subs]
+        engines = {sub.index: Engine(sub.fragment, set(sub.owned_nodes)) for sub in subs}
         tables = {
             (sub.index, nb): (
                 build_decoder_map(sub, nb).positions,
@@ -473,21 +480,8 @@ class TestCollectorPause:
         }
         assert tables
         gc.collect()
-        for step in range(60):
-            plans = [engine.phase_a(step) for engine in engines]
-            mailbox = {
-                (sub.index, nb): encode(
-                    tables[(sub.index, nb)][0],
-                    engines[sub.index].boundary_records(plans[sub.index], sub.links_with(nb)),
-                )
-                for sub in subs
-                for nb in sub.neighbors()
-            }
-            for sub in subs:
-                received = []
-                for nb in sub.neighbors():
-                    received.extend(decode(tables[(sub.index, nb)][1], mailbox[(nb, sub.index)]))
-                engines[sub.index].phase_b(step, received)
+        mailbox = {}
+        lockstep(engines, tables, 60, on_messages=lambda step, messages: mailbox.update(messages))
         assert any(any(values) for values in mailbox.values())
         assert gc.collect() == 0
 
@@ -632,6 +626,11 @@ class TestBenchmark:
         assert report["rows"][0]["compute_speedup"] == 1.0
         assert report["rows"][0]["comm_s"] == 0.0
         assert report["rows"][0]["ideal_rate"] == report["rows"][0]["rate"]
+
+    def test_unknown_transport_rejected_before_any_row(self, merge_diverge):
+        # an n=1 first row runs sequentially and never reads the transport
+        with pytest.raises(ScenarioError, match=r"unknown transport 'bogus'"):
+            benchmark(merge_diverge, [1], steps=5, transport="bogus")
 
     def test_speedup_bounded_by_n(self):
         s = generate_grid(6, 6)
