@@ -1,11 +1,19 @@
 """Command-line entry points: gen-grid, partition, run, bench, diff.
 
 `--config FILE` supplies flag defaults from a JSON object keyed by flag
-name (dashes or underscores); explicit flags win.  Each value goes through
-its flag's conversion, so one the flag would reject exits 2; keys that name
-no flag of the command are ignored.  `OTMD_LOG` sets the log
-level.  Exit codes: 0 success, 2 scenario/config error or a file that
-cannot be opened, 3 protocol error, 4 internal assertion.
+name (dashes or underscores); explicit flags win, and a value the config
+supplies satisfies a required flag.  Each value goes through its flag's
+conversion, so one the flag would reject exits 2; keys that name no flag of
+the command are ignored.  `OTMD_LOG` sets the log level.  Exit codes: 0
+success, 2 scenario/config error or a file that cannot be opened, 3
+protocol error, 4 internal assertion.
+
+Decoder files are checked here, where they are read, against the maps each
+fragment derives (`comm.check_decoder_maps`); the runner never sees them.
+`run --fragments-dir` checks every fragment's files before it forks; a
+joining TCP worker reads its files before it connects and compares them
+once connected, before the handshake, so that a mismatch reaches its
+neighbors as EOF at once.
 """
 
 from __future__ import annotations
@@ -14,10 +22,11 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 from . import gridgen, partition as part, runner
-from .comm import DEFAULT_TIMEOUT, tcp_listener
+from .comm import DEFAULT_TIMEOUT, check_decoder_maps, tcp_listener
 from .errors import EXIT_SCENARIO, CtmError, ScenarioError
 from .partition import DecoderMap
 from .scenario import decimal_int, load_scenario, save_scenario
@@ -108,7 +117,16 @@ def _config_value(action: argparse.Action, value):
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse `argv` with the config file's values as flag defaults.  A flag
+    the config supplies is no longer required; the probe that finds the
+    config file requires no flag of the command."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    required = [a for p in commands.choices.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
     probe, _ = parser.parse_known_args(argv)
+    for action in required:
+        action.required = True
     if probe.config:
         try:
             with open(probe.config, "r", encoding="utf-8") as f:
@@ -118,15 +136,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         if not isinstance(overrides, dict):
             raise ScenarioError("config file must hold a JSON object")
         defaults = {key.replace("-", "_"): value for key, value in overrides.items()}
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        command = commands.choices[probe.command]
-        command.set_defaults(
-            **{
-                a.dest: _config_value(a, defaults[a.dest])
-                for a in command._actions
-                if a.option_strings and a.dest in defaults
-            }
-        )
+        for action in commands.choices[probe.command]._actions:
+            if action.option_strings and action.dest in defaults:
+                action.default = _config_value(action, defaults[action.dest])
+                action.required = False
     return parser.parse_args(argv)
 
 
@@ -153,6 +166,9 @@ def cmd_gen_grid(args) -> int:
 
 def _decoder_path(out_dir: str, i: int, j: int) -> str:
     return os.path.join(out_dir, f"decoder_{i}_to_{j}.json")
+
+
+FRAGMENT_NAME = re.compile(r"fragment_(0|[1-9][0-9]*)\.json")
 
 
 def _fragment_path(out_dir: str, index: int) -> str:
@@ -220,9 +236,19 @@ def _load_fragment(fragments_dir: str, index: int) -> part.Subnetwork:
 
 
 def _load_fragments_dir(fragments_dir: str) -> list:
+    """Fragments 0, 1, ... up to the first missing file, which no later
+    fragment file may follow."""
     subs = []
     while os.path.exists(_fragment_path(fragments_dir, len(subs))):
         subs.append(_load_fragment(fragments_dir, len(subs)))
+    names = os.listdir(fragments_dir) if os.path.isdir(fragments_dir) else []
+    indices = [int(m[1]) for m in map(FRAGMENT_NAME.fullmatch, names) if m]
+    later = [i for i in indices if i > len(subs)]
+    if later:
+        raise ScenarioError(
+            f"fragment {_fragment_path(fragments_dir, min(later))} follows a gap: "
+            f"{_fragment_path(fragments_dir, len(subs))} is missing"
+        )
     if not subs:
         raise ScenarioError(f"no fragment_*.json files in {fragments_dir}")
     return subs
@@ -280,10 +306,10 @@ def cmd_run(args) -> int:
         return _run_tcp_join(args, dump_every)
     elif args.fragments_dir:
         subs = _load_fragments_dir(args.fragments_dir)
-        decoders = {sub.index: _load_decoders(args.fragments_dir, sub) for sub in subs}
+        for sub in subs:
+            check_decoder_maps(sub, _load_decoders(args.fragments_dir, sub))
         result = runner.run_distributed(
             subs=subs,
-            decoders=decoders,
             transport=args.mode,
             steps=args.steps,
             dump_every=dump_every,
@@ -323,15 +349,12 @@ def _run_tcp_join(args, dump_every) -> int:
     for index in (sub.index, *sub.neighbors()):
         if index not in roster:
             raise ScenarioError(f"roster {args.roster} has no line for worker {index}")
-    rows, per_step, timing = runner.run_tcp_worker(
-        sub,
-        roster,
-        tcp_listener(*roster[sub.index]),
-        decoders,
-        args.steps if args.steps is not None else sub.fragment.sim.steps,
-        dump_every,
-        args.timeout,
-    )
+    steps = args.steps if args.steps is not None else sub.fragment.sim.steps
+    listener = tcp_listener(*roster[sub.index])
+    duplexes = runner.connect_tcp_worker(sub, roster, listener, steps, args.timeout)
+    # checked once connected, so that a mismatch reaches the neighbors as EOF
+    check_decoder_maps(sub, decoders)
+    rows, per_step, timing = runner.run_worker(sub, duplexes, steps, dump_every, args.timeout)
     base = args.dump or os.path.join(args.fragments_dir, "dump")
     runner.write_dump(rows, f"{base}.worker{sub.index}.csv")
     if args.metrics:

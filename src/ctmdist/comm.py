@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .engine import EntryRecord
 from .errors import ProtocolError
-from .partition import DecoderMap, SlotEntry
+from .partition import DecoderMap, SlotEntry, Subnetwork, build_decoder_map, build_receive_map
 
 HEADER = struct.Struct("<QIII")
 HANDSHAKE_STEP = 0xFFFFFFFFFFFFFFFF
@@ -179,6 +179,25 @@ def map_difference(theirs: DecoderMap, mine: DecoderMap) -> str | None:
     if len(theirs.slots) != len(mine.slots):
         return f"length {len(theirs.slots)} != {len(mine.slots)}"
     return None
+
+
+def check_decoder_maps(
+    sub: Subnetwork, given: dict[int, tuple[DecoderMap | None, DecoderMap | None]]
+) -> None:
+    """Compare decoder maps read from files, (send map, receive map) by
+    neighbor with None for a map not given, with the maps `sub`'s fragment
+    derives.  A difference is a protocol error, in the handshake's terms."""
+    for nb, maps in given.items():
+        for map_, derive in zip(maps, (build_decoder_map, build_receive_map)):
+            if map_ is None:
+                continue
+            derived = derive(sub, nb)
+            detail = map_difference(map_, derived)
+            if detail is not None:
+                raise ProtocolError(
+                    f"worker {sub.index}: decoder map {derived.sender}->{derived.receiver} "
+                    f"differs from the one fragment {sub.index} derives: {detail}"
+                )
 
 
 def _verify_hello(channel: NeighborChannel, payload: bytes) -> None:

@@ -6,12 +6,17 @@ phase B.  A sequential run is the loop with zero channels.  Distributed
 workers are forked processes that exchange frames over one stream socket
 per metagraph edge, a socketpair in local mode and a TCP connection in tcp
 mode (see `comm`).  The parent merges their authoritative state rows,
-which must be bitwise identical to a sequential run's dump.  Workers
-derive decoder maps and their engine keys from their own fragments; maps
-read from files are only compared with them.  A forked worker is a function
-that `run_distributed` defines for the run: it closes over the run's
-sockets, listeners, roster, decoder maps and settings, and is handed only
-its fragment and its result pipe.
+which must be bitwise identical to a sequential run's dump.  A worker
+starts from its fragment and one connected duplex per neighbor, and
+nothing else: it derives its decoder maps and engine keys from the
+fragment.  Decoder files never reach the runner; `cli` compares them with
+the derived maps where it reads them (`comm.check_decoder_maps`).  Every
+worker runs `run_worker`: a forked local worker on socketpair ends, and a
+forked or joined TCP worker on the duplexes `connect_tcp_worker` returns.
+A forked worker is a function that `run_distributed` defines for the run:
+it closes over the run's sockets, listeners, roster and settings, and is
+handed only its fragment and its result pipe.  Fragments supplied by the
+caller must make one partition (`_check_fragments`).
 
 Set-up and the loop run with the cyclic garbage collector paused
 (`scenario.collector_paused`, which puts back the state it found): parsing
@@ -57,14 +62,12 @@ from .comm import (
     encode,
     establish,
     exchange,
-    map_difference,
     tcp_connect_channels,
     tcp_listener,
 )
 from .engine import Engine
 from .errors import CtmError, InternalAssertion, ProtocolError, ScenarioError
 from .partition import (
-    DecoderMap,
     Subnetwork,
     build_decoder_map,
     build_metagraph,
@@ -212,55 +215,19 @@ def run_sequential(
 # ---------------------------------------------------------------------------
 
 
-def _worker_channels(
-    sub: Subnetwork,
-    duplexes: dict[int, object],
-    decoders: dict[int, tuple[DecoderMap | None, DecoderMap | None]] | None,
-) -> list[NeighborChannel]:
-    """Channels in ascending neighbor order, with maps derived from `sub`'s
-    fragment; `decoders` must equal them."""
-    channels = []
-    for nb in sub.neighbors():
-        send_map = build_decoder_map(sub, nb)
-        recv_map = build_receive_map(sub, nb)
-        for given, derived in zip((decoders or {}).get(nb, ()), (send_map, recv_map)):
-            detail = None if given is None else map_difference(given, derived)
-            if detail is not None:
-                raise ProtocolError(
-                    f"worker {sub.index}: decoder map {derived.sender}->{derived.receiver} "
-                    f"differs from the one fragment {sub.index} derives: {detail}"
-                )
-        channels.append(
-            NeighborChannel(
-                local=sub.index,
-                remote=nb,
-                send_map=send_map,
-                recv_map=recv_map,
-                duplex=duplexes[nb],
-            )
+def _worker_channels(sub: Subnetwork, duplexes: dict[int, object]) -> list[NeighborChannel]:
+    """Channels in ascending neighbor order, with the maps `sub`'s fragment
+    derives."""
+    return [
+        NeighborChannel(
+            local=sub.index,
+            remote=nb,
+            send_map=build_decoder_map(sub, nb),
+            recv_map=build_receive_map(sub, nb),
+            duplex=duplexes[nb],
         )
-    return channels
-
-
-@collector_paused()
-def _worker_body(
-    sub: Subnetwork,
-    duplexes: dict[int, object],
-    decoders,
-    steps: int,
-    dump_every: int | None,
-    timeout: float,
-) -> tuple[list[Row], dict, dict]:
-    report = WorkerReport(index=sub.index, setup_s=0.0, compute_s=0.0)
-    t0 = time.perf_counter()
-    engine = Engine(sub.fragment)
-    channels = _worker_channels(sub, duplexes, decoders)
-    establish(channels, timeout)
-    report.setup_s = time.perf_counter() - t0
-    rows, per_step = _simulate(engine, channels, steps, dump_every, timeout, report)
-    for ch in channels:
-        ch.duplex.close()
-    return rows, per_step, report.timing()
+        for nb in sub.neighbors()
+    ]
 
 
 def _check_steps(steps: int) -> None:
@@ -278,24 +245,35 @@ def _check_timeout(timeout: float) -> None:
         raise ScenarioError(f"timeout must be a positive finite number of seconds, not {timeout}")
 
 
-def run_tcp_worker(
-    sub: Subnetwork,
-    roster: dict[int, tuple[str, int]],
-    listener,
-    decoders,
-    steps: int,
-    dump_every: int | None,
-    timeout: float,
-) -> tuple[list[Row], dict, dict]:
-    """Run one worker of a TCP run: connect to its neighbors through
-    `listener`, whose address the roster gives, close it, and simulate."""
+def connect_tcp_worker(
+    sub: Subnetwork, roster: dict[int, tuple[str, int]], listener, steps: int, timeout: float
+) -> dict[int, SocketDuplex]:
+    """Check one TCP worker's settings, connect it to its neighbors through
+    `listener`, whose address the roster gives, and close the listener;
+    returns one duplex per neighbor, for `run_worker`."""
     with listener:
         _check_steps(steps)
         _check_timeout(timeout)
-        duplexes = tcp_connect_channels(
-            sub.index, list(sub.neighbors()), roster, listener, timeout
-        )
-    return _worker_body(sub, duplexes, decoders, steps, dump_every, timeout)
+        return tcp_connect_channels(sub.index, list(sub.neighbors()), roster, listener, timeout)
+
+
+@collector_paused()
+def run_worker(
+    sub: Subnetwork, duplexes: dict[int, object], steps: int, dump_every: int | None, timeout: float
+) -> tuple[list[Row], dict, dict]:
+    """Run one worker from its fragment and one connected duplex per
+    neighbor: build the engine, derive the maps, handshake, simulate and
+    close the duplexes.  Returns its dump rows, per-step totals and timing."""
+    report = WorkerReport(index=sub.index, setup_s=0.0, compute_s=0.0)
+    t0 = time.perf_counter()
+    engine = Engine(sub.fragment)
+    channels = _worker_channels(sub, duplexes)
+    establish(channels, timeout)
+    report.setup_s = time.perf_counter() - t0
+    rows, per_step = _simulate(engine, channels, steps, dump_every, timeout, report)
+    for ch in channels:
+        ch.duplex.close()
+    return rows, per_step, report.timing()
 
 
 def _read_result(conn) -> tuple:
@@ -314,7 +292,6 @@ def run_distributed(
     n: int | None = None,
     *,
     subs: list[Subnetwork] | None = None,
-    decoders: dict[int, dict[int, tuple[DecoderMap | None, DecoderMap | None]]] | None = None,
     transport: str = "local",
     seed: int = 0,
     steps: int | None = None,
@@ -337,7 +314,7 @@ def run_distributed(
         steps = subs[0].fragment.sim.steps
     _check_steps(steps)
 
-    _check_ownership(subs)
+    _check_fragments(subs)
     metagraph = build_metagraph(subs)
 
     ctx = multiprocessing.get_context("fork")
@@ -368,16 +345,12 @@ def run_distributed(
         for handle in inherited:
             if handle not in own:
                 handle.close()
-        own_decoders = decoders.get(sub.index) if decoders else None
         try:
             if socks is not None:
                 duplexes = {nb: SocketDuplex(sock) for nb, sock in socks.items()}
-                outcome = _worker_body(sub, duplexes, own_decoders, steps, dump_every, timeout)
             else:
-                outcome = run_tcp_worker(
-                    sub, roster, listener, own_decoders, steps, dump_every, timeout
-                )
-            result_conn.send(("ok", *outcome))
+                duplexes = connect_tcp_worker(sub, roster, listener, steps, timeout)
+            result_conn.send(("ok", *run_worker(sub, duplexes, steps, dump_every, timeout)))
         except CtmError as e:
             result_conn.send(("error", e))
         except Exception:
@@ -453,9 +426,13 @@ def run_distributed(
     return RunResult(rows=rows, metrics=metrics, timing=timing)
 
 
-def _check_ownership(subs: list[Subnetwork]) -> None:
-    """Every link must have exactly one authoritative (relative-sink-side)
-    owner across the fragments; overlapping fragments are bad input."""
+def _check_fragments(subs: list[Subnetwork]) -> None:
+    """The fragments must make one partition, whoever built them.  Every link
+    has one authoritative (relative-sink-side) owner.  The fragments are
+    indexed 0..n-1 in order.  Each overlap link's far fragment is in the set
+    and shares the link back, as a relative sink on exactly one side.  All
+    share simulation settings and vehicle types.  Beyond the ownership
+    pass, it costs O(overlap links + fragments x vehicle types)."""
     owners: dict[int, int] = {}
     for sub in subs:
         for lid in list(sub.interior_links) + list(sub.relative_sinks):
@@ -464,6 +441,45 @@ def _check_ownership(subs: list[Subnetwork]) -> None:
                     f"link {lid} claimed by subnetworks {owners[lid]} and {sub.index}"
                 )
             owners[lid] = sub.index
+    n = len(subs)
+    for position, sub in enumerate(subs):
+        if sub.index != position:
+            raise ScenarioError(
+                f"fragment {position} of {n} has index {sub.index}; fragments must be "
+                f"indexed 0..{n - 1} in order"
+            )
+    shared = [dict(sub.neighbor_of_link) for sub in subs]
+    sinks = [set(sub.relative_sinks) for sub in subs]
+    for i, links in enumerate(shared):
+        for lid, nb in links.items():
+            if nb >= n:
+                raise ScenarioError(
+                    f"fragment {i} shares link {lid} with fragment {nb}, which is not "
+                    f"among the {n} fragments"
+                )
+            if shared[nb].get(lid) != i:
+                raise ScenarioError(
+                    f"fragment {i} shares link {lid} with fragment {nb}, which does not "
+                    f"share it back"
+                )
+            if lid not in sinks[i] and lid not in sinks[nb]:
+                raise ScenarioError(
+                    f"link {lid} is a relative source of both fragments {i} and {nb}"
+                )
+    first = subs[0].fragment
+    for sub in subs[1:]:
+        frag = sub.fragment
+        for name, theirs in vars(first.sim).items():
+            mine = getattr(frag.sim, name)
+            if mine != theirs:
+                raise ScenarioError(
+                    f"fragment {sub.index}: simulation.{name} is {mine}, fragment 0's is {theirs}"
+                )
+        for vt in sorted(frag.vehicle_types.keys() | first.vehicle_types.keys()):
+            if frag.vehicle_types.get(vt) != first.vehicle_types.get(vt):
+                raise ScenarioError(
+                    f"fragment {sub.index}: vehicle type {vt} differs from fragment 0's"
+                )
 
 
 def merge_states(row_lists: list[list[Row]]) -> list[Row]:

@@ -779,11 +779,14 @@ def validate(s: Scenario) -> None:
             if nid not in s.nodes:
                 raise ScenarioError(f"subnetwork owns missing node {nid}")
         owned = set(meta.owned_nodes)
-        for role, lids, ends, rule in (
-            ("interior", meta.interior_links, (True, True), "both ends"),
-            ("relative source", meta.relative_sources, (False, True), "only its end node"),
-            ("relative sink", meta.relative_sinks, (True, False), "only its start node"),
-        ):
+        # (start node owned, end node owned) -> (role, rule, listed links)
+        roles = {
+            (True, True): ("interior", "both ends", meta.interior_links),
+            (False, True): ("relative source", "only its end node", meta.relative_sources),
+            (True, False): ("relative sink", "only its start node", meta.relative_sinks),
+        }
+        listed: set[int] = set()
+        for ends, (role, rule, lids) in roles.items():
             for lid in lids:
                 if lid not in s.links:
                     raise ScenarioError(f"subnetwork references missing link {lid}")
@@ -793,6 +796,18 @@ def validate(s: Scenario) -> None:
                         f"subnetwork {meta.index}: {role} link {lid} must have {rule} "
                         f"owned (it runs from node {link.start_node} to node {link.end_node})"
                     )
+                if lid in listed:
+                    raise ScenarioError(f"subnetwork {meta.index}: {role} link {lid} listed twice")
+                listed.add(lid)
+        # and each link with an owned end is listed under its role
+        for lid, link in s.links.items():
+            ends = (link.start_node in owned, link.end_node in owned)
+            if ends in roles and lid not in listed:
+                role, rule, _lids = roles[ends]
+                raise ScenarioError(
+                    f"subnetwork {meta.index}: link {lid} has {rule} owned, but is not "
+                    f"listed as a {role} link"
+                )
         neighbors = dict(meta.neighbor_of_link)
         if not (
             neighbors.keys() == set(meta.relative_sources + meta.relative_sinks)

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from ctmdist.comm import decode, encode
 from ctmdist.gridgen import generate_grid
 from ctmdist.scenario import DemandRow, SplitRow, VehicleType, parse_scenario, validate
 
@@ -265,31 +264,3 @@ def load_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
     return workloads
-
-
-def lockstep(engines, tables, steps, on_records=None, on_messages=None):
-    """Step fragment engines in lockstep in one process, as a distributed
-    run does.  `engines` maps each worker to its engine, and `tables` maps
-    each (worker, neighbor) channel to its (send, receive)
-    `DecoderMap.positions`.
-
-    Each step runs phase A on every engine.  It passes each channel's
-    boundary records (`Engine.boundary_records`) through `encode` with the
-    send table, and through the neighbor's `decode` with its receive table.
-    Then it runs phase B, each worker taking its neighbors' records in
-    ascending neighbor order.  `on_records(step, records)` sees {channel:
-    records} before they are encoded, and when it returns true the run stops
-    there.  `on_messages(step, messages)` sees {channel: encoded values}."""
-    for step in range(steps):
-        plans = {i: engine.phase_a(step) for i, engine in engines.items()}
-        records = {(i, nb): engines[i].boundary_records(plans[i], nb) for i, nb in tables}
-        if on_records is not None and on_records(step, records):
-            return
-        messages = {key: encode(tables[key][0], records[key]) for key in tables}
-        if on_messages is not None:
-            on_messages(step, messages)
-        received = {i: [] for i in engines}
-        for i, nb in sorted(tables):
-            received[i].extend(decode(tables[i, nb][1], messages[nb, i]))
-        for i, engine in engines.items():
-            engine.phase_b(plans[i], received[i])

@@ -1,10 +1,12 @@
 """Program code that only tests call, kept out of the package: partition
-subset sizes, the union of a partition's fragments, and the time of
-distribution set-up."""
+subset sizes, the union of a partition's fragments, the time of
+distribution set-up, and fragment engines stepped in lockstep in one
+process."""
 
 import time
 
 from ctmdist import runner
+from ctmdist.comm import decode, encode
 from ctmdist.partition import NodePartition, Subnetwork
 from ctmdist.scenario import Scenario, collector_paused, validate
 
@@ -77,3 +79,31 @@ def setup_timing(scenario: Scenario, n: int, seed: int = 0) -> float:
             runner.build_decoder_map(sub, nb)
             runner.build_receive_map(sub, nb)
     return time.perf_counter() - t0
+
+
+def lockstep(engines, tables, steps, on_records=None, on_messages=None):
+    """Step fragment engines in lockstep in one process, as a distributed
+    run does.  `engines` maps each worker to its engine, and `tables` maps
+    each (worker, neighbor) channel to its (send, receive)
+    `DecoderMap.positions`.
+
+    Each step runs phase A on every engine.  It passes each channel's
+    boundary records (`Engine.boundary_records`) through `encode` with the
+    send table, and through the neighbor's `decode` with its receive table.
+    Then it runs phase B, each worker taking its neighbors' records in
+    ascending neighbor order.  `on_records(step, records)` sees {channel:
+    records} before they are encoded, and when it returns true the run stops
+    there.  `on_messages(step, messages)` sees {channel: encoded values}."""
+    for step in range(steps):
+        plans = {i: engine.phase_a(step) for i, engine in engines.items()}
+        records = {(i, nb): engines[i].boundary_records(plans[i], nb) for i, nb in tables}
+        if on_records is not None and on_records(step, records):
+            return
+        messages = {key: encode(tables[key][0], records[key]) for key in tables}
+        if on_messages is not None:
+            on_messages(step, messages)
+        received = {i: [] for i in engines}
+        for i, nb in sorted(tables):
+            received[i].extend(decode(tables[i, nb][1], messages[nb, i]))
+        for i, engine in engines.items():
+            engine.phase_b(plans[i], received[i])

@@ -30,8 +30,8 @@ from ctmdist.runner import (
 )
 from ctmdist.scenario import TERMINAL, parse_scenario, serialize_scenario
 
-from conftest import chain_doc, lanes_grid, lockstep, merge_diverge_doc
-from support import reconstruct_scenario, setup_timing, subset_sizes
+from conftest import chain_doc, lanes_grid, merge_diverge_doc
+from support import lockstep, reconstruct_scenario, setup_timing, subset_sizes
 from test_partition import random_scenario
 
 BITWISE_STEPS = 200

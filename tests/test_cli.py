@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -335,6 +336,52 @@ class TestRunCmd:
         assert json.loads(metrics.read_text())["steps"] == 7
 
 
+class TestConfigSuppliesRequiredFlags:
+    """A config value satisfies a required flag; explicit flags still win,
+    and a flag given by neither exits 2 with argparse's message."""
+
+    @staticmethod
+    def config(tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return ["--config", str(path)]
+
+    def test_gen_grid(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        config = self.config(tmp_path, {"rows": 2, "cols": 2, "out": str(a)})
+        assert main(config + ["gen-grid", "--cols", "3"]) == 0
+        assert main(["gen-grid", "--rows", "2", "--cols", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_partition(self, fixture_file, tmp_path):
+        out = tmp_path / "parts"
+        doc = {"scenario": fixture_file, "n": 2, "out-dir": str(out)}
+        assert main(self.config(tmp_path, doc) + ["partition"]) == 0
+        assert sorted(p.name for p in out.glob("fragment_*.json")) == [
+            "fragment_0.json",
+            "fragment_1.json",
+        ]
+
+    def test_bench(self, fixture_file, tmp_path):
+        out = tmp_path / "bench.json"
+        config = self.config(tmp_path, {"scenario": fixture_file})
+        assert main(config + ["bench", "--n-list", "1", "--steps", "2", "--out", str(out)]) == 0
+        assert [row["n"] for row in json.loads(out.read_text())["rows"]] == [1]
+
+    def test_diff(self, tmp_path, capsys):
+        dump = tmp_path / "d.csv"
+        runner.write_dump([], str(dump))
+        assert main(self.config(tmp_path, {"a": str(dump), "b": str(dump)}) + ["diff"]) == 0
+        assert capsys.readouterr().out == "equal\n"
+
+    def test_flag_given_by_neither_exits_2(self, tmp_path, capsys):
+        config = self.config(tmp_path, {"rows": 2})
+        with pytest.raises(SystemExit) as exit_info:
+            main(config + ["gen-grid", "--cols", "2"])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
 def _cli_child(argv):
     import sys
 
@@ -592,6 +639,62 @@ class TestMalformedRunInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "fragment_0.json" in err and "link 16" in err
+
+    @pytest.mark.parametrize(
+        "role, name",
+        [
+            ("interior_links", "interior"),
+            ("relative_sources", "relative source"),
+            ("relative_sinks", "relative sink"),
+        ],
+    )
+    def test_link_left_out_of_its_role_list(self, parts, capsys, role, name):
+        victim = parts / "fragment_0.json"
+        doc = json.loads(victim.read_text())
+        lid = doc["subnetwork"][role].pop(0)
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"fragment_0.json: subnetwork 0: link {lid} has " in err
+        assert f"but is not listed as a {name} link" in err
+
+    def test_link_listed_twice(self, parts, capsys):
+        victim = parts / "fragment_0.json"
+        doc = json.loads(victim.read_text())
+        sources = doc["subnetwork"]["relative_sources"]
+        sources.append(sources[0])
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"subnetwork 0: relative source link {sources[0]} listed twice" in err
+
+    @pytest.mark.parametrize("mode", ["local", "tcp"])
+    def test_fragment_file_after_a_gap(self, grid_file, tmp_path, capsys, mode):
+        out = tmp_path / "parts4"
+        assert main(["partition", "--scenario", grid_file, "--n", "4", "--out-dir", str(out)]) == 0
+        (out / "fragment_2.json").rename(tmp_path / "fragment_2.json")
+        argv = ["run", "--fragments-dir", str(out), "--mode", mode, "--steps", "5"]
+        t0 = time.monotonic()
+        assert main(argv + ["--timeout", "5"]) == 2
+        assert time.monotonic() - t0 < 5.0  # no worker waited for a neighbor
+        err = capsys.readouterr().err
+        assert f"fragment {out / 'fragment_3.json'} follows a gap" in err
+        assert f"{out / 'fragment_2.json'} is missing" in err
+
+    def test_fragments_with_different_settings(self, tmp_path, capsys):
+        grid = tmp_path / "grid5.json"
+        argv = ["gen-grid", "--rows", "3", "--cols", "3", "--steps", "5", "--out", str(grid)]
+        assert main(argv) == 0
+        out = tmp_path / "parts"
+        assert main(["partition", "--scenario", str(grid), "--n", "2", "--out-dir", str(out)]) == 0
+        victim = out / "fragment_1.json"
+        doc = json.loads(victim.read_text())
+        doc["simulation"].update(steps=7, lane_change_rate=0.25)
+        victim.write_text(json.dumps(doc))
+        assert main(["run", "--fragments-dir", str(out), "--mode", "local"]) == 2
+        assert "fragment 1: simulation.steps is 7, fragment 0's is 5" in capsys.readouterr().err
 
     def test_overlapping_fragments(self, tmp_path, capsys):
         # fragment 1 is fragment 0 again under index 1, so both own link 0

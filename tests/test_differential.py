@@ -25,6 +25,7 @@ import zlib
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ctmdist import engine
+from ctmdist.comm import check_decoder_maps
 from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
     DecoderMap,
@@ -72,7 +73,7 @@ def add_demand_changes(s, rng, start_time):
 def read_back_files(subs):
     """The fragments `subs` and their decoder maps, each parsed from the
     text of its file: (subnetworks, decoders by worker and neighbor, as
-    `run_distributed` takes them)."""
+    `check_decoder_maps` takes them)."""
     texts = {  # (sender, receiver) -> its decoder file's text
         (sub.index, nb): json.dumps(build_decoder_map(sub, nb).to_doc())
         for sub in subs
@@ -182,7 +183,9 @@ def test_distributed_equals_sequential_on_generated_scenarios(monkeypatch):
             local = dict(scenario=scenario, n=n, seed=seed)
         else:
             read_subs, decoders = read_back_files(subs)
-            local = dict(subs=read_subs, decoders=decoders)
+            for sub in read_subs:
+                check_decoder_maps(sub, decoders[sub.index])
+            local = dict(subs=read_subs)
             seen.add("fragment files")
         for kwargs in (local, dict(scenario=scenario, n=n, seed=seed, transport="tcp")):
             dist = run_distributed(**kwargs, steps=steps, dump_every=dump_every)

@@ -24,8 +24,8 @@ from ctmdist.partition import (
 )
 from ctmdist.scenario import Scenario, parse_scenario, serialize_scenario, validate
 
-from conftest import lanes_grid, link, load_workloads, lockstep, merge_diverge_doc
-from support import reconstruct_scenario, subset_sizes
+from conftest import lanes_grid, link, load_workloads, merge_diverge_doc
+from support import lockstep, reconstruct_scenario, subset_sizes
 from test_golden import GOLDEN, _scenario
 
 

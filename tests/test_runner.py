@@ -2,6 +2,7 @@
 dump plumbing, and the benchmark report."""
 
 import contextlib
+import dataclasses
 import gc
 import json
 import multiprocessing
@@ -15,13 +16,14 @@ import time
 import pytest
 
 from ctmdist import runner
-from ctmdist.comm import HEADER, SocketDuplex, establish, tcp_listener
+from ctmdist.comm import HEADER, SocketDuplex, check_decoder_maps, establish, tcp_listener
 from ctmdist.engine import Engine
 from ctmdist.errors import CtmError, InternalAssertion, ProtocolError, ScenarioError
 from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
     DecoderMap,
     NodePartition,
+    Subnetwork,
     build_decoder_map,
     build_receive_map,
     build_subnetworks,
@@ -44,11 +46,10 @@ from conftest import (
     chain_doc,
     lanes_grid,
     load_workloads,
-    lockstep,
     merge_diverge_doc,
     run_bounded,
 )
-from support import setup_timing
+from support import lockstep, setup_timing
 
 
 class TestSequential:
@@ -317,8 +318,8 @@ class TestOrderedExchange:
 
 class TestDecoderFileCheck:
     """Supplied decoder maps are compared with the maps each worker derives
-    from its own fragment, before the first step.  Owning nodes 0-4 of the
-    merge fixture, worker 0 delivers into link 4 (lane groups 0 and 1;
+    from its own fragment, before any worker starts.  Owning nodes 0-4 of
+    the merge fixture, worker 0 delivers into link 4 (lane groups 0 and 1;
     commodities (0, 5), (1, 5) and (1, 6)) through connections 2 and 3; link
     5 is carried there only as the stub end of connection 4.  Both workers
     are given the one corrupted 0->1 map, as both read one decoder file."""
@@ -342,11 +343,7 @@ class TestDecoderFileCheck:
             "next-link-99",
         ],
     )
-    def test_corrupt_map_rejected_before_first_step(self, monkeypatch, merge_diverge, pos, bad):
-        def phase_a(engine, step):
-            raise InternalAssertion("phase A ran")
-
-        monkeypatch.setattr(Engine, "phase_a", phase_a)
+    def test_corrupt_map_rejected_before_first_step(self, merge_diverge, pos, bad):
         cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
         subs = build_subnetworks(merge_diverge, cut)
         good = build_decoder_map(subs[0], 1)
@@ -356,8 +353,77 @@ class TestDecoderFileCheck:
         back = build_decoder_map(subs[1], 0)
         decoders = {0: {1: (corrupt, back)}, 1: {0: (back, corrupt)}}
         detail = re.escape(f"slot {pos}: {bad} != {good.slots[pos]}")
-        with pytest.raises(ProtocolError, match=rf"decoder map 0->1 differs .*: {detail}"):
-            run_distributed(subs=subs, decoders=decoders, steps=5, timeout=30)
+        for sub in subs:
+            with pytest.raises(ProtocolError, match=rf"decoder map 0->1 differs .*: {detail}"):
+                check_decoder_maps(sub, decoders[sub.index])
+
+
+class TestFragmentSetCheck:
+    """Fragments handed to a run must make one partition; any other set is
+    a scenario error raised before a worker starts or a socket connects."""
+
+    @pytest.fixture
+    def grid_subs(self):
+        # fragment 0 shares link 0 with fragment 3, fragment 1 link 4 with 2
+        s = generate_grid(3, 3, steps=5)
+        return build_subnetworks(s, partition_nodes(s, 4, 0))
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_missing_neighbor(self, grid_subs, transport):
+        t0 = time.monotonic()
+        with pytest.raises(
+            ScenarioError, match=r"fragment 0 shares link 0 with fragment 3, which is not among"
+        ):
+            run_distributed(subs=grid_subs[:2], transport=transport, steps=2, timeout=5.0)
+        assert time.monotonic() - t0 < 5.0
+
+    def test_indices_out_of_order(self, grid_subs):
+        subs = [grid_subs[0], grid_subs[1], grid_subs[3]]
+        with pytest.raises(ScenarioError, match=r"fragment 2 of 3 has index 3"):
+            run_distributed(subs=subs, steps=2, timeout=5.0)
+
+    @staticmethod
+    def cut_at(scenario, first):
+        """The merge fixture's fragments, nodes from `first` on in fragment 1."""
+        return build_subnetworks(
+            scenario, NodePartition(2, {nid: int(nid >= first) for nid in scenario.nodes})
+        )
+
+    def test_link_not_shared_back(self, merge_diverge):
+        # fragment 0 of the cut at node 5 shares link 4; fragment 1 of the
+        # cut at node 6 shares links 5 and 6 instead
+        subs = [self.cut_at(merge_diverge, 5)[0], self.cut_at(merge_diverge, 6)[1]]
+        with pytest.raises(
+            ScenarioError, match=r"fragment 0 shares link 4 with fragment 1, which does not share"
+        ):
+            run_distributed(subs=subs, steps=2, timeout=5.0)
+
+    def test_link_without_authoritative_side(self, merge_diverge):
+        subs = self.cut_at(merge_diverge, 5)
+        meta = dataclasses.replace(
+            subs[0].fragment.subnetwork, relative_sinks=(), relative_sources=(4,)
+        )
+        subs[0] = Subnetwork(dataclasses.replace(subs[0].fragment, subnetwork=meta))
+        with pytest.raises(ScenarioError, match=r"link 4 is a relative source of both fragments"):
+            run_distributed(subs=subs, steps=2, timeout=5.0)
+
+    def test_settings_differ(self, grid_subs):
+        frag = grid_subs[2].fragment
+        grid_subs[2] = Subnetwork(
+            dataclasses.replace(frag, sim=dataclasses.replace(frag.sim, lane_change_rate=0.25))
+        )
+        with pytest.raises(
+            ScenarioError, match=r"fragment 2: simulation.lane_change_rate is 0.25, fragment 0's"
+        ):
+            run_distributed(subs=grid_subs, steps=2, timeout=5.0)
+
+    def test_vehicle_types_differ(self, grid_subs):
+        frag = grid_subs[1].fragment
+        types = dict(frag.vehicle_types)
+        types[0] = dataclasses.replace(types[0], routing="deterministic", path=(0,))
+        grid_subs[1] = Subnetwork(dataclasses.replace(frag, vehicle_types=types))
+        with pytest.raises(ScenarioError, match=r"fragment 1: vehicle type 0 differs"):
+            run_distributed(subs=grid_subs, steps=2, timeout=5.0)
 
 
 class TestConservationCheck:
@@ -413,7 +479,7 @@ def _set_up_stage(stage: str):
     assert stage == "handshake"
     ends = socket.socketpair()
     channels = [
-        _worker_channels(sub, {1 - sub.index: SocketDuplex(end)}, None)
+        _worker_channels(sub, {1 - sub.index: SocketDuplex(end)})
         for sub, end in zip(subs, ends)
     ]
     peer = threading.Thread(target=establish, args=(channels[1], 10.0))
@@ -566,6 +632,7 @@ class TestTimeoutCheck:
 
     @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("inf"), float("nan")])
     def test_run_tcp_worker(self, timeout):
+        # the connect step of a TCP worker, forked or joined
         s = generate_grid(2, 2)
         sub = build_subnetworks(s, partition_nodes(s, 2, 0))[0]
         listener = tcp_listener()
@@ -573,7 +640,7 @@ class TestTimeoutCheck:
         # bounded: without the check, an infinite or NaN timeout waits for
         # the neighbour forever
         (error,) = run_bounded(
-            [lambda: runner.run_tcp_worker(sub, roster, listener, None, 2, None, timeout)], 10.0
+            [lambda: runner.connect_tcp_worker(sub, roster, listener, 2, timeout)], 10.0
         )
         assert isinstance(error, ScenarioError)
         assert "timeout must be a positive finite" in str(error)
