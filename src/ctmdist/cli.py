@@ -1,7 +1,8 @@
 """Command-line entry points: gen-grid, partition, run, bench, diff.
 
-`--config FILE` supplies flag defaults from a JSON object keyed by flag
-name (dashes or underscores); explicit flags win, and a value the config
+`--config FILE` supplies flag defaults from a JSON object keyed by a flag's
+long name without its dashes (`import` for `--import`; dashes or
+underscores inside the name); explicit flags win, and a value the config
 supplies satisfies a required flag.  Each value goes through its flag's
 conversion, so one the flag would reject exits 2; keys that name no flag of
 the command are ignored.  `OTMD_LOG` sets the log level.  Exit codes: 0
@@ -137,8 +138,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             raise ScenarioError("config file must hold a JSON object")
         defaults = {key.replace("-", "_"): value for key, value in overrides.items()}
         for action in commands.choices[probe.command]._actions:
-            if action.option_strings and action.dest in defaults:
-                action.default = _config_value(action, defaults[action.dest])
+            name = action.option_strings[-1][2:].replace("-", "_")  # every flag has a long name
+            if name in defaults:
+                action.default = _config_value(action, defaults[name])
                 action.required = False
     return parser.parse_args(argv)
 

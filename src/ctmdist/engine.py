@@ -106,8 +106,9 @@ once:
   node applies removals in phase A and received deliveries in phase B; the
   side owning the start node applies received removals in phase B, before
   its deferred one-cell deliveries.  No record reaches the wrong side:
-  `partition._message_map` gives a receiver delivery slots only on its
-  relative sources and removal slots only on its relative sinks.
+  `partition._message_map` reads roles from `owned_nodes` as the engine
+  does, and gives a receiver delivery slots only on links whose end node it
+  owns and removal slots only on links whose start node it owns.
 - Cell totals live on the link (`LinkRuntime.totals`).  Phase B's pass
   folds each cell's total after its last update of the step, for every
   link it settles; a link that goes inactive keeps its zeros.  Phase A
@@ -261,7 +262,7 @@ class Engine:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
 
         self._in_link_of = {cid: c.in_link for cid, c in scenario.connections.items()}
-        neighbor_of = {} if sub is None else dict(sub.neighbor_of_link)
+        neighbor_of = {} if sub is None else sub.neighbor_of_link
 
         self.links: dict[int, LinkRuntime] = {}
         for lid in sorted(scenario.links):

@@ -7,7 +7,9 @@ endpoints fall in different subsets is an overlap link: a relative sink for
 the subnetwork holding its start node (flow leaves there) and a relative
 source for the one holding its end node.  Overlap links are replicated on
 both sides and kept in lockstep by the per-step exchange; the relative-sink
-side is the authoritative copy for merged output.
+side is the authoritative copy for merged output.  Every reader takes a
+link's role from the fragment's `owned_nodes`; the role lists are file data
+that `validate()` ties to them.
 
 The decoder map fixes, once per run, the layout of the boundary message for
 an ordered (sender, receiver) pair: one float slot per (road connection,
@@ -60,7 +62,7 @@ class Subnetwork:
     interior_links = _meta_field("interior_links")
     relative_sources = _meta_field("relative_sources")
     relative_sinks = _meta_field("relative_sinks")
-    # (overlap link, index of the subnetwork owning its far endpoint), by link
+    # overlap link -> index of the subnetwork owning its far endpoint
     neighbor_of_link = _meta_field("neighbor_of_link")
 
     def __post_init__(self):
@@ -68,10 +70,10 @@ class Subnetwork:
             raise ScenarioError("scenario file carries no subnetwork metadata")
 
     def neighbors(self) -> tuple[int, ...]:
-        return tuple(sorted({nb for _lid, nb in self.neighbor_of_link}))
+        return tuple(sorted(set(self.neighbor_of_link.values())))
 
     def links_with(self, neighbor: int) -> tuple[int, ...]:
-        return tuple(lid for lid, nb in self.neighbor_of_link if nb == neighbor)
+        return tuple(lid for lid, nb in self.neighbor_of_link.items() if nb == neighbor)
 
 
 @dataclass
@@ -298,16 +300,12 @@ def parse_partition(text: str, scenario: Scenario) -> NodePartition:
             if node not in assignment:
                 raise ScenarioError(f"partition is missing node {node}")
 
-    n = max(assignment.values()) + 1
-    for node, subset in assignment.items():
-        if subset < 0:
-            raise ScenarioError(f"node {node} has subset index {subset} outside 0..{n - 1}")
     # the distinct indices, ascending: the first that is not its own rank
     # names an empty subset
     for i, subset in enumerate(sorted(set(assignment.values()))):
         if subset != i:
             raise ScenarioError(f"subset {i} is empty")
-    return NodePartition(n, assignment)
+    return NodePartition(max(assignment.values()) + 1, assignment)
 
 
 def load_partition(path: str, scenario: Scenario) -> NodePartition:
@@ -353,7 +351,7 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
         owned_set = set(owned)
         sim_links = []
         interior, rel_sources, rel_sinks = [], [], []
-        neighbor_of_link: list[tuple[int, int]] = []
+        neighbor_of_link: dict[int, int] = {}
         for lid in sorted(scenario.links):
             link = scenario.links[lid]
             s_in = link.start_node in owned_set
@@ -365,10 +363,10 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
                 interior.append(lid)
             elif s_in:
                 rel_sinks.append(lid)
-                neighbor_of_link.append((lid, assign[link.end_node]))
+                neighbor_of_link[lid] = assign[link.end_node]
             else:
                 rel_sources.append(lid)
-                neighbor_of_link.append((lid, assign[link.start_node]))
+                neighbor_of_link[lid] = assign[link.start_node]
 
         sim_set = set(sim_links)
         conn_ids = sorted(
@@ -393,7 +391,7 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             interior_links=tuple(interior),
             relative_sources=tuple(rel_sources),
             relative_sinks=tuple(rel_sinks),
-            neighbor_of_link=tuple(neighbor_of_link),
+            neighbor_of_link=neighbor_of_link,
         )
         fragment = Scenario(
             nodes={nid: scenario.nodes[nid] for nid in sorted(frag_node_ids)},
@@ -404,7 +402,6 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             demands=[r for r in scenario.demands if r.link in sim_set],
             sim=scenario.sim,
             subnetwork=meta,
-            out_conns={lid: scenario.out_conns[lid] for lid in sim_links},
             in_conns={lid: scenario.in_conns[lid] for lid in sim_links},
             lane_groups={lid: scenario.lane_groups[lid] for lid in sim_links},
             commodities={lid: scenario.commodities[lid] for lid in sim_links},
@@ -428,7 +425,7 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
 def build_metagraph(subs: list[Subnetwork]) -> Metagraph:
     edges: dict[tuple[int, int], set[int]] = {}
     for sub in subs:
-        for lid, nb in sub.neighbor_of_link:
+        for lid, nb in sub.neighbor_of_link.items():
             key = (min(sub.index, nb), max(sub.index, nb))
             edges.setdefault(key, set()).add(lid)
     return Metagraph(
@@ -473,13 +470,14 @@ def _message_map(sub: Subnetwork, sender: int, receiver: int) -> DecoderMap:
     """Layout of the message `sender` sends to `receiver`, derived from
     `sub`'s own fragment, `sub` being either of the two.  A link's slots are
     delivery slots when the sender owns its start node, removal slots
-    otherwise.  The keys name positions in `sub`'s engine."""
+    otherwise, as the engine reads its roles from `owned_nodes`.  The keys
+    name positions in `sub`'s engine."""
     sub_sends = sub.index == sender
-    starts_here = set(sub.relative_sinks)
+    owned = set(sub.owned_nodes)
     pairs: list[tuple[Slot, SlotEntry]] = []
     for lid in sub.links_with(receiver if sub_sends else sender):
-        slots_of = delivery_slots if (lid in starts_here) == sub_sends else removal_slots
-        pairs.extend(slots_of(sub.fragment, lid))
+        sender_starts = (sub.fragment.links[lid].start_node in owned) == sub_sends
+        pairs.extend((delivery_slots if sender_starts else removal_slots)(sub.fragment, lid))
     pairs.sort(key=itemgetter(0))  # by slot; slots are distinct
     slots, keys = zip(*pairs) if pairs else ((), ())
     positions = dict(zip(keys, range(len(keys))))

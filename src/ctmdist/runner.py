@@ -16,7 +16,9 @@ forked or joined TCP worker on the duplexes `connect_tcp_worker` returns.
 A forked worker is a function that `run_distributed` defines for the run:
 it closes over the run's sockets, listeners, roster and settings, and is
 handed only its fragment and its result pipe.  Fragments supplied by the
-caller must make one partition (`_check_fragments`).
+caller must make one partition (`_check_fragments`): as everywhere else, a
+link's role follows from which fragment owns its end nodes, so the check
+reads `owned_nodes`, never the role lists.
 
 Set-up and the loop run with the cyclic garbage collector paused
 (`scenario.collector_paused`, which puts back the state it found): parsing
@@ -309,6 +311,8 @@ def run_distributed(
             raise ScenarioError("run_distributed needs a scenario and n, or fragments")
         partition = partition_nodes(scenario, n, seed)
         subs = build_subnetworks(scenario, partition)
+    if not subs:
+        raise ScenarioError("run_distributed needs at least one fragment")
     n = len(subs)
     if steps is None:
         steps = subs[0].fragment.sim.steps
@@ -427,20 +431,20 @@ def run_distributed(
 
 
 def _check_fragments(subs: list[Subnetwork]) -> None:
-    """The fragments must make one partition, whoever built them.  Every link
-    has one authoritative (relative-sink-side) owner.  The fragments are
-    indexed 0..n-1 in order.  Each overlap link's far fragment is in the set
-    and shares the link back, as a relative sink on exactly one side.  All
-    share simulation settings and vehicle types.  Beyond the ownership
-    pass, it costs O(overlap links + fragments x vehicle types)."""
+    """The fragments must make one partition, whoever built them.  No node
+    is owned by two fragments, so every link has at most one start-node
+    (authoritative) side.  The fragments are indexed 0..n-1 in order.  Each
+    overlap link's far fragment is in the set and shares the link back.  All
+    share simulation settings and vehicle types.  It costs O(owned nodes +
+    overlap links + fragments x vehicle types)."""
     owners: dict[int, int] = {}
     for sub in subs:
-        for lid in list(sub.interior_links) + list(sub.relative_sinks):
-            if lid in owners:
+        for nid in sub.owned_nodes:
+            if nid in owners:
                 raise ScenarioError(
-                    f"link {lid} claimed by subnetworks {owners[lid]} and {sub.index}"
+                    f"node {nid} is owned by fragments {owners[nid]} and {sub.index}"
                 )
-            owners[lid] = sub.index
+            owners[nid] = sub.index
     n = len(subs)
     for position, sub in enumerate(subs):
         if sub.index != position:
@@ -448,8 +452,7 @@ def _check_fragments(subs: list[Subnetwork]) -> None:
                 f"fragment {position} of {n} has index {sub.index}; fragments must be "
                 f"indexed 0..{n - 1} in order"
             )
-    shared = [dict(sub.neighbor_of_link) for sub in subs]
-    sinks = [set(sub.relative_sinks) for sub in subs]
+    shared = [sub.neighbor_of_link for sub in subs]
     for i, links in enumerate(shared):
         for lid, nb in links.items():
             if nb >= n:
@@ -461,10 +464,6 @@ def _check_fragments(subs: list[Subnetwork]) -> None:
                 raise ScenarioError(
                     f"fragment {i} shares link {lid} with fragment {nb}, which does not "
                     f"share it back"
-                )
-            if lid not in sinks[i] and lid not in sinks[nb]:
-                raise ScenarioError(
-                    f"link {lid} is a relative source of both fragments {i} and {nb}"
                 )
     first = subs[0].fragment
     for sub in subs[1:]:
@@ -526,9 +525,12 @@ def parse_dump(text: str) -> list[Row]:
         if len(parts) != 7:
             raise ScenarioError(f"dump line {lineno}: expected 7 fields")
         try:
-            rows.append((*map(int, parts[:6]), float(parts[6])))
+            row = (*map(int, parts[:6]), float(parts[6]))
         except ValueError as e:
             raise ScenarioError(f"dump line {lineno}: {e}") from None
+        if not math.isfinite(row[6]):
+            raise ScenarioError(f"dump line {lineno}: vehicles must be finite, got {parts[6]!r}")
+        rows.append(row)
     return rows
 
 

@@ -134,8 +134,9 @@ class SubnetworkMeta:
     interior_links: tuple[int, ...]
     relative_sources: tuple[int, ...]  # overlap links entering this fragment
     relative_sinks: tuple[int, ...]  # overlap links leaving this fragment
-    # overlap link id -> index of the subnetwork owning the far endpoint
-    neighbor_of_link: tuple[tuple[int, int], ...]
+    # overlap link id -> index of the subnetwork owning the far endpoint, in
+    # ascending link order
+    neighbor_of_link: dict[int, int]
 
 
 def _derived():
@@ -157,7 +158,6 @@ class Scenario:
 
     # --- derived lookup tables, built by validate(); immutable values, so a
     # fragment cut by partition.build_subnetworks shares its parent's ---
-    out_conns: dict[int, tuple[int, ...]] = _derived()
     in_conns: dict[int, tuple[int, ...]] = _derived()
     lane_groups: dict[int, tuple[LaneGroup, ...]] = _derived()
     # link -> ascending commodities that can occur on it; see derive_link_tables()
@@ -500,7 +500,7 @@ def _build_scenario(doc) -> Scenario:
         ]
         subnetwork = SubnetworkMeta(
             index=_as_id(sn["index"], "subnetwork index"),
-            neighbor_of_link=tuple(sorted(neighbors)),
+            neighbor_of_link=dict(sorted(neighbors)),
             **ids,
         )
 
@@ -518,8 +518,8 @@ def _build_scenario(doc) -> Scenario:
 
 def derive_link_tables(s: Scenario, lids) -> dict[int, set[int]]:
     """Derive what validate() keeps for each link of `lids` from
-    `s.connections` and `s.vehicle_types`: its sorted out- and
-    in-connections, its sink flag, its lane groups and its commodities.
+    `s.connections` and `s.vehicle_types`: its sorted in-connections, its
+    sink flag, its lane groups and its commodities.
     Other links' entries are left as they are.  Returns each link's
     successors, the out-links of its connections, for validate()'s checks
     only: the scenario does not keep them."""
@@ -549,12 +549,11 @@ def derive_link_tables(s: Scenario, lids) -> dict[int, set[int]]:
     sink_comms = tuple((vt, TERMINAL) for vt in sorted(s.vehicle_types))
 
     for lid, outgoing in outgoing_of.items():
-        s.out_conns[lid] = out = tuple([c.id for c in outgoing])
         s.in_conns[lid] = tuple(in_conns[lid])
         # the sink flag is derived from connectivity
         link = s.links[lid]
-        if link.is_sink != (not out):
-            link = s.links[lid] = dataclasses.replace(link, is_sink=not out)
+        if link.is_sink != (not outgoing):
+            link = s.links[lid] = dataclasses.replace(link, is_sink=not outgoing)
         # lane groups must be constructible and unambiguous for routing; a
         # group's connections can share a target only if the link's do
         groups = tuple(build_lane_groups(link, outgoing, s.sim.dt))
@@ -643,7 +642,7 @@ def validate(s: Scenario) -> None:
             if not 1 <= lo <= hi <= lanes:
                 raise ScenarioError(f"connection {cid} {what} [{lo}, {hi}] outside lanes 1..{lanes}")
 
-    s.out_conns, s.in_conns, s.lane_groups, s.commodities = {}, {}, {}, {}
+    s.in_conns, s.lane_groups, s.commodities = {}, {}, {}
     successors = derive_link_tables(s, s.links)
 
     # deterministic paths: not empty, loop-free, and on every link the
@@ -668,7 +667,7 @@ def validate(s: Scenario) -> None:
             if link is None or not (link.start_node in owned or link.end_node in owned):
                 continue
             if b == TERMINAL:
-                if s.out_conns[a]:
+                if not link.is_sink:
                     raise ScenarioError(
                         f"vehicle type {vt.id} path must end at a sink link, link {a} has "
                         f"outgoing connections"
@@ -808,10 +807,9 @@ def validate(s: Scenario) -> None:
                     f"subnetwork {meta.index}: link {lid} has {rule} owned, but is not "
                     f"listed as a {role} link"
                 )
-        neighbors = dict(meta.neighbor_of_link)
         if not (
-            neighbors.keys() == set(meta.relative_sources + meta.relative_sinks)
-            and meta.index not in neighbors.values()
+            meta.neighbor_of_link.keys() == set(meta.relative_sources + meta.relative_sinks)
+            and meta.index not in meta.neighbor_of_link.values()
         ):
             raise ScenarioError(
                 f"subnetwork {meta.index}: neighbor_of_link must map exactly the overlap "
@@ -899,7 +897,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "interior_links": list(meta.interior_links),
             "relative_sources": list(meta.relative_sources),
             "relative_sinks": list(meta.relative_sinks),
-            "neighbor_of_link": {str(k): v for k, v in meta.neighbor_of_link},
+            "neighbor_of_link": {str(k): v for k, v in meta.neighbor_of_link.items()},
         }
     return doc
 

@@ -207,6 +207,21 @@ class TestPartitionCmd:
         frag0 = load_scenario(str(out / "fragment_0.json"))
         assert frag0.subnetwork.owned_nodes == (0, 1, 2, 3, 4)
 
+    def test_import_given_by_config(self, fixture_file, tmp_path, capsys):
+        # the key is the flag's name, `import`; `import_file`, its dest,
+        # names no flag and is ignored
+        part_file = tmp_path / "p.txt"
+        part_file.write_text("0 0\n1 x\n")
+        argv = ["partition", "--scenario", fixture_file, "--n", "2"]
+        argv += ["--out-dir", str(tmp_path / "parts")]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"import": str(part_file)}))
+        assert main(["--config", str(config), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "partition file line 2: subset must be a canonical decimal integer, got 'x'" in err
+        config.write_text(json.dumps({"import_file": str(part_file)}))
+        assert main(["--config", str(config), *argv]) == 0
+
     def test_import_rejects_a_non_canonical_node_id(self, fixture_file, tmp_path, capsys):
         # `int()` reads "1_0" as node 10
         part_file = tmp_path / "metis.txt"
@@ -547,12 +562,12 @@ class TestMalformedRunInputs:
         ) == 0
         return out
 
-    def _join(self, parts, roster_text, tmp_path, steps="2"):
+    def _join(self, parts, roster_text, tmp_path, steps="2", index="0"):
         roster = tmp_path / "roster.txt"
         roster.write_text(roster_text)
         return main(
             [
-                "run", "--mode", "tcp", "--worker-index", "0",
+                "run", "--mode", "tcp", "--worker-index", index,
                 "--fragments-dir", str(parts), "--roster", str(roster), "--steps", steps,
             ]
         )
@@ -696,8 +711,35 @@ class TestMalformedRunInputs:
         assert main(["run", "--fragments-dir", str(out), "--mode", "local"]) == 2
         assert "fragment 1: simulation.steps is 7, fragment 0's is 5" in capsys.readouterr().err
 
+    def test_fragment_without_subnetwork_metadata(self, parts, capsys):
+        victim = parts / "fragment_0.json"
+        doc = json.loads(victim.read_text())
+        del doc["subnetwork"]
+        victim.write_text(json.dumps(doc))
+        argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"fragment {victim}: scenario file carries no subnetwork metadata" in err
+
+    @pytest.mark.parametrize("mode", ["local", "join"])
+    def test_fragment_index_differs_from_its_file_name(self, parts, tmp_path, capsys, mode):
+        # index 5 passes validate(): no neighbor of fragment 1 is 5
+        victim = parts / "fragment_1.json"
+        doc = json.loads(victim.read_text())
+        doc["subnetwork"]["index"] = 5
+        victim.write_text(json.dumps(doc))
+        if mode == "local":
+            argv = ["run", "--fragments-dir", str(parts), "--mode", "local", "--steps", "2"]
+            assert main(argv) == 2
+        else:
+            ports = _free_ports(2)
+            roster = f"0 127.0.0.1 {ports[0]}\n1 127.0.0.1 {ports[1]}\n"
+            assert self._join(parts, roster, tmp_path, index="1") == 2
+        err = capsys.readouterr().err
+        assert f"fragment {victim}: subnetwork metadata gives index 5" in err
+
     def test_overlapping_fragments(self, tmp_path, capsys):
-        # fragment 1 is fragment 0 again under index 1, so both own link 0
+        # fragment 1 is fragment 0 again under index 1, so both own node 0
         grid = tmp_path / "grid44.json"
         out = tmp_path / "parts44"
         assert main(["gen-grid", "--rows", "4", "--cols", "4", "--out", str(grid)]) == 0
@@ -712,7 +754,7 @@ class TestMalformedRunInputs:
             (out / name).unlink()
         argv = ["run", "--fragments-dir", str(out), "--mode", "local", "--steps", "2"]
         assert main(argv) == 2
-        assert "link 0 claimed by subnetworks 0 and 1" in capsys.readouterr().err
+        assert "node 0 is owned by fragments 0 and 1" in capsys.readouterr().err
 
     def test_fragment_path_without_road_connection(self, fixture_file, tmp_path, capsys):
         # the merge fixture has no road connection from link 1 to link 5;
@@ -928,6 +970,18 @@ class TestDiffCmd:
         err = capsys.readouterr().err
         assert f"dump {other} is not UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-9"]], ids=["exact", "tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_value_not_finite_exits_2(self, tmp_path, capsys, value, tol):
+        # every comparison with a non-finite value is false, so with --tol
+        # such a value used to compare equal to any other
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(f"{runner.DUMP_HEADER}\n1,0,0,0,0,-1,{value}\n")
+        b.write_text(f"{runner.DUMP_HEADER}\n1,0,0,0,0,-1,1.5\n")
+        assert main(["diff", "--a", str(a), "--b", str(b), *tol]) == 2
+        err = capsys.readouterr().err
+        assert f"dump line 2: vehicles must be finite, got '{value}'" in err
 
     def test_malformed_dump_exits_2(self, fixture_file, tmp_path, capsys):
         dump = tmp_path / "d.csv"

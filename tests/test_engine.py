@@ -474,6 +474,10 @@ class TestChecks:
         assert key_of[(2, 4, 0, 1, 6)] == (4, 2, 0, 2)
         assert key_of[(2, 4, 1, 0, 5)] == (4, 2, 1, 0)
 
+    def test_owned_node_not_in_the_scenario(self, merge_diverge):
+        with pytest.raises(ScenarioError, match=r"^owned node 99 is not in the scenario$"):
+            Engine(merge_diverge, owned_nodes={0, 99})
+
     def test_negative_occupancy_rejected(self, merge_diverge):
         # the neighbor resolving link 4's outflow sends a removal of
         # vehicles the empty cell does not hold

@@ -377,6 +377,11 @@ class TestFragmentSetCheck:
             run_distributed(subs=grid_subs[:2], transport=transport, steps=2, timeout=5.0)
         assert time.monotonic() - t0 < 5.0
 
+    @pytest.mark.parametrize("steps", [None, 2])
+    def test_no_fragments(self, steps):
+        with pytest.raises(ScenarioError, match=r"^run_distributed needs at least one fragment$"):
+            run_distributed(subs=[], steps=steps, timeout=5.0)
+
     def test_indices_out_of_order(self, grid_subs):
         subs = [grid_subs[0], grid_subs[1], grid_subs[3]]
         with pytest.raises(ScenarioError, match=r"fragment 2 of 3 has index 3"):
@@ -398,13 +403,14 @@ class TestFragmentSetCheck:
         ):
             run_distributed(subs=subs, steps=2, timeout=5.0)
 
-    def test_link_without_authoritative_side(self, merge_diverge):
+    def test_node_owned_by_two_fragments(self, merge_diverge):
+        # fragment 1 also claims node 4, the start of link 4, which fragment
+        # 0 owns, so both sides would report link 4
         subs = self.cut_at(merge_diverge, 5)
-        meta = dataclasses.replace(
-            subs[0].fragment.subnetwork, relative_sinks=(), relative_sources=(4,)
-        )
-        subs[0] = Subnetwork(dataclasses.replace(subs[0].fragment, subnetwork=meta))
-        with pytest.raises(ScenarioError, match=r"link 4 is a relative source of both fragments"):
+        meta = subs[1].fragment.subnetwork
+        meta = dataclasses.replace(meta, owned_nodes=(4, *meta.owned_nodes))
+        subs[1] = Subnetwork(dataclasses.replace(subs[1].fragment, subnetwork=meta))
+        with pytest.raises(ScenarioError, match=r"node 4 is owned by fragments 0 and 1"):
             run_distributed(subs=subs, steps=2, timeout=5.0)
 
     def test_settings_differ(self, grid_subs):
