@@ -1,14 +1,17 @@
 """Program code that only tests call, kept out of the package: partition
 subset sizes, the union of a partition's fragments, the time of
-distribution set-up, and fragment engines stepped in lockstep in one
-process."""
+distribution set-up, fragment engines stepped in lockstep in one process,
+and workers run in threads of one process."""
 
+import socket
 import time
 
 from ctmdist import runner
-from ctmdist.comm import decode, encode
+from ctmdist.comm import SocketDuplex, decode, encode
 from ctmdist.partition import NodePartition, Subnetwork
 from ctmdist.scenario import Scenario, collector_paused, validate
+
+from conftest import run_bounded
 
 
 def subset_sizes(partition: NodePartition) -> list[int]:
@@ -107,3 +110,30 @@ def lockstep(engines, tables, steps, on_records=None, on_messages=None):
             received[i].extend(decode(tables[i, nb][1], messages[nb, i]))
         for i, engine in engines.items():
             engine.phase_b(plans[i], received[i])
+
+
+def run_in_threads(subs, steps, duplex=SocketDuplex, dump_every=None, timeout=30.0):
+    """Run `runner.run_worker` for every fragment in its own thread of this
+    process, the workers joined by socketpairs as forked local workers are.
+    `duplex` wraps each socket end.  Returns each worker's (rows, per-step
+    totals, timing), in index order; a worker's error is raised."""
+    ends = {}
+    for sub in subs:
+        for nb in sub.neighbors():
+            if sub.index < nb:
+                ends[sub.index, nb], ends[nb, sub.index] = socket.socketpair()
+    results = [None] * len(subs)
+
+    def work(sub):
+        duplexes = {nb: duplex(ends[sub.index, nb]) for nb in sub.neighbors()}
+        results[sub.index] = runner.run_worker(sub, duplexes, steps, dump_every, timeout)
+
+    try:
+        errors = run_bounded([lambda sub=sub: work(sub) for sub in subs], 2 * timeout)
+    finally:
+        for end in ends.values():
+            end.close()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results

@@ -14,6 +14,11 @@ the slot layout that both derive alike would pass the handshake.  The
 partition-file hashes were taken before the slot builders moved onto the
 commodity and lane-group tables that `validate()` builds; any change in a
 fragment, the metagraph, a decoder map or the partition file shows here.
+
+The dumps of both sides of a cut would agree even if the two sides changed
+the frames they swap in the same way.  The frame digests were taken before
+phase A wrote boundary flows straight into the outgoing vectors; any change
+in the bytes of a frame, header or payload, handshake or step, shows here.
 """
 
 import hashlib
@@ -22,11 +27,14 @@ import json
 import pytest
 
 from ctmdist.cli import main
+from ctmdist.comm import DEFAULT_TIMEOUT, HEADER, SocketDuplex
 from ctmdist.gridgen import generate_grid
+from ctmdist.partition import build_subnetworks, partition_nodes
 from ctmdist.runner import rows_to_csv, run_sequential
 from ctmdist.scenario import parse_scenario, save_scenario
 
 from conftest import lanes_grid, merge_diverge_doc
+from support import run_in_threads
 
 GOLDEN = {
     "grid4x4": "27e3e5a6f7a7de8f53fe527f73b954bf95afb3e22c5b7f14e1440e26991c4200",
@@ -88,3 +96,43 @@ def test_partition_files_match_golden(name, tmp_path):
     assert main(argv) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == PARTITION_FILES[name]
+
+
+# sha256 of the frames each worker sent on each channel over 200 steps, the
+# handshake first, in the order sent
+FRAMES = {
+    "grid4x4-n3": {
+        "0->1": "9513f6c9f98bc1e43ebc0902c6624f648a01e6161aa92b9208e6382a81a2f769",
+        "0->2": "60a521c49a5dcf4279d1186e464f4a7807468663301f2450c066dd3cd3a411d9",
+        "1->0": "892a00acacf89c098461c73c815b8336d7278baeb6fa575dd994a7b4a47faba4",
+        "1->2": "c10a3f6da54910ac2cf455c036e8390cc592a2c859d5e4b809ec7fd62c9e39aa",
+        "2->0": "6764fe848498aae4c6f10ad7db63ad04d5ba18eda6c319bfb3bda6c64139a0b0",
+        "2->1": "d47be9fe2832be27d6c5b099dff9c5e4a672e672922843586b59179bb3e6330f",
+    },
+    "lanes5x5-n2": {
+        "0->1": "bc081de9071e3c61c9a8f7fc219493216acf0829a6b33930d54c489480c3357a",
+        "1->0": "8879c446d8078136f47f62d855255650168e457b027ef7aae49d3933f5052b4c",
+    },
+}
+
+
+def frame_digests(scenario, n, steps):
+    """Channel "sender->receiver" -> sha256 of every frame sent on it, run
+    by workers in threads of this process."""
+    digests = {}
+
+    class Recorder(SocketDuplex):
+        def send_frame(self, data, timeout=DEFAULT_TIMEOUT):
+            _step, sender, receiver, _count = HEADER.unpack_from(data)
+            digests.setdefault(f"{sender}->{receiver}", hashlib.sha256()).update(data)
+            super().send_frame(data, timeout)
+
+    subs = build_subnetworks(scenario, partition_nodes(scenario, n, seed=0))
+    run_in_threads(subs, steps, Recorder)
+    return {channel: h.hexdigest() for channel, h in sorted(digests.items())}
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_frames_match_golden(name):
+    scenario, n = (generate_grid(4, 4), 3) if name == "grid4x4-n3" else (lanes_grid(), 2)
+    assert frame_digests(scenario, n, 200) == FRAMES[name]
