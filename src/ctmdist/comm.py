@@ -9,12 +9,15 @@ message is a frame:
     payload <d * count  IEEE-754 doubles, one per decoder-map slot
 
 Little-endian throughout; values pass bit-exactly, which the
-distributed-equals-sequential guarantee relies on.  `establish` performs a
-decoder-map handshake on every channel and aborts on any mismatch;
-`exchange` is the per-step synchronous swap.  Both go through `_swap`,
-which checks each received frame's step index and addressing and returns
-its payload as bytes; `exchange` alone checks a message's value count and
-unpacks its doubles.
+distributed-equals-sequential guarantee relies on.  A message's doubles
+are an `array('d')` on both ends: the one phase A fills is the payload
+`encode` writes, and the one `payload_values` reads is the one `decode`
+pairs with the receive table.  `establish` performs a decoder-map
+handshake on every channel and aborts on any mismatch; `exchange` is the
+per-step synchronous swap.  Both go through `_swap`, which checks each
+received frame's step index and addressing and returns its payload as
+bytes; `exchange` alone checks a message's value count and reads its
+doubles.
 
 Exchange order.  A worker walks its channels in ascending neighbor index.
 On each channel the lower-indexed worker sends its frame and then
@@ -37,22 +40,21 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import sys
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
-from .engine import EntryRecord
+from .engine import ReceiveEntry
 from .errors import ProtocolError
-from .partition import DecoderMap, SlotEntry, Subnetwork, build_decoder_map, build_receive_map
+from .partition import DecoderMap, Subnetwork, build_decoder_map, build_receive_map
 
 HEADER = struct.Struct("<QIII")
 HANDSHAKE_STEP = 0xFFFFFFFFFFFFFFFF
 DEFAULT_TIMEOUT = 30.0
-
-
-def pack_frame(step: int, sender: int, receiver: int, values: list[float]) -> bytes:
-    return HEADER.pack(step, sender, receiver, len(values)) + struct.pack(
-        f"<{len(values)}d", *values
-    )
+# `array` holds doubles in the machine's byte order, the wire little-endian
+_SWAP = sys.byteorder != "little"
 
 
 class SocketDuplex:
@@ -138,25 +140,30 @@ class NeighborChannel:
 # ---------------------------------------------------------------------------
 
 
-def encode(table: dict[SlotEntry, int], records: list[EntryRecord]) -> list[float]:
-    """Fill the fixed message layout of a channel's send table (see
-    `DecoderMap.positions`); slots without flow stay 0.0.  Every boundary
-    record phase A makes has a slot (see the `engine` docstring)."""
-    values = [0.0] * len(table)
-    for lid, cid, gidx, p, amount in records:
-        values[table[(lid, cid, gidx, p)]] = amount
+def encode(values: array) -> bytes:
+    """The payload of a channel's message: `values`, the vector phase A
+    filled at the slots of the channel's send map
+    (`Engine.boundary_records`), as little-endian doubles."""
+    if _SWAP:
+        values = array("d", values)
+        values.byteswap()
+    return values.tobytes()
+
+
+def payload_values(payload: bytes) -> array:
+    """Inverse of encode: the doubles of a received payload."""
+    values = array("d", payload)
+    if _SWAP:
+        values.byteswap()
     return values
 
 
-def decode(table: dict[SlotEntry, int], values: list[float]) -> list[EntryRecord]:
-    """Inverse of encode for a channel's receive table; zero slots produce
-    no records.  `exchange` has checked the length of `values`."""
-    records: list[EntryRecord] = []
-    for entry, value in zip(table, values):
-        if value != 0.0:
-            lid, cid, gidx, p = entry
-            records.append((lid, cid, gidx, p, value))
-    return records
+def decode(table: list[ReceiveEntry], values: array) -> list[tuple[ReceiveEntry, float]]:
+    """Pair each nonzero value of a received message with its entry in the
+    channel's receive table (`Engine.bind_channel`), in slot order; zero
+    slots produce nothing.  `exchange` has checked the length of
+    `values`."""
+    return list(compress(zip(table, values), values))
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +271,26 @@ def establish(channels: list[NeighborChannel], timeout: float = DEFAULT_TIMEOUT)
 
 def exchange(
     channels: list[NeighborChannel],
-    outgoing: dict[int, list[float]],
+    outgoing: dict[int, bytes],
     step: int,
     timeout: float = DEFAULT_TIMEOUT,
-) -> dict[int, list[float]]:
+) -> dict[int, array]:
     """Synchronous per-step swap: one message each way on every channel,
-    carrying the same step index.  The one place that checks a received
-    message's value count and unpacks its doubles; `encode` builds every
-    outgoing message to its map's length."""
-    incoming: dict[int, list[float]] = {}
+    carrying the same step index.  `outgoing` holds each neighbor's payload
+    as `encode` makes it, to its map's length.  The one place that checks a
+    received message's value count and reads its doubles."""
+    incoming: dict[int, array] = {}
     for ch in sorted(channels, key=lambda c: c.remote):
-        frame = pack_frame(step, ch.local, ch.remote, outgoing[ch.remote])
-        payload = _swap(ch, frame, step, timeout)
-        count = len(payload) // 8
+        payload = outgoing[ch.remote]
+        frame = HEADER.pack(step, ch.local, ch.remote, len(payload) // 8) + payload
+        got = _swap(ch, frame, step, timeout)
+        count = len(got) // 8
         if count != ch.recv_map.message_length:
             raise ProtocolError(
                 f"worker {ch.local}: message from {ch.remote} has {count} "
                 f"values, decoder expects {ch.recv_map.message_length}"
             )
-        incoming[ch.remote] = list(struct.unpack(f"<{count}d", payload))
+        incoming[ch.remote] = payload_values(got)
     return incoming
 
 

@@ -8,40 +8,51 @@ commodity is a (vehicle type, next downstream link) pair.  Every step runs:
            (proportional merge against the downstream link's first-cell
            supply) with next-link assignment for the entering flows.  Each
            flow is applied to the cells as soon as it is computed.
-  phase B: the records received from neighbors, the deliveries phase A
+  phase B: the flows received from neighbors, the deliveries phase A
            deferred, source injection, then one ascending pass over the
            active and touched links that settles float dust, folds each
            cell's total once, decides which links stay active and counts
            the vehicles in the network.
 
-Between the phases a distributed run exchanges boundary records with
+Between the phases a distributed run exchanges boundary flows with
 neighboring subnetworks; a sequential run is the same engine with every node
-owned and nothing to exchange.  Records exist only for flows through the
+owned and nothing to exchange.  Boundary flows are the flows through the
 road connections of overlap links, which the neighbor applies to its
-replica, and for deliveries into one-cell links, which phase B applies.  A
-record has one shape from phase A through the wire to phase B: (link,
-connection, lane group, commodity position, vehicles).  Phase A files each
-boundary record under the neighbor that shares its link
-(`LinkRuntime.neighbor`), in the order it applies them, in the `StepPlan`
-it returns, and phase B takes that plan.  No record key repeats in one
-direction in one step (each connection's entries and each delivery's
-positions are distinct), so the filing order does not change what `encode`
-writes.  All accumulation loops iterate in ascending (link, lane group,
+replica.  They travel as messages of fixed layout, one double per slot of
+the channel's decoder map, and each is written once and read once.
+`bind_channel` lays a channel out in one pass over the `positions` of its
+two maps: each connection at an owned node whose in link (removals) or out
+link (deliveries) the neighbor shares gets a slot list indexed by lane
+group and commodity position, and each receive slot gets a `ReceiveEntry`,
+the place of its flow in this engine.  Phase A writes each flow it resolves
+on a shared link into the neighbor's message in the `StepPlan` it returns
+(`boundary_records`), at the flow's slot, as it applies the flow to its own
+cells; a slot without flow keeps +0.0.  Phase B takes the plan and the
+received doubles, zero slots skipped, in slot order and ascending neighbor
+order: each a removal from its entry's last cell or a delivery into its
+first.  All accumulation loops iterate in ascending (link, lane group,
 connection, commodity) order so that a partitioned run reproduces the
 sequential run bit for bit.
+
+Slot order keeps those bits because no key repeats in one direction in one
+step: each connection's entries and each delivery's positions are distinct,
+and a link's slots in one direction are all deliveries or all removals.
+Phase A therefore writes each slot at most once, so a message holds each
+flow exactly as phase A applied it, and the received flows of one step
+touch distinct cell entries, each at most once, so the order among them
+changes no value.
 
 `partition._message_map` derives each decoder-map slot with its key from the
 fragment the engine is built from, so the key fits by construction: its link
 is an overlap link, which `validate()` checks has one owned end, so the
 engine simulates it; its connection is in the link's `in_conns` (delivery)
-or a lane group's `conn_ids` (removal); its group and position index
-`Scenario.lane_groups` and `Scenario.commodities`, the engine's own tables;
-and no key repeats, as a link's slots in one direction are all deliveries or
-all removals.  A decoder file must equal the derived map, and the handshake
-compares the maps both fragments of a channel derive; both abort with a
-protocol error.  Every record phase A makes for a neighbor has a slot, and
-`decode` yields only the receive map's keys, so neither `encode` nor phase B
-checks one.
+or a lane group's `conn_ids` (removal); and its group and position index
+`Scenario.lane_groups` and `Scenario.commodities`, the engine's own tables.
+A decoder file must equal the derived map, and the handshake compares the
+maps both fragments of a channel derive; both abort with a protocol error.
+Every flow phase A writes for a neighbor has a slot: a flow without one
+would find None in its slot list and fail.  The receive table holds only
+the receive map's keys, so phase B checks none.
 
 Cells are dense.  Each link has a fixed, ascending tuple of the commodities
 that can occur on it, read from `Scenario.commodities`, the table that
@@ -95,7 +106,7 @@ once:
   Discharge happens only on sinks, which have no outgoing connections and
   so no removals; it follows the sink's internal flows directly.
 - The first cell gets its internal outflow, then the deliveries in
-  ascending (target, connection) order, then received records, then
+  ascending (target, connection) order, then received flows, then
   injection.  A link's deliveries all come from one target in the node
   loop, or all from the neighbor when a neighbor owns its start node.
 - A one-cell link's first cell is also its last, and the node loop may make
@@ -105,38 +116,38 @@ once:
 - Both replicas of an overlap link keep the order: the side owning the end
   node applies removals in phase A and received deliveries in phase B; the
   side owning the start node applies received removals in phase B, before
-  its deferred one-cell deliveries.  No record reaches the wrong side:
+  its deferred one-cell deliveries.  No flow reaches the wrong side:
   `partition._message_map` reads roles from `owned_nodes` as the engine
   does, and gives a receiver delivery slots only on links whose end node it
   owns and removal slots only on links whose start node it owns.
 - Cell totals live on the link (`LinkRuntime.totals`).  Phase B's pass
-  folds each cell's total after its last update of the step, for every
-  link it settles; a link that goes inactive keeps its zeros.  Phase A
-  of the next step reuses them for single-group links, which no lane
-  change touches, and recomputes a multi-group link's after its lane
-  changes; `set_cell_value` recomputes its link's.
+  folds each cell's total after its last update of the step, in the pass
+  that clamps the cell, for every link it settles; a link that goes
+  inactive keeps its zeros.  Phase A of the next step reuses them: lane
+  changes read a target group's room from them and fold again the totals
+  of the cells they change, and the demands, supplies and internal moves
+  read them.  `set_cell_value` recomputes its link's.
 
-Removal and delivery records are made for nonzero entries only, and dumps
-skip zero entries.
+Removals and deliveries are written into messages for nonzero flows only,
+and dumps skip zero entries.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
 from operator import add
 
 from .errors import InternalAssertion, ScenarioError
 from .scenario import Commodity, Link, Scenario, TERMINAL, rate_at
 
-# a flow through a road connection into or out of a link, in the step plan
-# and on the wire: (link, connection, group index, commodity position, vehicles)
-# link == connection.out_link -> delivery into the link's first cells
-# link == connection.in_link  -> removal from the link's last cells
-EntryRecord = tuple[int, int, int, int, float]
+# a receive slot's place in the engine: (link, the lane group's cells, cell
+# index, commodity position); cell index -1 is a removal from the last
+# cell, 0 a delivery into the first
+ReceiveEntry = tuple[int, list[list[float]], int, int]
 
 NEG_TOL = -1e-12
 
@@ -225,14 +236,36 @@ class LinkRuntime:
 
 
 @dataclass(slots=True)
+class ConnRuntime:
+    """A road connection at a node this engine owns."""
+
+    in_link: int
+    out_link: int
+    groups: list[GroupRuntime]  # the in link's lane groups
+    removal_to: int | None  # the neighbor sharing its in link, else None
+    delivery_to: int | None  # the neighbor sharing its out link, else None
+    # send slots by [lane group][commodity position] of the in link
+    # (removals) and of the out link (deliveries), once a channel to the
+    # neighbor is bound; None in a slot list marks a flow with no slot
+    removal_slots: list[list[int | None]] | None = None
+    delivery_slots: list[list[int | None]] | None = None
+
+
+def slot_lists(lrt: LinkRuntime) -> list[list[int | None]]:
+    """An empty slot list for each lane group and commodity position of a
+    link."""
+    return [[None] * len(lrt.comms) for _ in lrt.groups]
+
+
+@dataclass(slots=True)
 class StepPlan:
     time: float  # the step's start, in seconds
-    # neighbor -> the flows this engine resolved on the overlap links it
-    # shares with that neighbor, in the order applied: removals from links
-    # whose end node this engine owns, deliveries into the others
-    boundary: dict[int, list[EntryRecord]] = field(default_factory=dict)
-    # deliveries into one-cell links, applied in phase B after every removal
-    deferred: list[EntryRecord] = field(default_factory=list)
+    # neighbor -> the message to it, one double per send slot, that phase
+    # A fills with the flows it resolves on the links they share
+    boundary: dict[int, array] = field(default_factory=dict)
+    # (first cell, position, vehicles) of deliveries into one-cell links,
+    # applied in phase B after every removal
+    deferred: list[tuple[list[float], int, float]] = field(default_factory=list)
     # links a connection demands to enter; phase A delivers only into these
     targets: set[int] = field(default_factory=set)
     exited: float = 0.0  # sink discharge on authoritative links
@@ -270,6 +303,22 @@ class Engine:
             if link.start_node not in self.owned and link.end_node not in self.owned:
                 continue  # context-only stub link carried for referential integrity
             self.links[lid] = self._build_link(link, neighbor_of.get(lid))
+
+        # the connections at owned nodes, whose flows phase A resolves
+        self._conns: dict[int, ConnRuntime] = {}
+        for cid, conn in scenario.connections.items():
+            upstream = self.links.get(conn.in_link)
+            if upstream is not None and upstream.outflow_local:
+                downstream = self.links[conn.out_link]
+                self._conns[cid] = ConnRuntime(
+                    in_link=conn.in_link,
+                    out_link=conn.out_link,
+                    groups=upstream.groups,
+                    removal_to=None if upstream.inflow_local else upstream.neighbor,
+                    delivery_to=None if downstream.outflow_local else downstream.neighbor,
+                )
+        # neighbor -> the zero message that phase A fills, once bound
+        self._send_zeros: dict[int, array] = {}
 
         self.queues: dict[tuple[int, int], float] = {}
         self.source_links = tuple(
@@ -332,6 +381,37 @@ class Engine:
             totals=[[0.0] * g.cell_count for g in groups],
         )
 
+    def bind_channel(
+        self,
+        neighbor: int,
+        send: dict[tuple[int, int, int, int], int],
+        receive: dict[tuple[int, int, int, int], int],
+    ) -> list[ReceiveEntry]:
+        """Lay out the channel to `neighbor` from the `positions` of its
+        send and receive decoder maps.  From then on phase A writes every
+        flow it resolves on a link shared with `neighbor` into the message
+        to it, at the slot of the flow's connection, lane group and
+        commodity position.  Returns the receive table: each receive slot's
+        `ReceiveEntry`, in slot order, which `decode` pairs with the
+        received values for phase B."""
+        links = self.links
+        conns = self._conns
+        for conn in conns.values():
+            if conn.removal_to == neighbor:
+                conn.removal_slots = slot_lists(links[conn.in_link])
+            if conn.delivery_to == neighbor:
+                conn.delivery_slots = slot_lists(links[conn.out_link])
+        for (lid, cid, gidx, p), slot in send.items():
+            conn = conns[cid]
+            slots = conn.removal_slots if conn.in_link == lid else conn.delivery_slots
+            slots[gidx][p] = slot
+        self._send_zeros[neighbor] = array("d", bytes(8 * len(send)))
+        in_link_of = self._in_link_of
+        return [
+            (lid, links[lid].groups[gidx].cells, -1 if in_link_of[cid] == lid else 0, p)
+            for lid, cid, gidx, p in receive
+        ]
+
     # ------------------------------------------------------------------
     # phase A
     # ------------------------------------------------------------------
@@ -341,11 +421,11 @@ class Engine:
         the flows this engine resolves, applied to the cells as they are
         computed (see the module docstring for the order).
 
-        Returns the step plan, which phase B takes; the records it files
-        by neighbor must be shipped to that neighbor before phase B.
+        Returns the step plan, which phase B takes; its messages must be
+        shipped to their neighbors before phase B.
         """
         time = step * self.dt
-        plan = StepPlan(time)
+        plan = StepPlan(time, {nb: array("d", zeros) for nb, zeros in self._send_zeros.items()})
         epoch = bisect_right(self._split_times, time)
         if epoch != self._epoch:
             self._epoch = epoch
@@ -357,7 +437,6 @@ class Engine:
             lrt = links[lid]
             if len(lrt.groups) > 1:
                 self.apply_lane_changes(lrt)
-                lrt.fold_totals()
 
         demand_by_conn: dict[int, list] = {}
         exited = 0.0
@@ -379,19 +458,79 @@ class Engine:
                         exited += amount
         plan.exited = exited
 
+        # each target's node: the proportional merge, then each connection's
+        # removals from its in link and deliveries into the target's first
+        # cells, split over the lane groups by their shares of its supply
+        # and by assigned next links
         in_conns = self.scenario.in_conns
+        conns_at = self._conns
+        boundary = plan.boundary
+        deferred = plan.deferred
+        cache = self._position_cache
         for target in sorted(plan.targets):
+            tlrt = links[target]
+            groups = tlrt.groups
             conns = [(c, demand_by_conn[c]) for c in in_conns[target] if c in demand_by_conn]
-            supply_total, shares = self._supplies(target)
-            factor = resolve_node_flows(conns, supply_total)
-            self._apply_node_flows(target, conns, factor, shares, plan)
+            if len(groups) == 1:
+                # compute_supply, floored at zero, and a share of s / s == 1.0
+                g = groups[0]
+                cap = g.cap_step
+                room = g.wv_ratio * (g.jam_veh - tlrt.totals[0][0])
+                supply = cap if cap < room else room
+                if supply > 0.0:
+                    shares = ((0, 1.0),)
+                else:
+                    supply, shares = 0.0, ()
+            else:
+                supply, shares = self._supplies(tlrt)
+            factor = resolve_node_flows(conns, supply)
+            one_cell = groups[0].cell_count == 1
+            for cid, (_demand, entries) in conns:
+                conn = conns_at[cid]
+                upstream = conn.groups
+                removal_slots = conn.removal_slots
+                if removal_slots is not None:
+                    removals = boundary[conn.removal_to]
+                arrived: dict[int, float] = {}
+                for (p, _cid, _out_link, gidx, vt), d in entries:
+                    amount = d * factor
+                    if amount:
+                        cell = upstream[gidx].cells[-1]
+                        cell[p] = cell[p] - amount
+                        if removal_slots is not None:
+                            removals[removal_slots[gidx][p]] = amount
+                    arrived[vt] = arrived.get(vt, 0.0) + amount
+                delivery_slots = conn.delivery_slots
+                if delivery_slots is not None:
+                    deliveries = boundary[conn.delivery_to]
+                for vt, total in sorted(arrived.items()):
+                    if total <= 0.0:
+                        continue
+                    positions = cache.get((target, vt))
+                    if positions is None:
+                        positions = self.entry_positions(target, vt, time)
+                    for gidx, share in shares:
+                        # share = group supply / summed supply, divided first
+                        base = total * share
+                        cell = groups[gidx].cells[0]
+                        for p, frac in positions:
+                            amount = base * frac
+                            if amount:
+                                if one_cell:
+                                    deferred.append((cell, p, amount))
+                                else:
+                                    cell[p] = cell[p] + amount
+                                if delivery_slots is not None:
+                                    deliveries[delivery_slots[gidx][p]] = amount
         return plan
 
     def apply_lane_changes(self, lrt: LinkRuntime) -> None:
         """Move a fraction eta of misplaced vehicles one lane group toward
         the nearest group serving their next link, capped by target space.
-        Runs before any demand computation."""
+        Runs before any demand computation, on the totals phase B folded,
+        and folds again the totals of the cells it changes."""
         groups = lrt.groups
+        totals = lrt.totals
         eta = self.eta
         for k in range(groups[0].cell_count):
             # target group -> (source group, position, amount), in the order found
@@ -404,13 +543,14 @@ class Engine:
                         moves.setdefault(dst, []).append((g.index, p, eta * v))
             if not moves:
                 continue
-            # caps from the pre-move state: lateral movements are simultaneous
-            space = {dst: groups[dst].jam_veh - cell_total(groups[dst].cells[k]) for dst in moves}
+            changed = set()
             for dst in sorted(moves):
                 wanted = 0.0
                 for _src, _p, amount in moves[dst]:
                     wanted += amount
-                room = space[dst]
+                # caps from the pre-move totals: lateral movements are
+                # simultaneous, and cell k's totals are folded again below
+                room = groups[dst].jam_veh - totals[dst][k]
                 if wanted <= 0.0 or room <= 0.0:
                     continue
                 scale = 1.0 if wanted <= room else room / wanted
@@ -420,27 +560,39 @@ class Engine:
                     src_cell = groups[src].cells[k]
                     src_cell[p] = src_cell[p] - moved
                     dst_cell[p] = dst_cell[p] + moved
+                    changed.add(src)
+                changed.add(dst)
+            for h in changed:
+                totals[h][k] = reduce(add, groups[h].cells[k], 0.0)
 
     @staticmethod
     def _move_internal(lrt: LinkRuntime) -> None:
         """Move each cell's flow into the next cell of its lane group, in
-        ascending k.  Cell k's outflow is read from its pre-step list, which
-        stays untouched until then, and its new list is `(v + inflow) -
-        outflow` entry by entry; the last cell only gains."""
+        ascending k.  Cell k's outflow, `(v * scale) * share` per entry, is
+        read from its pre-step list, which stays untouched until then, and
+        its new list is `(v + inflow) - outflow` entry by entry; the last
+        cell only gains."""
         for g, totals in zip(lrt.groups, lrt.totals):
             cells = g.cells
             cap = g.cap_step
+            wv_ratio = g.wv_ratio
+            jam = g.jam_veh
             inflow = None
             for k in range(g.cell_count - 1):
                 cell = cells[k]
                 outflow = None
-                total, demands = compute_demand(cell, totals[k], cap)
-                if not total <= 0.0:
-                    supply = compute_supply(totals[k + 1], cap, g.wv_ratio, g.jam_veh)
+                n_total = totals[k]
+                if n_total > 0.0:
+                    # compute_demand's total, against compute_supply's supply
+                    # (a negative room is no flow, floored or not)
+                    total = cap if cap < n_total else n_total
+                    room = wv_ratio * (jam - totals[k + 1])
+                    supply = cap if cap < room else room
                     flow = total if total < supply else supply
-                    if not flow <= 0.0:
+                    if flow > 0.0:
+                        scale = total / n_total
                         share = flow / total
-                        outflow = [d * share for d in demands]
+                        outflow = [(v * scale) * share for v in cell]
                 if outflow is not None:
                     if inflow is None:
                         cells[k] = [v - b for v, b in zip(cell, outflow)]
@@ -485,22 +637,20 @@ class Engine:
                     acc[0] += d
                     acc[1].append((outflow, d))
 
-    def _supplies(self, link_id: int) -> tuple[float, tuple[tuple[int, float], ...]]:
-        """First-cell supply of a link, summed over its lane groups, and each
-        group's (index, share of that sum); no shares when the sum is 0."""
-        lrt = self.links[link_id]
-        groups = lrt.groups
+    @staticmethod
+    def _supplies(lrt: LinkRuntime) -> tuple[float, tuple[tuple[int, float], ...]]:
+        """First-cell supply of a link with several lane groups, summed over
+        them, and each group's (index, share of that sum); no shares when
+        the sum is 0."""
         per_group = []
         total = 0.0
-        for g, cell_totals in zip(groups, lrt.totals):
+        for g, cell_totals in zip(lrt.groups, lrt.totals):
             s = compute_supply(cell_totals[0], g.cap_step, g.wv_ratio, g.jam_veh)
             per_group.append(s)
             total += s
         if total <= 0.0:
             return total, ()
-        if len(groups) == 1:
-            return total, ((0, 1.0),)  # s / s == 1.0
-        return total, tuple([(g.index, s / total) for g, s in zip(groups, per_group)])
+        return total, tuple([(g.index, s / total) for g, s in zip(lrt.groups, per_group)])
 
     def entry_positions(self, link_id: int, vtype: int, time: float) -> tuple:
         """How flow of `vtype` entering `link_id` divides over the link's
@@ -530,102 +680,63 @@ class Engine:
         self._position_cache[key] = result
         return result
 
-    def _apply_node_flows(
-        self, target: int, conns: list, factor: float, shares: tuple, plan: StepPlan
-    ) -> None:
-        """Apply each connection's demand entries, times the node model's
-        `factor`: the removals from the last cells of its upstream link,
-        then its deliveries into `target`'s first cells, split over the lane
-        groups by their `shares` of its supply and by assigned next links.
-        Flows on overlap links are also filed for the neighbor; deliveries
-        into a one-cell link are left to phase B."""
-        links = self.links
-        tlrt = links[target]
-        first = [g.cells[0] for g in tlrt.groups]
-        deferred = tlrt.groups[0].cell_count == 1
-        boundary = plan.boundary
-        deliveries = None if tlrt.outflow_local else boundary.setdefault(tlrt.neighbor, [])
-        for cid, (_demand, entries) in conns:
-            in_link = self._in_link_of[cid]
-            upstream = links[in_link]
-            groups = upstream.groups
-            removals = None if upstream.inflow_local else boundary.setdefault(upstream.neighbor, [])
-            arrived: dict[int, float] = {}
-            for (p, _cid, _out_link, gidx, vt), d in entries:
-                amount = d * factor
-                if amount:
-                    cell = groups[gidx].cells[-1]
-                    cell[p] = cell[p] - amount
-                    if removals is not None:
-                        removals.append((in_link, cid, gidx, p, amount))
-                arrived[vt] = arrived.get(vt, 0.0) + amount
-            for vt in sorted(arrived):
-                total = arrived[vt]
-                if total <= 0.0:
-                    continue
-                positions = self.entry_positions(target, vt, plan.time)
-                for gidx, share in shares:
-                    # share = group supply / summed supply, divided first
-                    base = total * share
-                    cell = first[gidx]
-                    for p, frac in positions:
-                        amount = base * frac
-                        if amount:
-                            if deferred:
-                                plan.deferred.append((target, cid, gidx, p, amount))
-                            else:
-                                cell[p] = cell[p] + amount
-                            if deliveries is not None:
-                                deliveries.append((target, cid, gidx, p, amount))
-
     # ------------------------------------------------------------------
     # phase B
     # ------------------------------------------------------------------
 
-    def phase_b(self, plan: StepPlan, received: Iterable[EntryRecord] = ()) -> StepStats:
-        """Finish the step `plan` that phase A made: apply the records
-        received from neighbors, then the deliveries phase A deferred,
-        inject demand, then settle every active or touched link in one
-        ascending pass; returns step statistics over this engine's
-        authoritative links.  A record whose connection leaves its link is
-        a removal from the last cell, any other a delivery into the first
-        cell."""
+    def phase_b(
+        self, plan: StepPlan, received: Iterable[tuple[ReceiveEntry, float]] = ()
+    ) -> StepStats:
+        """Finish the step `plan` that phase A made: apply the flows
+        received from neighbors, each a (`ReceiveEntry`, vehicles) pair as
+        `decode` yields them, then the deliveries phase A deferred, inject
+        demand, then settle every active or touched link in one ascending
+        pass; returns step statistics over this engine's authoritative
+        links."""
         links = self.links
 
         work = self.active | plan.targets
-        in_link_of = self._in_link_of
-        for lid, cid, gidx, p, amount in chain(received, plan.deferred):
-            groups = links[lid].groups
-            if in_link_of[cid] == lid:
-                cell = groups[gidx].cells[-1]
+        for (lid, cells, k, p), amount in received:
+            cell = cells[k]
+            if k:  # -1: a removal from the last cell
                 cell[p] = cell[p] - amount
             else:
-                cell = groups[gidx].cells[0]
                 cell[p] = cell[p] + amount
             work.add(lid)
+        for cell, p, amount in plan.deferred:
+            cell[p] = cell[p] + amount
 
         stats = StepStats(exited=plan.exited)
         for lid in self.source_links:
             stats.entered += self._inject(links[lid], plan.time)
 
-        # settle each cell, fold its total once, decide activity, count
-        # vehicles; phase A reuses the totals
+        # settle each cell and fold its total once, decide activity, count
+        # vehicles; phase A reuses the totals.  A total is never -0.0 (a
+        # fold from +0.0), so skipping the zero ones leaves `in_network`'s
+        # bits as adding them would.
         active = self.active
         sources = self._source_set
         in_network = 0.0
         for lid in sorted(work):
             lrt = links[lid]
+            authoritative = lrt.authoritative
+            busy = lid in sources
+            link_totals = []
             for g in lrt.groups:
+                group_totals = []
                 for cell in g.cells:
                     if cell and not min(cell) >= 0.0:
                         self._clamp(lrt, g, cell)
-            link_totals = lrt.fold_totals()
-            if lid in sources or any(map(any, link_totals)):
-                active.add(lid)
-                if lrt.authoritative:
-                    for cell_totals in link_totals:
-                        for total in cell_totals:
+                    total = reduce(add, cell, 0.0)
+                    group_totals.append(total)
+                    if total:
+                        busy = True
+                        if authoritative:
                             in_network += total
+                link_totals.append(group_totals)
+            lrt.totals = link_totals
+            if busy:
+                active.add(lid)
             else:
                 active.discard(lid)
         stats.in_network = in_network
@@ -714,6 +825,7 @@ class Engine:
                             rows.append((step, lid, g.index, k, vt, nxt, v))
         return rows
 
-    def boundary_records(self, plan: StepPlan, neighbor: int) -> list[EntryRecord]:
-        """The delivery and removal records `plan` filed for `neighbor`."""
-        return plan.boundary.get(neighbor, [])
+    def boundary_records(self, plan: StepPlan, neighbor: int) -> array:
+        """The message `plan` filled for `neighbor`: one double per slot of
+        the channel's send map, 0.0 where no flow went."""
+        return plan.boundary[neighbor]

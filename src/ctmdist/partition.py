@@ -87,7 +87,7 @@ class DecoderMap:
     sender: int
     receiver: int
     slots: tuple[Slot, ...]
-    # engine key -> slot position in message order, for `encode` and `decode`;
+    # engine key -> slot position in message order, for `Engine.bind_channel`;
     # set by derivation only, so equality, repr and to_doc() leave it out
     positions: dict[SlotEntry, int] = field(default_factory=dict, repr=False, compare=False)
 
@@ -300,6 +300,8 @@ def parse_partition(text: str, scenario: Scenario) -> NodePartition:
             if node not in assignment:
                 raise ScenarioError(f"partition is missing node {node}")
 
+    if not assignment:
+        raise ScenarioError("partition assigns no nodes")
     # the distinct indices, ascending: the first that is not its own rank
     # names an empty subset
     for i, subset in enumerate(sorted(set(assignment.values()))):

@@ -2,14 +2,17 @@
 conservation metrics, timing breakdown, and the scaling benchmark.
 
 Every mode drives the same per-step loop: phase A, encode, exchange, decode,
-phase B.  A sequential run is the loop with zero channels.  Distributed
-workers are forked processes that exchange frames over one stream socket
-per metagraph edge, a socketpair in local mode and a TCP connection in tcp
-mode (see `comm`).  The parent merges their authoritative state rows,
-which must be bitwise identical to a sequential run's dump.  A worker
-starts from its fragment and one connected duplex per neighbor, and
-nothing else: it derives its decoder maps and engine keys from the
-fragment.  Decoder files never reach the runner; `cli` compares them with
+phase B.  A sequential run is the loop with zero channels.  A worker binds
+each channel to its engine (`Engine.bind_channel`) before the handshake, so
+phase A writes the flows of the links it shares straight into the messages
+that `encode` turns into payloads, and `decode` pairs the received doubles
+with the engine's receive table.  Distributed workers are forked processes
+that exchange frames over one stream socket per metagraph edge, a
+socketpair in local mode and a TCP connection in tcp mode (see `comm`).
+The parent merges their authoritative state rows, which must be bitwise
+identical to a sequential run's dump.  A worker starts from its fragment
+and one connected duplex per neighbor, and nothing else: it derives its
+decoder maps and engine keys from the fragment.  Decoder files never reach the runner; `cli` compares them with
 the derived maps where it reads them (`comm.check_decoder_maps`).  Every
 worker runs `run_worker`: a forked local worker on socketpair ends, and a
 forked or joined TCP worker on the duplexes `connect_tcp_worker` returns.
@@ -26,7 +29,7 @@ a scenario; a sequential run's engine build and loop; a distributed run's
 partition, fragments, fork and merge in the parent, and each worker's
 engine, decoder maps, handshake and loop.  That is safe because none of
 these stages makes a reference cycle: reference counting frees every
-step's plan, records and demand entries and every set-up temporary
+step's plan, messages and demand entries and every set-up temporary
 (`tests/test_runner.py::TestCollectorPause` checks each stage).  A pause
 does not skip the young-generation pass over what it allocated: that pass
 runs as the pause ends, at its first allocation after it.  For a parse
@@ -121,6 +124,7 @@ class RunResult:
 def _simulate(
     engine: Engine,
     channels: list[NeighborChannel],
+    tables: list[list],
     steps: int,
     dump_every: int | None,
     timeout: float,
@@ -128,7 +132,8 @@ def _simulate(
 ) -> tuple[list[Row], dict]:
     """The per-step loop shared by every execution mode; its callers run it
     inside their collector pause.  `channels` come in ascending neighbor
-    order, as `_worker_channels` builds them."""
+    order, as `_worker_channels` builds them, each with its receive table
+    in `tables`."""
     rows: list[Row] = []
     per_step = {"in_network": [], "entered_cum": [], "exited_cum": [], "queued": []}
     entered_cum = 0.0
@@ -138,8 +143,7 @@ def _simulate(
         plan = engine.phase_a(step)
         outbox = {}
         for ch in channels:
-            records = engine.boundary_records(plan, ch.remote)
-            outbox[ch.remote] = encode(ch.send_map.positions, records)
+            outbox[ch.remote] = encode(engine.boundary_records(plan, ch.remote))
         t1 = time.perf_counter()
         report.compute_s += t1 - t0
         if channels:
@@ -150,8 +154,8 @@ def _simulate(
             inbox = {}
             t2 = t1
         received = []
-        for ch in channels:
-            received.extend(decode(ch.recv_map.positions, inbox[ch.remote]))
+        for ch, table in zip(channels, tables):
+            received.extend(decode(table, inbox[ch.remote]))
         stats = engine.phase_b(plan, received)
         report.compute_s += time.perf_counter() - t2
 
@@ -202,7 +206,7 @@ def run_sequential(
     t0 = time.perf_counter()
     engine = Engine(scenario)
     report.setup_s = time.perf_counter() - t0
-    rows, per_step = _simulate(engine, [], steps, dump_every, DEFAULT_TIMEOUT, report)
+    rows, per_step = _simulate(engine, [], [], steps, dump_every, DEFAULT_TIMEOUT, report)
     metrics = _finalize_metrics(per_step, steps)
     timing = {
         "wall_s": time.perf_counter() - wall0,
@@ -270,9 +274,13 @@ def run_worker(
     t0 = time.perf_counter()
     engine = Engine(sub.fragment)
     channels = _worker_channels(sub, duplexes)
+    tables = [
+        engine.bind_channel(ch.remote, ch.send_map.positions, ch.recv_map.positions)
+        for ch in channels
+    ]
     establish(channels, timeout)
     report.setup_s = time.perf_counter() - t0
-    rows, per_step = _simulate(engine, channels, steps, dump_every, timeout, report)
+    rows, per_step = _simulate(engine, channels, tables, steps, dump_every, timeout, report)
     for ch in channels:
         ch.duplex.close()
     return rows, per_step, report.timing()

@@ -1,13 +1,14 @@
 """Program code that only tests call, kept out of the package: partition
 subset sizes, the union of a partition's fragments, the time of
 distribution set-up, fragment engines stepped in lockstep in one process,
-and workers run in threads of one process."""
+step frames built by hand, and workers run in threads of one process."""
 
 import socket
 import time
+from array import array
 
 from ctmdist import runner
-from ctmdist.comm import SocketDuplex, decode, encode
+from ctmdist.comm import HEADER, SocketDuplex, decode, encode, payload_values
 from ctmdist.partition import NodePartition, Subnetwork
 from ctmdist.scenario import Scenario, collector_paused, validate
 
@@ -84,32 +85,38 @@ def setup_timing(scenario: Scenario, n: int, seed: int = 0) -> float:
     return time.perf_counter() - t0
 
 
-def lockstep(engines, tables, steps, on_records=None, on_messages=None):
+def lockstep(engines, maps, steps, on_messages=None):
     """Step fragment engines in lockstep in one process, as a distributed
-    run does.  `engines` maps each worker to its engine, and `tables` maps
+    run does.  `engines` maps each worker to its engine, and `maps` maps
     each (worker, neighbor) channel to its (send, receive)
-    `DecoderMap.positions`.
+    `DecoderMap.positions`, which bind the channel
+    (`Engine.bind_channel`).
 
     Each step runs phase A on every engine.  It passes each channel's
-    boundary records (`Engine.boundary_records`) through `encode` with the
-    send table, and through the neighbor's `decode` with its receive table.
-    Then it runs phase B, each worker taking its neighbors' records in
-    ascending neighbor order.  `on_records(step, records)` sees {channel:
-    records} before they are encoded, and when it returns true the run stops
-    there.  `on_messages(step, messages)` sees {channel: encoded values}."""
+    message (`Engine.boundary_records`) through `encode` and
+    `payload_values`, and through the neighbor's `decode` with its receive
+    table.  Then it runs phase B, each worker taking its neighbors' flows in
+    ascending neighbor order.  `on_messages(step, messages)` sees {channel:
+    values}."""
+    tables = {(i, nb): engines[i].bind_channel(nb, *maps[i, nb]) for i, nb in maps}
     for step in range(steps):
         plans = {i: engine.phase_a(step) for i, engine in engines.items()}
-        records = {(i, nb): engines[i].boundary_records(plans[i], nb) for i, nb in tables}
-        if on_records is not None and on_records(step, records):
-            return
-        messages = {key: encode(tables[key][0], records[key]) for key in tables}
+        messages = {
+            (i, nb): payload_values(encode(engines[i].boundary_records(plans[i], nb)))
+            for i, nb in maps
+        }
         if on_messages is not None:
             on_messages(step, messages)
         received = {i: [] for i in engines}
-        for i, nb in sorted(tables):
-            received[i].extend(decode(tables[i, nb][1], messages[nb, i]))
+        for i, nb in sorted(maps):
+            received[i].extend(decode(tables[i, nb], messages[nb, i]))
         for i, engine in engines.items():
             engine.phase_b(plans[i], received[i])
+
+
+def pack_frame(step, sender, receiver, values):
+    """A step's frame carrying `values`, as `exchange` sends it."""
+    return HEADER.pack(step, sender, receiver, len(values)) + encode(array("d", values))
 
 
 def run_in_threads(subs, steps, duplex=SocketDuplex, dump_every=None, timeout=30.0):

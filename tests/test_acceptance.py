@@ -264,13 +264,13 @@ def test_criterion_8_protocol_robustness(tmp_path):
     assert not dump.exists(), "a dump was written despite the protocol failure"
 
     # step-index mismatch -> fatal
-    from test_comm import four_slot_map, pipe_channel_pair, _run_both
+    from test_comm import four_slot_map, message, pipe_channel_pair, _run_both
     from ctmdist.comm import exchange
 
     ch_a, ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))
     errors = _run_both(
-        lambda: exchange([ch_a], {1: [0.0] * 4}, step=4, timeout=5.0),
-        lambda: exchange([ch_b], {0: [0.0] * 4}, step=5, timeout=5.0),
+        lambda: exchange([ch_a], {1: message([0.0] * 4)}, step=4, timeout=5.0),
+        lambda: exchange([ch_b], {0: message([0.0] * 4)}, step=5, timeout=5.0),
     )
     assert any(
         isinstance(e, ProtocolError) and "step-index mismatch" in str(e) for e in errors
@@ -278,7 +278,8 @@ def test_criterion_8_protocol_robustness(tmp_path):
 
     # truncated TCP frame -> fatal
     import socket
-    from ctmdist.comm import SocketDuplex, pack_frame
+    from ctmdist.comm import SocketDuplex
+    from support import pack_frame
 
     a, b = socket.socketpair()
     frame = pack_frame(0, 0, 1, [1.0, 2.0])

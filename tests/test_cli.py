@@ -234,6 +234,18 @@ class TestPartitionCmd:
         assert "partition file line 10: node must be a canonical decimal integer, got '1_0'" in err
 
 
+    def test_import_of_an_empty_partition_exits_2(self, tmp_path, capsys):
+        # a scenario with no nodes loads; an empty partition of it names no
+        # subset
+        scenario = tmp_path / "empty.json"
+        scenario.write_text('{"nodes": [], "links": [], "simulation": {"dt": 1.0, "steps": 2}}')
+        part_file = tmp_path / "p.txt"
+        part_file.write_text("")
+        argv = ["partition", "--scenario", str(scenario), "--n", "1", "--import", str(part_file)]
+        assert main(argv + ["--out-dir", str(tmp_path / "parts")]) == 2
+        assert "partition assigns no nodes" in capsys.readouterr().err
+
+
 class TestRunCmd:
     def test_seq_vs_local_dumps_byte_identical(self, grid_file, tmp_path):
         dump_seq = tmp_path / "seq.csv"

@@ -5,10 +5,12 @@ import socket
 import struct
 import threading
 import time
+from array import array
 from types import SimpleNamespace
 
 import pytest
 
+from ctmdist import comm
 from ctmdist.comm import (
     HANDSHAKE_STEP,
     HEADER,
@@ -19,15 +21,23 @@ from ctmdist.comm import (
     encode,
     establish,
     exchange,
-    pack_frame,
+    payload_values,
     tcp_connect_channels,
     tcp_listener,
 )
+from ctmdist.engine import Engine
 from ctmdist.errors import ProtocolError
-from ctmdist.partition import DecoderMap, NodePartition, build_decoder_map, build_subnetworks
+from ctmdist.partition import (
+    DecoderMap,
+    NodePartition,
+    build_decoder_map,
+    build_receive_map,
+    build_subnetworks,
+)
 from ctmdist.scenario import parse_scenario
 
 from conftest import link, run_bounded
+from support import pack_frame
 from test_partition import path_scenario
 
 
@@ -44,12 +54,14 @@ def four_slot_map(sender=0, receiver=1):
     )
 
 
-def four_slot_table():
-    """The engine keys of `four_slot_map()`, as derived for the fragment that
-    owns nodes 0-2 of a network where links 7 and 8 feed link 9 through
-    connections 0 and 1, and link 9 leads on to link 11 past the cut; both
-    vehicle types route probabilistically, so link 9 carries (0, 11) and
-    (1, 11) at positions 0 and 1."""
+def four_slot_cut():
+    """A cut whose message from fragment 0 to fragment 1 has the layout of
+    `four_slot_map()`: fragment 0 owns nodes 0-2 of a network where links 7
+    and 8 feed link 9 through connections 0 and 1, and link 9 leads on to
+    link 11 past the cut; both vehicle types route probabilistically, so
+    link 9 carries (0, 11) and (1, 11) at positions 0 and 1.  Returns both
+    fragments' engines, each bound to its channel, and their receive
+    tables."""
     doc = {
         "nodes": [{"id": i} for i in range(5)],
         "links": [link(7, 0, 2), link(8, 1, 2), link(9, 2, 3), link(11, 3, 4)],
@@ -59,12 +71,27 @@ def four_slot_table():
             {"id": 2, "in_link": 9, "out_link": 11},
         ],
         "vehicletypes": [{"id": vt, "routing": {"type": "probabilistic"}} for vt in (0, 1)],
+        "splits": [
+            {"node": 3, "in_link": 9, "vtype": vt, "start_time": 0.0, "ratios": {"11": 1.0}}
+            for vt in (0, 1)
+        ],
         "simulation": {"dt": 2.0, "steps": 5},
     }
     cut = NodePartition(2, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1})
-    send = build_decoder_map(build_subnetworks(parse_scenario(json.dumps(doc)), cut)[0], 1)
-    assert send == four_slot_map()
-    return send.positions
+    subs = build_subnetworks(parse_scenario(json.dumps(doc)), cut)
+    assert build_decoder_map(subs[0], 1) == four_slot_map()
+    engines, tables = [], []
+    for sub in subs:
+        nb = 1 - sub.index
+        engines.append(Engine(sub.fragment))
+        send, receive = build_decoder_map(sub, nb), build_receive_map(sub, nb)
+        tables.append(engines[-1].bind_channel(nb, send.positions, receive.positions))
+    return engines, tables
+
+
+def message(values):
+    """A payload carrying `values`, as `encode` makes it."""
+    return encode(array("d", values))
 
 
 # sockets a test opened; `close_sockets` closes them after it
@@ -105,24 +132,45 @@ def pipe_channel_pair(send_ab, send_ba):
 
 
 class TestEncodeDecode:
-    # records are (link, connection, group, commodity position, vehicles)
     def test_no_records_all_zero_fixed_length(self):
-        table = four_slot_table()
-        assert encode(table, []) == [0.0, 0.0, 0.0, 0.0]
+        engines, _tables = four_slot_cut()
+        values = engines[0].boundary_records(engines[0].phase_a(0), 1)
+        assert values == array("d", [0.0] * 4)
+        assert encode(values) == bytes(32)
 
     def test_single_record_lands_on_its_slot(self):
-        table = four_slot_table()
-        values = encode(table, [(9, 1, 0, 1, 2.5)])
-        assert values == [0.0, 0.0, 0.0, 2.5]
+        # type 1 leaving link 8 through connection 1 fills slot 3 alone
+        engines, tables = four_slot_cut()
+        engines[0].set_cell_value(8, 0, 1, (1, 9), 1.5)
+        engines[0].active.add(8)
+        plan = engines[0].phase_a(0)
+        values = engines[0].boundary_records(plan, 1)
+        assert values == array("d", [0.0, 0.0, 0.0, 1.5])
+        engines[0].phase_b(plan)
+        assert engines[0].cell_value(9, 0, 0, (1, 11)) == 1.5
+        # the far replica applies it to the same cell
+        engines[1].phase_b(engines[1].phase_a(0), decode(tables[1], values))
+        assert engines[1].cell_value(9, 0, 0, (1, 11)) == 1.5
 
     def test_round_trip_identity(self):
-        table = four_slot_table()
-        records = [(9, 0, 0, 0, 1.25), (9, 1, 0, 1, 0.5)]
-        assert decode(table, encode(table, records)) == records
+        _engines, tables = four_slot_cut()
+        values = array("d", [1.25, 0.0, 0.0, 0.5])
+        payload = encode(values)
+        assert payload == struct.pack("<4d", 1.25, 0.0, 0.0, 0.5)
+        assert payload_values(payload) == values
+        assert decode(tables[1], values) == [(tables[1][0], 1.25), (tables[1][3], 0.5)]
+
+    def test_byte_order_is_little_endian_on_any_machine(self, monkeypatch):
+        # on a big-endian machine `array` holds doubles the other way round
+        monkeypatch.setattr(comm, "_SWAP", True)
+        values = array("d", [1.25, 0.5])
+        assert encode(values) == struct.pack(">2d", 1.25, 0.5)
+        assert values == array("d", [1.25, 0.5])
+        assert payload_values(struct.pack(">2d", 1.25, 0.5)) == values
 
     def test_zero_slots_produce_no_records(self):
-        table = four_slot_table()
-        assert decode(table, [0.0, 0.0, 0.0, 0.0]) == []
+        _engines, tables = four_slot_cut()
+        assert decode(tables[1], array("d", [0.0, -0.0, 0.0, 0.0])) == []
 
 
 class TestChannelTopology:
@@ -197,24 +245,24 @@ class TestExchange:
         got = [None, None]
 
         def side_a():
-            got[0] = exchange([ch_a], {1: payload_a}, step=3, timeout=5.0)
+            got[0] = exchange([ch_a], {1: message(payload_a)}, step=3, timeout=5.0)
 
         def side_b():
-            got[1] = exchange([ch_b], {0: payload_b}, step=3, timeout=5.0)
+            got[1] = exchange([ch_b], {0: message(payload_b)}, step=3, timeout=5.0)
 
         errors = _run_both(side_a, side_b)
         assert errors == [None, None]
-        assert got[0] == {1: payload_b}
-        assert got[1] == {0: payload_a}
+        assert got[0] == {1: array("d", payload_b)}
+        assert got[1] == {0: array("d", payload_a)}
 
     def test_step_index_mismatch_is_fatal(self):
         ch_a, ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))
 
         def side_a():
-            exchange([ch_a], {1: [0.0] * 4}, step=7, timeout=5.0)
+            exchange([ch_a], {1: message([0.0] * 4)}, step=7, timeout=5.0)
 
         def side_b():
-            exchange([ch_b], {0: [0.0] * 4}, step=8, timeout=5.0)
+            exchange([ch_b], {0: message([0.0] * 4)}, step=8, timeout=5.0)
 
         errors = _run_both(side_a, side_b)
         assert any(
@@ -226,7 +274,7 @@ class TestExchange:
         ch_a, ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))
         ch_b.duplex.send_frame(pack_frame(0, 1, 0, [1.0, 2.0]))
         with pytest.raises(ProtocolError, match=r"2 values"):
-            exchange([ch_a], {1: [0.0] * 4}, step=0, timeout=5.0)
+            exchange([ch_a], {1: message([0.0] * 4)}, step=0, timeout=5.0)
 
     def test_wrong_length_names_both_workers(self):
         # the one check of a received message's length; `decode` trusts it
@@ -235,12 +283,12 @@ class TestExchange:
         with pytest.raises(
             ProtocolError, match=r"^worker 2: message from 5 has 5 values, decoder expects 4$"
         ):
-            exchange([ch_a], {5: [0.0] * 4}, step=0, timeout=5.0)
+            exchange([ch_a], {5: message([0.0] * 4)}, step=0, timeout=5.0)
 
     def test_timeout_names_duration(self):
         ch_a, _ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))
         with pytest.raises(ProtocolError, match=r"timed out"):
-            exchange([ch_a], {1: [0.0] * 4}, step=0, timeout=0.05)
+            exchange([ch_a], {1: message([0.0] * 4)}, step=0, timeout=0.05)
 
     def test_four_workers_on_a_cycle(self):
         # payload from each neighbor arrives intact on a 4-cycle metagraph
@@ -267,7 +315,7 @@ class TestExchange:
 
         def worker(i):
             try:
-                outbox = {ch.remote: payloads[i] for ch in channels[i]}
+                outbox = {ch.remote: message(payloads[i]) for ch in channels[i]}
                 got[i] = exchange(channels[i], outbox, step=0, timeout=5.0)
             except Exception as e:  # noqa: BLE001
                 errors[i] = e
@@ -280,8 +328,8 @@ class TestExchange:
         assert errors == [None] * 4
         for i in range(4):
             assert got[i] == {
-                (i - 1) % 4: payloads[(i - 1) % 4],
-                (i + 1) % 4: payloads[(i + 1) % 4],
+                (i - 1) % 4: array("d", payloads[(i - 1) % 4]),
+                (i + 1) % 4: array("d", payloads[(i + 1) % 4]),
             }
 
 
@@ -349,12 +397,12 @@ class TestOrderedSwap:
     def test_four_megabyte_frames_both_ways(self, transport):
         a, b = socketpair() if transport == "socketpair" else tcp_socket_pair()
         ch_a, ch_b = synthetic_channel(0, 1, a), synthetic_channel(1, 0, b)
-        out_a = [float(k) for k in range(BIG)]
-        out_b = [-float(k) for k in range(BIG)]
+        out_a = array("d", [float(k) for k in range(BIG)])
+        out_b = array("d", [-float(k) for k in range(BIG)])
         got = [None, None]
 
         def side(idx, ch, outgoing):
-            got[idx] = exchange([ch], {ch.remote: outgoing}, step=4, timeout=10.0)
+            got[idx] = exchange([ch], {ch.remote: encode(outgoing)}, step=4, timeout=10.0)
 
         try:
             errors = run_bounded(
@@ -373,7 +421,7 @@ class TestOrderedSwap:
         t0 = time.monotonic()
         try:
             errors = run_bounded(
-                [lambda: exchange([ch_a], {1: [0.0] * BIG}, step=0, timeout=0.5)], 5.0
+                [lambda: exchange([ch_a], {1: message([0.0] * BIG)}, step=0, timeout=0.5)], 5.0
             )
         finally:
             a.shutdown(socket.SHUT_RDWR)  # wakes the send if it still blocks

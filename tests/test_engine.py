@@ -3,10 +3,12 @@ assignment, and the conservation update, against hand-computed values."""
 
 import ast
 import json
+from array import array
 
 import pytest
 
 from ctmdist import engine as engine_module
+from ctmdist.comm import decode
 from ctmdist.engine import (
     Engine,
     cell_total,
@@ -19,6 +21,7 @@ from ctmdist.gridgen import generate_grid
 from ctmdist.partition import (
     NodePartition,
     build_decoder_map,
+    build_receive_map,
     build_subnetworks,
     partition_nodes,
 )
@@ -31,14 +34,6 @@ from conftest import chain_doc, link, merge_diverge_doc
 def seed(engine, lid, gidx, cell, comm, veh):
     engine.set_cell_value(lid, gidx, cell, comm, veh)
     engine.active.add(lid)
-
-
-def cut_engine(merge_diverge, index):
-    """The engine of fragment `index` of the merge fixture cut at node 5:
-    fragment 0 resolves link 4's inflow, fragment 1 its outflow."""
-    cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
-    sub = build_subnetworks(merge_diverge, cut)[index]
-    return Engine(sub.fragment, set(sub.owned_nodes))
 
 
 def fragment_with_path(scenario, path, cut=None, index=0):
@@ -58,9 +53,15 @@ def fractions(engine, lid, vtype, time):
     return tuple((comms[p][1], frac) for p, frac in engine.entry_positions(lid, vtype, time))
 
 
-def entry(engine, lid, cid, gidx, comm, veh):
-    """A received record for `comm` in lane group `gidx` of `lid`."""
-    return (lid, cid, gidx, engine.links[lid].comm_index[comm], veh)
+def received(engine, neighbor, send, receive, lid, cid, gidx, comm, veh):
+    """The flows phase B takes from a message from `neighbor` that carries
+    `veh` vehicles of `comm` in lane group `gidx` of `lid` through
+    connection `cid`, and nothing else; `send` and `receive` are the
+    channel's maps."""
+    table = engine.bind_channel(neighbor, send.positions, receive.positions)
+    values = array("d", bytes(8 * receive.message_length))
+    values[receive.positions[lid, cid, gidx, engine.links[lid].comm_index[comm]]] = veh
+    return decode(table, values)
 
 
 def totals(engine, lid):
@@ -481,10 +482,14 @@ class TestChecks:
     def test_negative_occupancy_rejected(self, merge_diverge):
         # the neighbor resolving link 4's outflow sends a removal of
         # vehicles the empty cell does not hold
-        eng = cut_engine(merge_diverge, 0)
+        cut = NodePartition(2, {nid: int(nid >= 5) for nid in merge_diverge.nodes})
+        sub = build_subnetworks(merge_diverge, cut)[0]
+        eng = Engine(sub.fragment)
+        maps = build_decoder_map(sub, 1), build_receive_map(sub, 1)
+        flows = received(eng, 1, *maps, 4, 4, 0, (1, 5), 1.0)
         plan = eng.phase_a(0)
         with pytest.raises(InternalAssertion, match=r"negative occupancy"):
-            eng.phase_b(plan, [entry(eng, 4, 4, 0, (1, 5), 1.0)])
+            eng.phase_b(plan, flows)
 
     def test_terminal_commodity_on_non_sink_link(self, merge_diverge):
         # a fragment's path, like a whole scenario's, must end at a sink
