@@ -442,14 +442,16 @@ class Engine:
         exited = 0.0
         for lid in active:
             lrt = links[lid]
+            if not lrt.link.is_sink:
+                if lrt.outflow_local:
+                    self.compute_connection_demands(lrt, demand_by_conn, plan.targets)
+                self._move_internal(lrt)
+                continue
             discharge = []
-            if lrt.link.is_sink:
-                for g, cell_totals in zip(lrt.groups, lrt.totals):
-                    total, amounts = compute_demand(g.cells[-1], cell_totals[-1], g.cap_step)
-                    if total > 0.0:
-                        discharge.append((g, amounts))
-            elif lrt.outflow_local:
-                self.compute_connection_demands(lrt, demand_by_conn, plan.targets)
+            for g, cell_totals in zip(lrt.groups, lrt.totals):
+                total, amounts = compute_demand(g.cells[-1], cell_totals[-1], g.cap_step)
+                if total > 0.0:
+                    discharge.append((g, amounts))
             self._move_internal(lrt)
             for g, amounts in discharge:
                 g.cells[-1] = [v - a for v, a in zip(g.cells[-1], amounts)]
@@ -503,7 +505,9 @@ class Engine:
                 delivery_slots = conn.delivery_slots
                 if delivery_slots is not None:
                     deliveries = boundary[conn.delivery_to]
-                for vt, total in sorted(arrived.items()):
+                if len(arrived) > 1:  # first seen, by lane group; deliver by type
+                    arrived = dict(sorted(arrived.items()))
+                for vt, total in arrived.items():
                     if total <= 0.0:
                         continue
                     positions = cache.get((target, vt))
