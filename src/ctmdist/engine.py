@@ -223,11 +223,6 @@ class LinkRuntime:
     # per lane group, the vehicles in each cell; see the module docstring
     totals: list[list[float]]
 
-    def fold_totals(self) -> list[list[float]]:
-        """Set `totals` from the cells, each a left fold from 0.0."""
-        self.totals = [[reduce(add, cell, 0.0) for cell in g.cells] for g in self.groups]
-        return self.totals
-
     @property
     def authoritative(self) -> bool:
         # overlap links are replicated; the upstream (relative sink) side owns
@@ -239,14 +234,12 @@ class LinkRuntime:
 class ConnRuntime:
     """A road connection at a node this engine owns."""
 
-    in_link: int
-    out_link: int
-    groups: list[GroupRuntime]  # the in link's lane groups
-    removal_to: int | None  # the neighbor sharing its in link, else None
-    delivery_to: int | None  # the neighbor sharing its out link, else None
+    upstream: LinkRuntime  # its in link
+    downstream: LinkRuntime  # its out link
     # send slots by [lane group][commodity position] of the in link
-    # (removals) and of the out link (deliveries), once a channel to the
-    # neighbor is bound; None in a slot list marks a flow with no slot
+    # (removals) and of the out link (deliveries), once the channel to the
+    # neighbor sharing the link is bound; None in a slot list marks a flow
+    # with no slot
     removal_slots: list[list[int | None]] | None = None
     delivery_slots: list[list[int | None]] | None = None
 
@@ -309,14 +302,7 @@ class Engine:
         for cid, conn in scenario.connections.items():
             upstream = self.links.get(conn.in_link)
             if upstream is not None and upstream.outflow_local:
-                downstream = self.links[conn.out_link]
-                self._conns[cid] = ConnRuntime(
-                    in_link=conn.in_link,
-                    out_link=conn.out_link,
-                    groups=upstream.groups,
-                    removal_to=None if upstream.inflow_local else upstream.neighbor,
-                    delivery_to=None if downstream.outflow_local else downstream.neighbor,
-                )
+                self._conns[cid] = ConnRuntime(upstream, self.links[conn.out_link])
         # neighbor -> the zero message that phase A fills, once bound
         self._send_zeros: dict[int, array] = {}
 
@@ -394,18 +380,19 @@ class Engine:
         commodity position.  Returns the receive table: each receive slot's
         `ReceiveEntry`, in slot order, which `decode` pairs with the
         received values for phase B."""
-        links = self.links
         conns = self._conns
         for conn in conns.values():
-            if conn.removal_to == neighbor:
-                conn.removal_slots = slot_lists(links[conn.in_link])
-            if conn.delivery_to == neighbor:
-                conn.delivery_slots = slot_lists(links[conn.out_link])
+            up, down = conn.upstream, conn.downstream
+            if not up.inflow_local and up.neighbor == neighbor:
+                conn.removal_slots = slot_lists(up)
+            if not down.outflow_local and down.neighbor == neighbor:
+                conn.delivery_slots = slot_lists(down)
         for (lid, cid, gidx, p), slot in send.items():
             conn = conns[cid]
-            slots = conn.removal_slots if conn.in_link == lid else conn.delivery_slots
+            slots = conn.removal_slots if conn.upstream.link.id == lid else conn.delivery_slots
             slots[gidx][p] = slot
         self._send_zeros[neighbor] = array("d", bytes(8 * len(send)))
+        links = self.links
         in_link_of = self._in_link_of
         return [
             (lid, links[lid].groups[gidx].cells, -1 if in_link_of[cid] == lid else 0, p)
@@ -489,10 +476,10 @@ class Engine:
             one_cell = groups[0].cell_count == 1
             for cid, (_demand, entries) in conns:
                 conn = conns_at[cid]
-                upstream = conn.groups
+                upstream = conn.upstream.groups
                 removal_slots = conn.removal_slots
                 if removal_slots is not None:
-                    removals = boundary[conn.removal_to]
+                    removals = boundary[conn.upstream.neighbor]
                 arrived: dict[int, float] = {}
                 for (p, _cid, _out_link, gidx, vt), d in entries:
                     amount = d * factor
@@ -504,7 +491,7 @@ class Engine:
                     arrived[vt] = arrived.get(vt, 0.0) + amount
                 delivery_slots = conn.delivery_slots
                 if delivery_slots is not None:
-                    deliveries = boundary[conn.delivery_to]
+                    deliveries = boundary[tlrt.neighbor]
                 if len(arrived) > 1:  # first seen, by lane group; deliver by type
                     arrived = dict(sorted(arrived.items()))
                 for vt, total in arrived.items():
@@ -809,7 +796,7 @@ class Engine:
         if p is None:
             raise InternalAssertion(f"commodity {comm} cannot occur on link {link_id}")
         lrt.groups[gidx].cells[k][p] = vehicles
-        lrt.fold_totals()
+        lrt.totals = [list(map(cell_total, g.cells)) for g in lrt.groups]
 
     def state_rows(self, step: int) -> list[tuple[int, int, int, int, int, int, float]]:
         """Dump rows (step, link, group, cell, vtype, next, vehicles) for the

@@ -463,7 +463,7 @@ class TestUpdate:
 
 
 class TestChecks:
-    """Inconsistent states and records fail loudly; the merge fixture's
+    """Inconsistent states and received flows fail loudly; the merge fixture's
     link 4 carries commodities (0, 5), (1, 5) and (1, 6)."""
 
     def test_slot_entries_by_position(self, merge_diverge):

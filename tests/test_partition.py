@@ -52,7 +52,7 @@ def path_scenario(n_nodes=4):
 def assert_receive_keys_fit(sub):
     """Every key of `sub`'s receive maps is a delivery into one of its
     relative sources or a removal from one of its relative sinks, on a link
-    it shares with the sender: the only records phase B can apply."""
+    it shares with the sender: the only flows phase B can apply."""
     frag = sub.fragment
     sources, sinks = set(sub.relative_sources), set(sub.relative_sinks)
     for nb in sub.neighbors():
@@ -501,9 +501,9 @@ class TestDecoderMaps:
 
     @pytest.mark.parametrize("name, n", GOLDEN_CUTS)
     def test_received_records_apply_on_the_far_side(self, name, n):
-        # phase B files a received record by its connection alone, so each
-        # receive-map key must be a delivery into a relative source or a
-        # removal from a relative sink
+        # the receive table tells a removal from a delivery by the slot's
+        # connection alone, so each receive-map key must be a delivery into
+        # a relative source or a removal from a relative sink
         subs = golden_cut(name, n)
         assert len(subs) == (n or 3)
         for sub in subs:
