@@ -387,13 +387,13 @@ class Engine:
                 conn.removal_slots = slot_lists(up)
             if not down.outflow_local and down.neighbor == neighbor:
                 conn.delivery_slots = slot_lists(down)
+        in_link_of = self._in_link_of
         for (lid, cid, gidx, p), slot in send.items():
             conn = conns[cid]
-            slots = conn.removal_slots if conn.upstream.link.id == lid else conn.delivery_slots
+            slots = conn.removal_slots if in_link_of[cid] == lid else conn.delivery_slots
             slots[gidx][p] = slot
         self._send_zeros[neighbor] = array("d", bytes(8 * len(send)))
         links = self.links
-        in_link_of = self._in_link_of
         return [
             (lid, links[lid].groups[gidx].cells, -1 if in_link_of[cid] == lid else 0, p)
             for lid, cid, gidx, p in receive
