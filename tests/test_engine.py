@@ -148,7 +148,7 @@ def node_conns(*demands):
 
 
 def applied(conns, factor):
-    """Each entry as `_apply_node_flows` applies it: `d * factor`."""
+    """Each entry as phase A's node loop applies it: `d * factor`."""
     return [d * factor for _c, (_t, es) in conns for _k, d in es]
 
 
