@@ -14,6 +14,8 @@ the slot layout that both derive alike would pass the handshake.  The
 partition-file hashes were taken before the slot builders moved onto the
 commodity and lane-group tables that `validate()` builds; any change in a
 fragment, the metagraph, a decoder map or the partition file shows here.
+The file-set hashes, one node per fragment and an imported random
+assignment, were taken before fragments were cut in one pass.
 
 The dumps of both sides of a cut would agree even if the two sides changed
 the frames they swap in the same way.  The frame digests were taken before
@@ -23,6 +25,7 @@ in the bytes of a frame, header or payload, handshake or step, shows here.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -96,6 +99,38 @@ def test_partition_files_match_golden(name, tmp_path):
     assert main(argv) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert written == PARTITION_FILES[name]
+
+
+# one sha256 over every file `ctmdist partition` writes, each as its name,
+# its length and its bytes, in name order: one node per fragment, and an
+# imported seeded random assignment
+PARTITION_SETS = {
+    "grid3x3-n25": "adb4f6d2bafc24c4f1c0ff1eec1adfeead74a0160068353ccc281d13a3a5ec95",
+    "lanes5x5-n2-import": "8f46016ac961d0eeb103ff520c72daa11c70a95bcab10d6ef896c67de475b555",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_SETS))
+def test_partition_file_set_matches_golden(name, tmp_path):
+    path = tmp_path / "scenario.json"
+    argv = ["partition", "--scenario", str(path), "--out-dir", str(tmp_path / "parts")]
+    if name == "grid3x3-n25":
+        scenario = generate_grid(3, 3)
+        argv += ["--n", "25"]
+    else:
+        scenario = lanes_grid()
+        rng = random.Random(24)
+        assignment = tmp_path / "assignment.txt"
+        lines = [f"{nid} {rng.randrange(2)}\n" for nid in sorted(scenario.nodes)]
+        assignment.write_text("".join(lines))
+        argv += ["--n", "2", "--import", str(assignment)]
+    save_scenario(scenario, str(path))
+    assert main(argv) == 0
+    digest = hashlib.sha256()
+    for f in sorted((tmp_path / "parts").iterdir()):
+        data = f.read_bytes()
+        digest.update(f"{f.name}\n{len(data)}\n".encode("ascii") + data)
+    assert digest.hexdigest() == PARTITION_SETS[name]
 
 
 # sha256 of the frames each worker sent on each channel over 200 steps, the
