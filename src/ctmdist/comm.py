@@ -172,7 +172,10 @@ def decode(table: list[ReceiveEntry], values: array) -> list[tuple[ReceiveEntry,
 
 
 def _slot_fingerprint(decoder: DecoderMap) -> bytes:
-    return json.dumps(decoder.to_doc(), separators=(",", ":")).encode("ascii")
+    """`decoder.to_doc()` as compact JSON: the handshake payload."""
+    slots = ",".join(["[%d,%d,%d,%d,%d]" % slot for slot in decoder.slots])
+    text = '{"sender":%d,"receiver":%d,"slots":[%s]}' % (decoder.sender, decoder.receiver, slots)
+    return text.encode("ascii")
 
 
 def map_difference(theirs: DecoderMap, mine: DecoderMap) -> str | None:

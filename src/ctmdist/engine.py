@@ -287,7 +287,6 @@ class Engine:
             if nid not in scenario.nodes:
                 raise ScenarioError(f"owned node {nid} is not in the scenario")
 
-        self._in_link_of = {cid: c.in_link for cid, c in scenario.connections.items()}
         neighbor_of = {} if sub is None else sub.neighbor_of_link
 
         self.links: dict[int, LinkRuntime] = {}
@@ -307,11 +306,8 @@ class Engine:
         self._send_zeros: dict[int, array] = {}
 
         self.queues: dict[tuple[int, int], float] = {}
-        self.source_links = tuple(
-            lid
-            for lid in sorted(self.links)
-            if self.scenario.demand_rows(lid)
-        )
+        # self.links is in ascending id order
+        self.source_links = tuple([lid for lid in self.links if scenario.demand_rows(lid)])
         self._source_set = frozenset(self.source_links)
         self.active: set[int] = set(self.source_links)
         # entry fractions stay valid while no split row starts: cached per
@@ -321,26 +317,42 @@ class Engine:
         self._position_cache: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
 
     def _build_link(self, link: Link, neighbor: int | None) -> LinkRuntime:
-        comms = self.scenario.commodities[link.id]
+        """The runtime of one simulated link, built in one pass over its
+        lane groups.  A non-sink link with one lane group serves every
+        commodity through that group, as `validate()` guarantees, so its
+        outflows come straight from its connections and it has no lane
+        moves."""
+        scenario = self.scenario
+        comms = scenario.commodities[link.id]
+        width = len(comms)
         fd = link.fd
+        capacity, jam_density, dt = fd.capacity, fd.jam_density, self.dt
         wv_ratio = fd.congestion_wave_speed / fd.free_flow_speed
+        lane_groups = scenario.lane_groups[link.id]
         groups = []
-        serving = []  # per group: downstream link -> serving connection
-        for lg in self.scenario.lane_groups[link.id]:
-            cap_step = (fd.capacity * lg.lane_count) * self.dt
-            jam_veh = (fd.jam_density * lg.lane_count) * lg.cell_length
+        for lg in lane_groups:
+            lanes = lg.lane_count
             groups.append(
                 GroupRuntime(
-                    index=lg.index,
-                    cell_count=lg.cell_count,
-                    cap_step=cap_step,
-                    jam_veh=jam_veh,
-                    wv_ratio=wv_ratio,
-                    cells=[[0.0] * len(comms) for _ in range(lg.cell_count)],
+                    lg.index,
+                    lg.cell_count,
+                    (capacity * lanes) * dt,
+                    (jam_density * lanes) * lg.cell_length,
+                    wv_ratio,
+                    [[0.0] * width for _ in range(lg.cell_count)],
                 )
             )
-            serving.append({self.scenario.connections[cid].out_link: cid for cid in lg.conn_ids})
-        if not link.is_sink:
+        connections = scenario.connections
+        if len(groups) == 1 and not link.is_sink:
+            conn_by_next = {connections[cid].out_link: cid for cid in lane_groups[0].conn_ids}
+            groups[0].outflows = tuple(
+                [(p, conn_by_next[nxt], nxt, 0, vt) for p, (vt, nxt) in enumerate(comms)]
+            )
+        elif not link.is_sink:
+            # per group: downstream link -> serving connection
+            serving = [
+                {connections[cid].out_link: cid for cid in lg.conn_ids} for lg in lane_groups
+            ]
             servers: dict[int, list[int]] = {}  # downstream link -> serving groups, ascending
             for h, conn_by_next in enumerate(serving):
                 for nxt in conn_by_next:
@@ -357,14 +369,14 @@ class Engine:
                     moves.append((p, g.index + 1 if best > g.index else g.index - 1))
                 g.outflows, g.lane_moves = tuple(outflows), tuple(moves)
         return LinkRuntime(
-            link=link,
-            groups=groups,
-            inflow_local=link.start_node in self.owned,
-            outflow_local=link.end_node in self.owned,
-            neighbor=neighbor,
-            comms=comms,
-            comm_index=dict(zip(comms, range(len(comms)))),
-            totals=[[0.0] * g.cell_count for g in groups],
+            link,
+            groups,
+            link.start_node in self.owned,
+            link.end_node in self.owned,
+            neighbor,
+            comms,
+            dict(zip(comms, range(width))),
+            [[0.0] * g.cell_count for g in groups],
         )
 
     def bind_channel(
@@ -387,15 +399,15 @@ class Engine:
                 conn.removal_slots = slot_lists(up)
             if not down.outflow_local and down.neighbor == neighbor:
                 conn.delivery_slots = slot_lists(down)
-        in_link_of = self._in_link_of
+        connections = self.scenario.connections
         for (lid, cid, gidx, p), slot in send.items():
             conn = conns[cid]
-            slots = conn.removal_slots if in_link_of[cid] == lid else conn.delivery_slots
+            slots = conn.removal_slots if connections[cid].in_link == lid else conn.delivery_slots
             slots[gidx][p] = slot
         self._send_zeros[neighbor] = array("d", bytes(8 * len(send)))
         links = self.links
         return [
-            (lid, links[lid].groups[gidx].cells, -1 if in_link_of[cid] == lid else 0, p)
+            (lid, links[lid].groups[gidx].cells, -1 if connections[cid].in_link == lid else 0, p)
             for lid, cid, gidx, p in receive
         ]
 

@@ -332,11 +332,21 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
     carried simulated links (both replicas of an overlap source inject
     identically).  Fragments validate as stand-alone scenarios.
 
+    One ascending pass over the nodes, links, connections, split and
+    demand rows and index entries of `scenario` files each under the one
+    or two fragments simulating its link (an interior link's one subset,
+    an overlap link's two; a connection goes to every fragment simulating
+    either of its links, and a link it names that such a fragment does not
+    simulate is a stub there).  Each fragment is then built from its own
+    lists, so the cut costs the network once plus each fragment's size,
+    not the network once per fragment.  Every list and dict comes out in
+    the order of `scenario`, ids ascending.
+
     The fragments are not run through validate() again.  A simulated link
     keeps every road connection it has in `scenario`, so its connection,
     lane-group and commodity entries, its split and demand rows and its
-    flags equal the parent's; the fragment takes those entries, all
-    immutable, from `scenario`.  A stub keeps only its connections to
+    flags equal the parent's; the fragment takes those entries, which are
+    never mutated, from `scenario`.  A stub keeps only its connections to
     simulated links and may become a sink, so `derive_link_tables` derives
     its entries as validate() does.  Every check validate() makes holds by
     construction: the rows and lane groups of simulated links passed it in
@@ -347,74 +357,97 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
     are validated in full, deterministic paths included.
     """
     assign = partition.assignment
+    frags = range(partition.n)
+    owned: list[list[int]] = [[] for _ in frags]
+    for nid in sorted(scenario.nodes):
+        owned[assign[nid]].append(nid)
+
+    links = scenario.links
+    sim_links: list[list[int]] = [[] for _ in frags]
+    interior: list[list[int]] = [[] for _ in frags]
+    rel_sources: list[list[int]] = [[] for _ in frags]
+    rel_sinks: list[list[int]] = [[] for _ in frags]
+    neighbor_of_link: list[dict[int, int]] = [{} for _ in frags]
+    homes: dict[int, tuple[int, ...]] = {}  # link -> the fragments simulating it
+    for lid in sorted(links):
+        link = links[lid]
+        a, b = assign[link.start_node], assign[link.end_node]
+        if a == b:
+            homes[lid] = (a,)
+            sim_links[a].append(lid)
+            interior[a].append(lid)
+        else:
+            homes[lid] = (a, b)
+            sim_links[a].append(lid)
+            rel_sinks[a].append(lid)
+            neighbor_of_link[a][lid] = b
+            sim_links[b].append(lid)
+            rel_sources[b].append(lid)
+            neighbor_of_link[b][lid] = a
+
+    conn_ids: list[list[int]] = [[] for _ in frags]
+    stubs: list[set[int]] = [set() for _ in frags]
+    for cid in sorted(scenario.connections):
+        conn = scenario.connections[cid]
+        in_homes, out_homes = homes[conn.in_link], homes[conn.out_link]
+        for f in in_homes:
+            conn_ids[f].append(cid)
+            if f not in out_homes:
+                stubs[f].add(conn.out_link)
+        for f in out_homes:
+            if f not in in_homes:
+                conn_ids[f].append(cid)
+                stubs[f].add(conn.in_link)
+
+    splits: list[list] = [[] for _ in frags]
+    for row in scenario.splits:
+        for f in homes[row.in_link]:
+            splits[f].append(row)
+    demands: list[list] = [[] for _ in frags]
+    for row in scenario.demands:
+        for f in homes[row.link]:
+            demands[f].append(row)
+    split_index: list[dict] = [{} for _ in frags]
+    for key, rows in scenario._split_index.items():
+        for f in homes[key[0]]:
+            split_index[f][key] = rows
+    demand_index: list[dict] = [{} for _ in frags]
+    for lid, rows in scenario._demand_index.items():
+        for f in homes[lid]:
+            demand_index[f][lid] = rows
+
     subs = []
-    for index in range(partition.n):
-        owned = sorted(v for v in scenario.nodes if assign[v] == index)
-        owned_set = set(owned)
-        sim_links = []
-        interior, rel_sources, rel_sinks = [], [], []
-        neighbor_of_link: dict[int, int] = {}
-        for lid in sorted(scenario.links):
-            link = scenario.links[lid]
-            s_in = link.start_node in owned_set
-            e_in = link.end_node in owned_set
-            if not (s_in or e_in):
-                continue
-            sim_links.append(lid)
-            if s_in and e_in:
-                interior.append(lid)
-            elif s_in:
-                rel_sinks.append(lid)
-                neighbor_of_link[lid] = assign[link.end_node]
-            else:
-                rel_sources.append(lid)
-                neighbor_of_link[lid] = assign[link.start_node]
-
-        sim_set = set(sim_links)
-        conn_ids = sorted(
-            c.id
-            for c in scenario.connections.values()
-            if c.in_link in sim_set or c.out_link in sim_set
-        )
-
-        frag_link_ids = set(sim_links)
-        for cid in conn_ids:
-            conn = scenario.connections[cid]
-            frag_link_ids.add(conn.in_link)
-            frag_link_ids.add(conn.out_link)
-        frag_node_ids = set(owned)
-        for lid in frag_link_ids:
-            frag_node_ids.add(scenario.links[lid].start_node)
-            frag_node_ids.add(scenario.links[lid].end_node)
-
+    for f in frags:
+        sim = sim_links[f]
+        frag_links = {lid: links[lid] for lid in sorted([*sim, *stubs[f]])}
+        node_ids = set(owned[f])
+        for link in frag_links.values():
+            node_ids.add(link.start_node)
+            node_ids.add(link.end_node)
         meta = SubnetworkMeta(
-            index=index,
-            owned_nodes=tuple(owned),
-            interior_links=tuple(interior),
-            relative_sources=tuple(rel_sources),
-            relative_sinks=tuple(rel_sinks),
-            neighbor_of_link=neighbor_of_link,
+            index=f,
+            owned_nodes=tuple(owned[f]),
+            interior_links=tuple(interior[f]),
+            relative_sources=tuple(rel_sources[f]),
+            relative_sinks=tuple(rel_sinks[f]),
+            neighbor_of_link=neighbor_of_link[f],
         )
         fragment = Scenario(
-            nodes={nid: scenario.nodes[nid] for nid in sorted(frag_node_ids)},
-            links={lid: scenario.links[lid] for lid in sorted(frag_link_ids)},
-            connections={cid: scenario.connections[cid] for cid in conn_ids},
+            nodes={nid: scenario.nodes[nid] for nid in sorted(node_ids)},
+            links=frag_links,
+            connections={cid: scenario.connections[cid] for cid in conn_ids[f]},
             vehicle_types=dict(scenario.vehicle_types),
-            splits=[r for r in scenario.splits if r.in_link in sim_set],
-            demands=[r for r in scenario.demands if r.link in sim_set],
+            splits=splits[f],
+            demands=demands[f],
             sim=scenario.sim,
             subnetwork=meta,
-            in_conns={lid: scenario.in_conns[lid] for lid in sim_links},
-            lane_groups={lid: scenario.lane_groups[lid] for lid in sim_links},
-            commodities={lid: scenario.commodities[lid] for lid in sim_links},
-            _split_index={
-                key: rows for key, rows in scenario._split_index.items() if key[0] in sim_set
-            },
-            _demand_index={
-                lid: rows for lid, rows in scenario._demand_index.items() if lid in sim_set
-            },
+            in_conns={lid: scenario.in_conns[lid] for lid in sim},
+            lane_groups={lid: scenario.lane_groups[lid] for lid in sim},
+            commodities={lid: scenario.commodities[lid] for lid in sim},
+            _split_index=split_index[f],
+            _demand_index=demand_index[f],
         )
-        derive_link_tables(fragment, sorted(frag_link_ids - sim_set))
+        derive_link_tables(fragment, sorted(stubs[f]))
         subs.append(Subnetwork(fragment))
     return subs
 

@@ -510,10 +510,9 @@ def merge_states(row_lists: list[list[Row]]) -> list[Row]:
 
 
 def rows_to_csv(rows: list[Row]) -> str:
-    out = [DUMP_HEADER]
-    for step, link, group, cell, vtype, nxt, veh in rows:
-        out.append(f"{step},{link},{group},{cell},{vtype},{nxt},{veh!r}")
-    return "\n".join(out) + "\n"
+    """The dump text: the header, then one line per row, the vehicles
+    written with repr() so that they read back to the same float."""
+    return DUMP_HEADER + "\n" + "".join(["%d,%d,%d,%d,%d,%d,%r\n" % row for row in rows])
 
 
 def write_dump(rows: list[Row], path: str) -> None:

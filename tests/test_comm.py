@@ -16,6 +16,7 @@ from ctmdist.comm import (
     HEADER,
     NeighborChannel,
     SocketDuplex,
+    _slot_fingerprint,
     _verify_hello,
     decode,
     encode,
@@ -201,6 +202,12 @@ def _run_both(side_a, side_b):
 
 
 class TestEstablish:
+    @pytest.mark.parametrize("slots", [(), ((3, 4, 0, 1, -1), (12, 40, 2, 0, 41))])
+    def test_fingerprint_is_the_compact_json_of_the_map(self, slots):
+        decoder = DecoderMap(sender=2, receiver=10, slots=slots)
+        text = json.dumps(decoder.to_doc(), separators=(",", ":"))
+        assert _slot_fingerprint(decoder) == text.encode("ascii")
+
     def test_matching_maps_handshake_passes(self):
         ch_a, ch_b = pipe_channel_pair(four_slot_map(0, 1), four_slot_map(1, 0))
         errors = _run_both(lambda: establish([ch_a], 5.0), lambda: establish([ch_b], 5.0))

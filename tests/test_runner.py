@@ -49,7 +49,7 @@ from conftest import (
     merge_diverge_doc,
     run_bounded,
 )
-from support import lockstep, setup_timing
+from support import lockstep, run_in_threads, setup_timing
 
 
 class TestSequential:
@@ -77,6 +77,27 @@ class TestSequential:
     def test_rejects_zero_steps(self, merge_diverge):
         with pytest.raises(ScenarioError):
             run_sequential(merge_diverge, steps=0)
+
+
+def _field_reprs(s):
+    """repr() of every field of a scenario: its records and derived tables."""
+    return [repr(getattr(s, f.name)) for f in dataclasses.fields(s)]
+
+
+def test_runs_change_no_record():
+    # records are slotted, not frozen, so nothing stops an assignment: a
+    # sequential run and two workers in threads, which share the fragments,
+    # leave every record and derived table as loaded
+    scenario = parse_scenario(serialize_scenario(lanes_grid(steps=40)))
+    subs = build_subnetworks(scenario, partition_nodes(scenario, 2, seed=0))
+    scenarios = [scenario, *(sub.fragment for sub in subs)]
+    before = [_field_reprs(s) for s in scenarios]
+    assert {"in_conns", "lane_groups", "commodities", "_split_index", "_demand_index"} <= {
+        f.name for f in dataclasses.fields(scenario)
+    }
+    run_sequential(scenario)
+    run_in_threads(subs, scenario.sim.steps)
+    assert [_field_reprs(s) for s in scenarios] == before
 
 
 class TestDistributed:

@@ -349,6 +349,13 @@ BAD_RECORDS = {
         {"999": 1.0},
         "split at node {node}: link 999 is not reachable from link {in_link} via a road connection",
     ),
+    # "0" is the one canonical key that starts with a zero
+    "split-key-zero": (
+        "splits",
+        "ratios",
+        {"0": 1.0},
+        "split at node {node}: link 0 is not reachable from link {in_link} via a road connection",
+    ),
     # a ratio key is read only in the decimal form scenario_to_dict writes,
     # so no two keys name one link
     **{

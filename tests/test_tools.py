@@ -1,6 +1,7 @@
 """The line counter that the line budget is measured with (`tools/src_lines.py`)."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -47,3 +48,21 @@ def test_main_sums_the_python_files_of_a_directory(src_lines, tmp_path, capsys, 
     monkeypatch.setattr("sys.argv", ["src_lines.py", str(tmp_path)])
     src_lines.main()
     assert capsys.readouterr().out == "code 6 docstring 4 comment 2 blank 4 total 16\n"
+
+
+def test_setup_scaling_prints_one_record_per_n(capsys):
+    path = os.path.join(ROOT, "tools", "setup_scaling.py")
+    spec = importlib.util.spec_from_file_location("setup_scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--rows", "4", "--cols", "4", "--n", "1,2,16"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["n"] for r in records] == [1, 2, 16]
+    for r in records:
+        assert set(r) == {
+            "rows", "cols", "n", "repeat", "partition_nodes_s", "build_subnetworks_s",
+            "build_metagraph_s", "engine_init_s.max", "engine_init_s.sum",
+            "decoder_maps_s.max", "decoder_maps_s.sum",
+        }
+        assert all(r[key] >= 0 for key in r)
+        assert r["engine_init_s.max"] <= r["engine_init_s.sum"]
