@@ -1,13 +1,14 @@
 """Time the set-up of a distributed run on a generated grid, for each worker
 count, in one process: no worker is forked.
 
-    python3 tools/setup_scaling.py --rows 80 --cols 80 --n 2,256,1024 [--seed 0] [--repeat 3]
+    python3 tools/setup_scaling.py --rows 80 --cols 80 --n 2,256,1024 [--repeat 3]
 
 Standard library only.  For each n it prints one JSON record with the
-seconds of `partition_nodes`, `build_subnetworks` and `build_metagraph`
-over `generate_grid(rows, cols)`, and the max and the sum over fragments of
-the `Engine` build and of the decoder maps (each fragment's send and
-receive map for every neighbour), which is what each worker pays before its
+seconds of `partition_nodes` (seed 0, the cut acceptance criterion 7
+times), `build_subnetworks` and `build_metagraph` over
+`generate_grid(rows, cols)`, and the max and the sum over fragments of the
+`Engine` build and of the decoder maps (each fragment's send and receive
+map for every neighbour), which is what each worker pays before its
 handshake.  The collector is paused throughout, as in a run.  With
 `--repeat K` every figure is the median of K timings.
 """
@@ -47,9 +48,9 @@ def _fragment_maps(sub):
 
 
 @collector_paused()
-def time_setup(scenario, n: int, seed: int) -> dict[str, float]:
+def time_setup(scenario, n: int) -> dict[str, float]:
     """Seconds of each set-up stage for `n` workers, once."""
-    partition, t_partition = _seconds(partition_nodes, scenario, n, seed)
+    partition, t_partition = _seconds(partition_nodes, scenario, n, 0)
     subs, t_subnetworks = _seconds(build_subnetworks, scenario, partition)
     _metagraph, t_metagraph = _seconds(build_metagraph, subs)
     engines = [_seconds(Engine, sub.fragment)[1] for sub in subs]
@@ -70,12 +71,11 @@ def main(argv=None) -> int:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--n", required=True, help="comma-separated worker counts")
-    p.add_argument("--seed", type=int, default=0, help="partition seed")
     p.add_argument("--repeat", type=int, default=1, help="timings per figure; the median is shown")
     args = p.parse_args(argv)
     scenario = generate_grid(args.rows, args.cols)
     for n in (int(x) for x in args.n.split(",")):
-        runs = [time_setup(scenario, n, args.seed) for _ in range(args.repeat)]
+        runs = [time_setup(scenario, n) for _ in range(args.repeat)]
         record = {"rows": args.rows, "cols": args.cols, "n": n, "repeat": args.repeat}
         for key in runs[0]:
             record[key] = round(statistics.median(run[key] for run in runs), 4)
