@@ -25,7 +25,7 @@ import random
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import ScenarioError
 from .scenario import Scenario, SubnetworkMeta, decimal_int, derive_link_tables
@@ -399,22 +399,19 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
                 conn_ids[f].append(cid)
                 stubs[f].add(conn.in_link)
 
-    splits: list[list] = [[] for _ in frags]
-    for row in scenario.splits:
-        for f in homes[row.in_link]:
-            splits[f].append(row)
-    demands: list[list] = [[] for _ in frags]
-    for row in scenario.demands:
-        for f in homes[row.link]:
-            demands[f].append(row)
-    split_index: list[dict] = [{} for _ in frags]
-    for key, rows in scenario._split_index.items():
-        for f in homes[key[0]]:
-            split_index[f][key] = rows
-    demand_index: list[dict] = [{} for _ in frags]
-    for lid, rows in scenario._demand_index.items():
-        for f in homes[lid]:
-            demand_index[f][lid] = rows
+    def by_fragment(items, link_of) -> list[list]:
+        """`items` in their order, filed under each fragment simulating
+        the link `link_of(item)`."""
+        filed: list[list] = [[] for _ in frags]
+        for item in items:
+            for f in homes[link_of(item)]:
+                filed[f].append(item)
+        return filed
+
+    splits = by_fragment(scenario.splits, attrgetter("in_link"))
+    demands = by_fragment(scenario.demands, attrgetter("link"))
+    split_index = by_fragment(scenario._split_index.items(), lambda entry: entry[0][0])
+    demand_index = by_fragment(scenario._demand_index.items(), itemgetter(0))
 
     subs = []
     for f in frags:
@@ -444,8 +441,8 @@ def build_subnetworks(scenario: Scenario, partition: NodePartition) -> list[Subn
             in_conns={lid: scenario.in_conns[lid] for lid in sim},
             lane_groups={lid: scenario.lane_groups[lid] for lid in sim},
             commodities={lid: scenario.commodities[lid] for lid in sim},
-            _split_index=split_index[f],
-            _demand_index=demand_index[f],
+            _split_index=dict(split_index[f]),
+            _demand_index=dict(demand_index[f]),
         )
         derive_link_tables(fragment, sorted(stubs[f]))
         subs.append(Subnetwork(fragment))
