@@ -1,4 +1,6 @@
-"""The line counter that the line budget is measured with (`tools/src_lines.py`)."""
+"""The tools: the line counter that the line budget is measured with
+(`tools/src_lines.py`) and the one-process set-up timer
+(`tools/setup_scaling.py`)."""
 
 import importlib.util
 import json
@@ -9,13 +11,17 @@ import pytest
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-@pytest.fixture(scope="module")
-def src_lines():
-    path = os.path.join(ROOT, "tools", "src_lines.py")
-    spec = importlib.util.spec_from_file_location("src_lines", path)
+def _tool(name):
+    path = os.path.join(ROOT, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def src_lines():
+    return _tool("src_lines")
 
 
 SOURCE = '''"""A docstring
@@ -51,11 +57,7 @@ def test_main_sums_the_python_files_of_a_directory(src_lines, tmp_path, capsys, 
 
 
 def test_setup_scaling_prints_one_record_per_n(capsys):
-    path = os.path.join(ROOT, "tools", "setup_scaling.py")
-    spec = importlib.util.spec_from_file_location("setup_scaling", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main(["--rows", "4", "--cols", "4", "--n", "1,2,16"]) == 0
+    assert _tool("setup_scaling").main(["--rows", "4", "--cols", "4", "--n", "1,2,16"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [r["n"] for r in records] == [1, 2, 16]
     for r in records:
